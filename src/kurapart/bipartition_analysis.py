@@ -279,7 +279,9 @@ def _make_certificate(
 
 
 def _line_family(sol: SolutionSet) -> FamilySegment:
-    (p1, p2, _), (d1, d2, _) = sol.basepoint, sol.directions[0]
+    # Connectivity gives each block a vertex with a cross edge, so the rows
+    # (a, 0, -1) and (0, b, -1) are independent and the set is at most a line.
+    (p1, p2, _), ((d1, d2, _),) = sol.basepoint, sol.directions
     # Open constraints A + B*t > 0: gain order, and both offset limits.
     constraints = [
         (p1 - p2, d1 - d2),
@@ -323,30 +325,6 @@ def _line_family(sol: SolutionSet) -> FamilySegment:
     )
 
 
-def _plane_family(sol: SolutionSet) -> FamilySegment:
-    # Cannot arise for a connected graph (both blocks carry a cross edge,
-    # giving two independent rows), but the solver type admits it.
-    (d1a, d2a, _), (d1b, d2b, _) = sol.directions
-    if d1a * d2b - d2a * d1b != 0:
-        # Gains cover the whole plane, which meets the open feasible wedge.
-        return FamilySegment(
-            feasible=True,
-            dim=2,
-            alpha_at_interior=_alpha_value(Fraction(1, 2), Fraction(-1, 2)),
-        )
-    moving = sol.directions[0] if (d1a, d2a) != (0, 0) else sol.directions[1]
-    seg = _line_family(SolutionSet("line", sol.basepoint, (moving,)))
-    return FamilySegment(
-        feasible=seg.feasible,
-        dim=2,
-        param_lo=seg.param_lo,
-        param_hi=seg.param_hi,
-        alpha_at_lo=seg.alpha_at_lo,
-        alpha_at_hi=seg.alpha_at_hi,
-        alpha_at_interior=seg.alpha_at_interior,
-    )
-
-
 def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassification:
     """Decide what kind of rigid two-block structure the bipartition admits.
 
@@ -360,11 +338,7 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     gamma = is_equitable(g, bip)
     sol = solve_condition2(build_condition2_system(g, bip))
     if gamma is not None:
-        family = None
-        if sol.kind == "line":
-            family = _line_family(sol)
-        elif sol.kind == "plane":
-            family = _plane_family(sol)
+        family = _line_family(sol) if sol.kind == "line" else None
         return BipartitionClassification(
             Classification.EQUITABLE, solution_set=sol, quotient=gamma, family=family
         )
@@ -377,9 +351,8 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
         cert = _make_certificate(m1, m2, r, bip)
         label = Classification.CONDITION2_UNIQUE if cert.feasible else Classification.BOUNDARY
         return BipartitionClassification(label, solution_set=sol, certificate=cert)
-    family = _line_family(sol) if sol.kind == "line" else _plane_family(sol)
     return BipartitionClassification(
-        Classification.CONDITION2_FAMILY, solution_set=sol, family=family
+        Classification.CONDITION2_FAMILY, solution_set=sol, family=_line_family(sol)
     )
 
 

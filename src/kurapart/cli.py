@@ -169,13 +169,8 @@ def _initial_state(
 def _sync_report_json(
     traj: dyn.Trajectory, args: argparse.Namespace, params: dyn.ModelParams
 ) -> str:
-    exact = dyn.exact_sync_partition(traj, tol=args.sync_tol)
     payload: dict = {
         "model": {"alpha": params.alpha, "omega": params.omega, "lambda": params.coupling},
-        "exact": {
-            "tol": args.sync_tol,
-            "blocks": [list(b) for b in exact.blocks],
-        },
     }
     try:
         report = dyn.asymptotic_sync_clusters(
@@ -185,13 +180,20 @@ def _sync_report_json(
             exact_tol=args.sync_tol,
         )
     except TooShortError as exc:
-        payload["exact"]["chained_pairs"] = []
+        exact = dyn.exact_sync_partition(traj, tol=args.sync_tol)
+        payload["exact"] = {
+            "tol": args.sync_tol,
+            "blocks": [list(b) for b in exact.blocks],
+            "chained_pairs": [],
+        }
         payload["tail"] = None
         payload["tail_skipped"] = str(exc)
         return json.dumps(payload, indent=2, sort_keys=True)
-    payload["exact"]["chained_pairs"] = [
-        [i, j, d] for i, j, d in report.chained_pairs
-    ]
+    payload["exact"] = {
+        "tol": args.sync_tol,
+        "blocks": [list(b) for b in report.exact_partition.blocks],
+        "chained_pairs": [[i, j, d] for i, j, d in report.chained_pairs],
+    }
     payload["tail"] = {
         "fraction": report.tail_fraction,
         "tol": report.tail_tol,

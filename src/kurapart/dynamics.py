@@ -3,8 +3,8 @@
 The model couples each vertex to its neighbours through a sine with a fixed
 phase lag, so equal phases are not stationary in general; rigid rotations
 are.  Both the full vertex system and the block quotient system share one
-integration core: classical fixed-step RK4 or an embedded Dormand-Prince
-4(5) pair with proportional step control.
+edge-list right-hand side and one integration core: classical fixed-step
+RK4 or an embedded Dormand-Prince 4(5) pair with proportional step control.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 MIN_ADAPTIVE_STEP = 1e-12
+MAX_ADAPTIVE_STEPS = 10_000_000
+
+Rhs = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -173,25 +176,59 @@ class LinearTrajectory:
         return Trajectory(ts, states, derivatives=derivs)
 
 
+def _coupling_rhs(
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    n: int,
+    alpha: float,
+    omega: float = 0.0,
+    coupling: float = 1.0,
+) -> Rhs:
+    """y -> omega + coupling * sum over edges src->dst of w sin(y_src - y_dst - alpha).
+
+    The one place the coupling sum is evaluated: O(n + |E|) per call, summed
+    per destination in edge order, so callers fix the summation order.
+    """
+
+    def f(y: np.ndarray) -> np.ndarray:
+        pull = np.bincount(dst, weights=w * np.sin(y[src] - y[dst] - alpha), minlength=n)
+        return omega + coupling * pull
+
+    return f
+
+
+def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
+    # (dst, src) order: each vertex pulled by its sorted neighbours, unit weight
+    nbrs = g.adjacency[1:]
+    src = np.array([u - 1 for a in nbrs for u in a], dtype=np.intp)
+    dst = np.repeat(np.arange(g.n), [len(a) for a in nbrs])
+    return _coupling_rhs(
+        src, dst, np.ones(src.size), g.n, params.alpha, params.omega, params.coupling
+    )
+
+
+def _gamma_rhs(gamma: QuotientMatrix, alpha: float) -> Rhs:
+    # block j pulls block i with weight gamma_ij; nonzero() yields (dst, src) order
+    gm = gamma.as_array()
+    dst, src = np.nonzero(gm)
+    return _coupling_rhs(src, dst, gm[dst, src], gamma.k, alpha)
+
+
 def kuramoto_rhs(g: Graph, theta: Sequence[float], params: ModelParams) -> np.ndarray:
     """Phase velocities: omega + coupling * sum_j A_ij sin(theta_j - theta_i - alpha)."""
     th = np.asarray(theta, dtype=float)
     if th.shape != (g.n,):
         raise DimensionMismatchError(f"state length {th.shape} does not match n={g.n}")
-    a = g.adjacency_matrix()
-    diff = th[None, :] - th[:, None] - params.alpha
-    return params.omega + params.coupling * np.sum(a * np.sin(diff), axis=1)
+    return _graph_rhs(g, params)(th)
 
 
 def quotient_rhs(gamma: QuotientMatrix, f: Sequence[float], alpha: float) -> np.ndarray:
     """Block system: f_i' = sum_j gamma_ij sin(f_j - f_i - alpha)."""
     fv = np.asarray(f, dtype=float)
-    k = gamma.k
-    if fv.shape != (k,):
-        raise DimensionMismatchError(f"state length {fv.shape} does not match k={k}")
-    gm = gamma.as_array()
-    diff = fv[None, :] - fv[:, None] - alpha
-    return np.sum(gm * np.sin(diff), axis=1)
+    if fv.shape != (gamma.k,):
+        raise DimensionMismatchError(f"state length {fv.shape} does not match k={gamma.k}")
+    return _gamma_rhs(gamma, alpha)(fv)
 
 
 def _check_finite(y: np.ndarray, where: str) -> None:
@@ -212,133 +249,115 @@ def _validate_t_eval(t_eval: Sequence[float] | None, t_end: float) -> np.ndarray
     return te
 
 
+def _tableau(rows: list[list[float]]) -> np.ndarray:
+    """Square strictly lower-triangular matrix from its rows below the first."""
+    a = np.zeros((len(rows) + 1, len(rows) + 1))
+    for i, row in enumerate(rows, start=1):
+        a[i, :i] = row
+    return a
+
+
+# Explicit Runge-Kutta matrices whose last row holds the propagating weights,
+# so the last stage argument is the new state and its derivative is the next
+# step's first stage (FSAL).  _DP_E is the Dormand-Prince 4(5) difference
+# between the 5th-order and the embedded 4th-order weights.
+_RK4_A = _tableau([[1 / 2], [0, 1 / 2], [0, 0, 1], [1 / 6, 1 / 3, 1 / 3, 1 / 6]])
+_DP_A = _tableau(
+    [
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+)
+_DP_E = _DP_A[6] - np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
+
+
+def _rk_stages(f: Rhs, y: np.ndarray, h: float, a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Fill k[1:] for one step of size h from y, given k[0] = f(y); return the new state."""
+    for i in range(1, a.shape[0]):
+        y_i = y + h * (a[i, :i] @ k[:i])
+        k[i] = f(y_i)
+    return y_i
+
+
 def _rk4_path(
-    f: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    cfg: IntegratorConfig,
+    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig
 ) -> tuple[list[float], list[np.ndarray]]:
     dt = float(cfg.dt)  # validated > 0
     t_end = cfg.t_end
     n_full = int(math.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
-    times = [0.0]
-    states = [y0.copy()]
-    y = y0.copy()
-    for i in range(1, n_full + 1):
-        h = dt
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    steps = [dt] * n_full + ([remainder] if remainder > 1e-9 * max(dt, 1.0) else [])
+    times, states = [0.0], [y0]
+    y = y0
+    k = np.empty((_RK4_A.shape[0], y.size))
+    k[0] = f(y)
+    for i, h in enumerate(steps, start=1):
+        y = _rk_stages(f, y, h, _RK4_A, k)
+        k[0] = k[-1]
         _check_finite(y, f"after step {i}")
-        if i % cfg.record_every == 0 or (i == n_full and remainder <= 1e-9 * max(dt, 1.0)):
-            t_i = i * dt if i < n_full or remainder > 1e-9 * max(dt, 1.0) else t_end
-            if t_i > times[-1]:
-                times.append(t_i)
-                states.append(y.copy())
-    if remainder > 1e-9 * max(dt, 1.0):
-        h = remainder
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        _check_finite(y, "after final step")
+        if i == len(steps) or i % cfg.record_every == 0:
+            times.append(t_end if i == len(steps) else i * dt)
+            states.append(y)
+    if times[-1] < t_end:  # horizon shorter than the step tolerance: no step taken
         times.append(t_end)
-        states.append(y.copy())
-    elif times[-1] < t_end:
-        times.append(t_end)
-        states.append(y.copy())
+        states.append(y)
     return times, states
 
 
-# Dormand-Prince 4(5) pair.  _DP_B is the 5th-order propagating weight row;
-# _DP_E is the difference against the embedded 4th-order row.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = _DP_B - np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
-)
-
-
 def _rk45_path(
-    f: Callable[[np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    cfg: IntegratorConfig,
-    t_eval: np.ndarray | None,
+    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, t_eval: np.ndarray | None
 ) -> tuple[list[float], list[np.ndarray]]:
     t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
-    times = [0.0]
-    states = [y0.copy()]
-    if t_goal == 0.0:
-        return times, states
-    y = y0.copy()
+    times, states = [0.0], [y0]
+    y = y0
     t = 0.0
     h = min(t_goal, max(t_goal / 100.0, 1e-6))
     eval_idx = 1  # t_eval[0] == 0 already recorded
     accepted = 0
-    max_steps = 10_000_000
     steps = 0
+    k = np.empty((_DP_A.shape[0], y.size))
+    k[0] = f(y)
     while t < t_goal:
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_ADAPTIVE_STEPS:
             raise StepUnderflowError(f"step budget exhausted at t={t}")
         if h < MIN_ADAPTIVE_STEP:
             raise StepUnderflowError(f"adaptive step fell below {MIN_ADAPTIVE_STEP} at t={t}")
         boundary = t_eval[eval_idx] if t_eval is not None else t_goal
         clipped = t + h >= boundary
         h_step = boundary - t if clipped else h
-        ks = [f(y)]
-        for i in range(1, 7):
-            yi = y + h_step * np.tensordot(_DP_A[i], ks, axes=1)
-            ks.append(f(yi))
-        k_arr = np.array(ks)
-        y_new = y + h_step * np.tensordot(_DP_B, k_arr, axes=1)
-        err_vec = h_step * np.tensordot(_DP_E, k_arr, axes=1)
+        y_new = _rk_stages(f, y, h_step, _DP_A, k)
+        err_vec = h_step * (_DP_E @ k)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         with np.errstate(over="ignore"):
             err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
         if err <= 1.0:
             t = boundary if clipped else t + h_step
             y = y_new
+            k[0] = k[-1]
             _check_finite(y, f"at t={t}")
             accepted += 1
-            if t_eval is not None:
-                if clipped:
-                    times.append(float(t))
-                    states.append(y.copy())
-                    eval_idx += 1
-                    if eval_idx >= t_eval.size:
-                        break
+            if t_eval is None:
+                keep = accepted % cfg.record_every == 0 or t >= t_goal
             else:
-                if accepted % cfg.record_every == 0 or t >= t_goal:
-                    if t > times[-1]:
-                        times.append(float(t))
-                        states.append(y.copy())
+                keep, eval_idx = clipped, eval_idx + clipped
+            if keep and t > times[-1]:
+                times.append(float(t))
+                states.append(y)
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         h = h_step * factor if (not clipped or err > 1.0) else h * factor
         h = min(h, t_goal)
-    if t_eval is None and times[-1] < t_goal:
-        times.append(t_goal)
-        states.append(states[-1].copy())
     return times, states
 
 
 def _integrate_core(
-    f: Callable[[np.ndarray], np.ndarray],
-    init: Sequence[float],
-    cfg: IntegratorConfig,
-    t_eval: Sequence[float] | None,
+    f: Rhs, init: Sequence[float], cfg: IntegratorConfig, t_eval: Sequence[float] | None
 ) -> Trajectory:
     y0 = np.asarray(init, dtype=float).copy()
     _check_finite(y0, "in initial condition")
@@ -368,14 +387,7 @@ def integrate(
     y0 = np.asarray(init, dtype=float)
     if y0.shape != (g.n,):
         raise DimensionMismatchError(f"init length {y0.shape} does not match n={g.n}")
-    a = g.adjacency_matrix()
-    alpha, omega, coupling = params.alpha, params.omega, params.coupling
-
-    def f(y: np.ndarray) -> np.ndarray:
-        diff = y[None, :] - y[:, None] - alpha
-        return omega + coupling * np.sum(a * np.sin(diff), axis=1)
-
-    return _integrate_core(f, y0, cfg, t_eval)
+    return _integrate_core(_graph_rhs(g, params), y0, cfg, t_eval)
 
 
 def integrate_quotient(
@@ -389,13 +401,7 @@ def integrate_quotient(
     f0 = np.asarray(init, dtype=float)
     if f0.shape != (gamma.k,):
         raise DimensionMismatchError(f"init length {f0.shape} does not match k={gamma.k}")
-    gm = gamma.as_array()
-
-    def f(y: np.ndarray) -> np.ndarray:
-        diff = y[None, :] - y[:, None] - alpha
-        return np.sum(gm * np.sin(diff), axis=1)
-
-    return _integrate_core(f, f0, cfg, t_eval)
+    return _integrate_core(_gamma_rhs(gamma, alpha), f0, cfg, t_eval)
 
 
 def lift_quotient_trajectory(
@@ -411,9 +417,9 @@ def lift_quotient_trajectory(
     the full system verifies the block-consistency identity rather than the
     integrator.
     """
-    if qt.dimension != p.k:
+    if qt.dimension != p.k or (gamma is not None and gamma.k != p.k):
         raise DimensionMismatchError(
-            f"quotient dimension {qt.dimension} does not match {p.k} blocks"
+            f"quotient dimension {qt.dimension} or gamma size does not match {p.k} blocks"
         )
     n = max(v for b in p.blocks for v in b)
     if p.vertices() != frozenset(range(1, n + 1)):
@@ -423,8 +429,8 @@ def lift_quotient_trajectory(
     states = qt.states[:, cols]
     derivs = None
     if gamma is not None and alpha is not None:
-        qd = np.array([quotient_rhs(gamma, fk, alpha) for fk in qt.states])
-        derivs = qd[:, cols]
+        rhs = _gamma_rhs(gamma, alpha)
+        derivs = np.array([rhs(fk) for fk in qt.states])[:, cols]
     elif qt.derivatives is not None:
         derivs = qt.derivatives[:, cols]
     return Trajectory(qt.times.copy(), states, derivatives=derivs)
@@ -541,7 +547,7 @@ def asymptotic_sync_clusters(
     if dev_prev is not None:
         linked &= dev_tail <= dev_prev + 1e-12
     clusters = VertexPartition.from_blocks(_merge_components(n, linked))
-    exact = exact_sync_partition(traj, tol=exact_tol)
+    exact = VertexPartition.from_blocks(_merge_components(n, dev_full < exact_tol))
     cmap = clusters.index_map()
     means = np.empty((traj.n_recorded, clusters.k))
     for b, block in enumerate(clusters.blocks):
@@ -600,37 +606,31 @@ def residual_max(
     if traj.dimension != g.n:
         raise DimensionMismatchError(f"trajectory width {traj.dimension} vs n={g.n}")
     times, states = traj.times, traj.states
+    rows = np.arange(times.size)
     if sample_grid is not None:
         wanted = np.asarray(sample_grid, dtype=float)
         if wanted.size and (wanted.min() < times[0] - 1e-12 or wanted.max() > times[-1] + 1e-12):
             raise BadParameterError("sample grid extends past the trajectory span")
-        idx = np.searchsorted(times, wanted)
-        idx = np.clip(idx, 0, times.size - 1)
-        ok = np.abs(times[idx] - wanted) <= 1e-9
-        if not np.all(ok):
+        rows = np.clip(np.searchsorted(times, wanted), 0, times.size - 1)
+        if not np.all(np.abs(times[rows] - wanted) <= 1e-9):
             raise BadParameterError("sample grid must consist of recorded times")
-        rows = idx
-    else:
-        rows = np.arange(times.size)
-    if traj.derivatives is not None:
-        worst = 0.0
-        for r in rows:
-            rhs = kuramoto_rhs(g, states[r], params)
-            worst = max(worst, float(np.abs(traj.derivatives[r] - rhs).max()))
-        return worst
-    if times.size < 3:
-        raise TooShortError("numeric residual needs at least three recorded times")
+    if traj.derivatives is None:
+        if times.size < 3:
+            raise TooShortError("numeric residual needs at least three recorded times")
+        rows = [r for r in rows if 1 <= r <= times.size - 2]
+    f = _graph_rhs(g, params)
     worst = 0.0
-    interior = [r for r in rows if 1 <= r <= times.size - 2]
-    for r in interior:
-        h1 = times[r] - times[r - 1]
-        h2 = times[r + 1] - times[r]
-        w0 = -h2 / (h1 * (h1 + h2))
-        w1 = (h2 - h1) / (h1 * h2)
-        w2 = h1 / (h2 * (h1 + h2))
-        deriv = w0 * states[r - 1] + w1 * states[r] + w2 * states[r + 1]
-        rhs = kuramoto_rhs(g, states[r], params)
-        worst = max(worst, float(np.abs(deriv - rhs).max()))
+    for r in rows:
+        if traj.derivatives is not None:
+            deriv = traj.derivatives[r]
+        else:
+            h1 = times[r] - times[r - 1]
+            h2 = times[r + 1] - times[r]
+            w0 = -h2 / (h1 * (h1 + h2))
+            w1 = (h2 - h1) / (h1 * h2)
+            w2 = h1 / (h2 * (h1 + h2))
+            deriv = w0 * states[r - 1] + w1 * states[r] + w2 * states[r + 1]
+        worst = max(worst, float(np.abs(deriv - f(states[r])).max()))
     return worst
 
 

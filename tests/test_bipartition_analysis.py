@@ -197,6 +197,15 @@ class TestClassification:
         assert res.family is not None
         assert not res.family.feasible
 
+    def test_connected_graphs_never_give_a_plane(self):
+        # each block of a connected graph has a cross edge, so rank >= 2
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            n = int(rng.integers(2, 9))
+            g = random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0)))
+            for bip in kp.enumerate_bipartitions(g):
+                assert kp.classify_bipartition(g, bip).solution_set.dim <= 1
+
     def test_three_block_partition_rejected(self):
         g = kp.cycle_graph(4)
         p = kp.VertexPartition.from_blocks([[1], [2], [3, 4]])

@@ -1,9 +1,12 @@
+import argparse
+import hashlib
 import json
 
 import numpy as np
+import pytest
 
 import kurapart as kp
-from kurapart.cli import main
+from kurapart.cli import _sync_report_json, main
 
 
 def run(*argv):
@@ -114,6 +117,40 @@ class TestSimulate:
             "--t-end", 1, "--out", tmp_path / "x.csv",
         )
         assert code == 3
+
+
+def _tail_trajectory():
+    # an exact pair, a chained triple, a converging pair and a stray phase
+    t = np.linspace(0.0, 50.0, 101)
+    drift = 0.1 * t
+    states = np.column_stack(
+        [drift, drift, drift + np.exp(-t), drift + 6e-7, drift + 1.2e-6, np.cos(t)]
+    )
+    return kp.Trajectory(t, states)
+
+
+def _short_trajectory():
+    t = np.linspace(0.0, 1.0, 20)
+    return kp.Trajectory(t, np.column_stack([t, t, 1 - t]))
+
+
+class TestSyncReport:
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (_tail_trajectory, "98d2019e7fcc2737cd5c405913e34f973b1334ef052c0e901dbe854acd82f7d7"),
+            (_short_trajectory, "594802dab9bad19ec9f0296e826b060a54202bcaa33fa2d6ded63b9abd604d03"),
+        ],
+        ids=["with-tail", "too-short"],
+    )
+    def test_bytes_match_0_1_0(self, make, digest):
+        # digests of the report 0.1.0 wrote for the same trajectory
+        traj = make()
+        args = argparse.Namespace(sync_tol=1e-6, tail_fraction=0.2, tail_tol=1e-4)
+        text = _sync_report_json(traj, args, kp.ModelParams(alpha=0.7))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        exact = kp.exact_sync_partition(traj, tol=1e-6)
+        assert json.loads(text)["exact"]["blocks"] == [list(b) for b in exact.blocks]
 
 
 class TestAnalyze:

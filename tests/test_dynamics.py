@@ -401,3 +401,113 @@ class TestTrajectoryCsv:
             kp.trajectory_from_csv("t,theta_1\n0,not_a_number\n")
         with pytest.raises(kp.FormatError):
             kp.trajectory_from_csv("wrong,header\n0,1\n")
+
+
+def quotient_rhs_slow(gamma, f, alpha):
+    k = gamma.k
+    out = np.zeros(k)
+    for i in range(k):
+        for j in range(k):
+            out[i] += gamma.gamma[i][j] * math.sin(f[j] - f[i] - alpha)
+    return out
+
+
+class TestRhsOracles:
+    def test_quotient_rhs_matches_double_loop(self):
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            g = random_connected_graph(rng, int(rng.integers(2, 12)))
+            cut = int(rng.integers(1, g.n + 1))  # cut == n seeds the unit partition
+            seed = kp.VertexPartition.from_blocks(
+                [b for b in (range(1, cut + 1), range(cut + 1, g.n + 1)) if b]
+            )
+            part = kp.coarsest_equitable_refinement(g, seed)
+            gamma = kp.is_equitable(g, part)
+            f = rng.uniform(-3, 3, part.k)
+            alpha = float(rng.uniform(0.05, math.pi / 2))
+            got = kp.quotient_rhs(gamma, f, alpha)
+            assert np.allclose(got, quotient_rhs_slow(gamma, f, alpha), rtol=0, atol=1e-13)
+            # a block-constant state moves exactly as its quotient predicts
+            cols = [part.index_map()[v] for v in range(1, g.n + 1)]
+            full = kp.kuramoto_rhs(g, f[cols], kp.ModelParams(alpha=alpha))
+            assert np.allclose(full, got[cols], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "g", [kp.cycle_graph(200), kp.complete_graph(48)], ids=["cycle:200", "complete:48"]
+    )
+    def test_kuramoto_rhs_matches_slow_on_benchmark_graphs(self, g):
+        rng = np.random.default_rng(g.n)
+        theta = rng.uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
+        got = kp.kuramoto_rhs(g, theta, params)
+        assert np.allclose(got, rhs_slow(g, theta, 0.7, 0.3, 1.7), rtol=0, atol=1e-12)
+
+
+class TestIntegratorOracles:
+    def test_rk45_is_fsal_six_calls_per_attempt(self, monkeypatch):
+        from kurapart import dynamics as dyn
+
+        attempts = []
+        stages = dyn._rk_stages
+
+        def counting_stages(*args):
+            attempts.append(1)  # the stage loop runs once per attempted step
+            return stages(*args)
+
+        monkeypatch.setattr(dyn, "_rk_stages", counting_stages)
+        g = kp.cycle_graph(6)
+        rhs = dyn._graph_rhs(g, kp.ModelParams(alpha=0.7))
+        calls = []
+
+        def f(y):
+            calls.append(1)
+            return rhs(y)
+
+        cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
+        init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
+        times, _ = dyn._rk45_path(f, init, cfg, None)
+        assert len(attempts) > len(times) - 1  # at least one step was rejected
+        assert len(calls) == 1 + 6 * len(attempts)
+
+    def test_rk45_matches_scipy_dop853(self):
+        integrate_mod = pytest.importorskip("scipy.integrate")
+        g = kp.petersen_graph()
+        rng = np.random.default_rng(11)
+        init = rng.uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=0.9, omega=0.3, coupling=1.3)
+        grid = np.linspace(0.0, 8.0, 17)
+        cfg = kp.IntegratorConfig(t_end=8.0, rel_tol=1e-11, abs_tol=1e-13)
+        ours = kp.integrate(g, init, params, cfg, t_eval=grid)
+        ref = integrate_mod.solve_ivp(
+            lambda t, y: rhs_slow(g, y, 0.9, 0.3, 1.3),
+            (0.0, 8.0),
+            init,
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-14,
+            t_eval=grid,
+        )
+        assert ref.success
+        assert np.abs(ours.states - ref.y.T).max() < 1e-8
+
+    @pytest.mark.parametrize(
+        "t_end, dt, every, times",
+        [
+            (1.0, 0.25, 1, [0.0, 0.25, 0.5, 0.75, 1.0]),
+            (1.0, 0.3, 1, [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]),
+            (1.0, 0.1, 3, [0.0, 0.30000000000000004, 0.6000000000000001, 0.9, 1.0]),
+            (0.95, 0.2, 2, [0.0, 0.4, 0.8, 0.95]),
+            (0.3, 0.1, 1, [0.0, 0.1, 0.2, 0.3]),
+            (0.7, 0.1, 4, [0.0, 0.4, 0.7]),
+            (1e-12, 0.5, 1, [0.0, 1e-12]),
+            (0.0, 0.1, 1, [0.0]),
+        ],
+    )
+    def test_rk4_recorded_times_pinned(self, t_end, dt, every, times):
+        # values recorded by the 0.1.0 integrator, compared exactly
+        cfg = kp.IntegratorConfig(t_end=t_end, method="rk4", dt=dt, record_every=every)
+        init = np.array([0.0, 1.3, 2.1, 0.4])
+        traj = kp.integrate(kp.cycle_graph(4), init, kp.ModelParams(alpha=0.5), cfg)
+        assert traj.times.tolist() == times
+        if t_end < 1e-9 * dt:
+            assert np.array_equal(traj.final_state(), init)
