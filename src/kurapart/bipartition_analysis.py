@@ -8,8 +8,13 @@ table supports a common triple (mu1, mu2, r):
     mu2 * d_cross(j) - r = d_in(j)   for every j in S2
 
 where d_in counts a vertex's neighbours inside its own block and d_cross
-those across.  The linear system is solved exactly over the rationals; the
-phase lag and the cross-block offset then follow from
+those across.  Each block's vertices give count points (d_cross, d_in) that
+must lie on the line d_in = mu * d_cross - r, with r shared by both blocks.
+On a connected graph every block has a point with d_cross > 0, so the
+solution set is a line exactly when each block has a single distinct point
+(the partition is equitable) and otherwise a point or empty; it is solved
+in closed form over the rationals from the distinct points.  The phase lag
+and the cross-block offset then follow from
 
     alpha  = atan2(sqrt(4 - (mu1+mu2)^2), mu1 - mu2)
     offset = acos(-(mu1+mu2)/2),   beta = offset - alpha,
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,11 +44,16 @@ from .errors import (
     TooLargeError,
 )
 from .dynamics import LinearTrajectory, ModelParams, residual_max
-from .graph_core import Graph, QuotientMatrix, VertexPartition, degree_profile, is_equitable
+from .graph_core import (
+    Graph,
+    QuotientMatrix,
+    VertexPartition,
+    bipartition_from_mask,
+    degree_profile,
+)
 
 __all__ = [
     "Classification",
-    "Condition2System",
     "SolutionSet",
     "AlphaResult",
     "Condition2Certificate",
@@ -50,8 +61,6 @@ __all__ = [
     "BipartitionClassification",
     "SearchRow",
     "SearchReport",
-    "build_condition2_system",
-    "solve_condition2",
     "alpha_from_mu",
     "beta_from_mu",
     "classify_bipartition",
@@ -74,94 +83,42 @@ class Classification(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class Condition2Row:
-    """One equation mu1*c1 + mu2*c2 - r = rhs attached to a vertex."""
-
-    vertex: int
-    c_mu1: int
-    c_mu2: int
-    rhs: int
-
-
-@dataclass(frozen=True)
-class Condition2System:
-    rows: tuple[Condition2Row, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     """Affine solution set in (mu1, mu2, r) space, exact rationals."""
 
-    kind: str  # "empty" | "point" | "line" | "plane"
+    kind: str  # "empty" | "point" | "line"
     basepoint: tuple[Fraction, Fraction, Fraction] | None
     directions: tuple[tuple[Fraction, Fraction, Fraction], ...]
 
     @property
     def dim(self) -> int:
-        # -1 marks the empty set so point/line/plane map to 0/1/2
+        # -1 marks the empty set so point/line map to 0/1
         return -1 if self.kind == "empty" else len(self.directions)
 
 
-def build_condition2_system(g: Graph, bip: VertexPartition) -> Condition2System:
-    """Assemble the per-vertex equations for a 2-block partition."""
-    if bip.k != 2:
-        raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
-    prof = degree_profile(g, bip)
-    s1, s2 = bip.blocks
-    rows = []
-    for v in s1:
-        d_in, d_cross = prof.row(v)
-        rows.append(Condition2Row(v, d_cross, 0, d_in))
-    for v in s2:
-        d_cross, d_in = prof.row(v)
-        rows.append(Condition2Row(v, 0, d_cross, d_in))
-    return Condition2System(tuple(rows))
+_EMPTY = SolutionSet("empty", None, ())
 
 
-def solve_condition2(system: Condition2System) -> SolutionSet:
-    """Exact Gauss-Jordan elimination; unknowns ordered (mu1, mu2, r)."""
-    aug = [
-        [Fraction(r.c_mu1), Fraction(r.c_mu2), Fraction(-1), Fraction(r.rhs)]
-        for r in system.rows
-    ]
-    ncols = 3
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(len(aug)):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(aug):
-            break
-    for r in range(row, len(aug)):
-        if aug[r][ncols] != 0:
-            return SolutionSet("empty", None, ())
-    free = [c for c in range(ncols) if c not in pivots]
-    base = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        base[col] = aug[i][ncols]
-    directions = []
-    for fc in free:
-        d = [Fraction(0)] * ncols
-        d[fc] = Fraction(1)
-        for i, col in enumerate(pivots):
-            d[col] = -aug[i][fc]
-        directions.append(tuple(d))
-    kind = {0: "point", 1: "line", 2: "plane"}[len(free)]
-    return SolutionSet(kind, tuple(base), tuple(directions))
+def _solve_points(p1: list[tuple[int, int]], p2: list[tuple[int, int]]) -> SolutionSet:
+    """Solve mu_b * c - r = d over each block's sorted distinct points (c, d).
+
+    Connectivity gives every block a point with c > 0, so one point per
+    block leaves r free (a line) and any second point pins r.
+    """
+    if len(p1) == len(p2) == 1:
+        (c1, d1), (c2, d2) = p1[0], p2[0]
+        base = (Fraction(d1, c1), Fraction(d2, c2), Fraction(0))
+        return SolutionSet("line", base, ((Fraction(1, c1), Fraction(1, c2), Fraction(1)),))
+    (ca, da), (cb, db) = (p1 if len(p1) > 1 else p2)[:2]
+    if ca == cb:
+        return _EMPTY
+    r = Fraction(db * ca - da * cb, cb - ca)
+    # the last point of a sorted block has the largest c, which is positive
+    mu = tuple((pts[-1][1] + r) / pts[-1][0] for pts in (p1, p2))
+    for m, pts in zip(mu, (p1, p2)):
+        if any(m * c - r != d for c, d in pts):
+            return _EMPTY
+    return SolutionSet("point", (*mu, r), ())
 
 
 @dataclass(frozen=True)
@@ -279,8 +236,6 @@ def _make_certificate(
 
 
 def _line_family(sol: SolutionSet) -> FamilySegment:
-    # Connectivity gives each block a vertex with a cross edge, so the rows
-    # (a, 0, -1) and (0, b, -1) are independent and the set is at most a line.
     (p1, p2, _), ((d1, d2, _),) = sol.basepoint, sol.directions
     # Open constraints A + B*t > 0: gain order, and both offset limits.
     constraints = [
@@ -328,32 +283,37 @@ def _line_family(sol: SolutionSet) -> FamilySegment:
 def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassification:
     """Decide what kind of rigid two-block structure the bipartition admits.
 
-    Equitable partitions are reported as such and win over any solution-set
-    label.  Otherwise a unique strictly feasible triple certifies the
-    bipartition, equality cases are boundary hits, positive-dimensional
-    sets defer to a family description, and everything else is infeasible.
+    One degree-profile pass gives each block's distinct count points
+    (d_cross, d_in).  A single point per block is the equitable case: the
+    solution set is a line, reported as `Equitable` with its quotient and
+    family segment.  Otherwise the set is one point or empty: a strictly
+    feasible point certifies the bipartition, equality cases are boundary
+    hits, and everything else is infeasible.  `Condition2Family` is never
+    returned, because a connected graph never gives a non-equitable line.
     """
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
-    gamma = is_equitable(g, bip)
-    sol = solve_condition2(build_condition2_system(g, bip))
-    if gamma is not None:
-        family = _line_family(sol) if sol.kind == "line" else None
+    delta = degree_profile(g, bip).delta
+    s1, s2 = bip.blocks
+    p1 = sorted({(delta[v - 1][1], delta[v - 1][0]) for v in s1})
+    p2 = sorted({delta[v - 1] for v in s2})
+    sol = _solve_points(p1, p2)
+    if sol.kind == "line":
+        (c1, d1), (c2, d2) = p1[0], p2[0]
         return BipartitionClassification(
-            Classification.EQUITABLE, solution_set=sol, quotient=gamma, family=family
+            Classification.EQUITABLE,
+            solution_set=sol,
+            quotient=QuotientMatrix(((d1, c1), (c2, d2))),
+            family=_line_family(sol),
         )
     if sol.kind == "empty":
         return BipartitionClassification(Classification.INFEASIBLE, solution_set=sol)
-    if sol.kind == "point":
-        m1, m2, r = sol.basepoint
-        if m1 < m2 or abs(m1 + m2) > 2:
-            return BipartitionClassification(Classification.INFEASIBLE, solution_set=sol)
-        cert = _make_certificate(m1, m2, r, bip)
-        label = Classification.CONDITION2_UNIQUE if cert.feasible else Classification.BOUNDARY
-        return BipartitionClassification(label, solution_set=sol, certificate=cert)
-    return BipartitionClassification(
-        Classification.CONDITION2_FAMILY, solution_set=sol, family=_line_family(sol)
-    )
+    m1, m2, r = sol.basepoint
+    if m1 < m2 or abs(m1 + m2) > 2:
+        return BipartitionClassification(Classification.INFEASIBLE, solution_set=sol)
+    cert = _make_certificate(m1, m2, r, bip)
+    label = Classification.CONDITION2_UNIQUE if cert.feasible else Classification.BOUNDARY
+    return BipartitionClassification(label, solution_set=sol, certificate=cert)
 
 
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
@@ -413,14 +373,8 @@ class SearchReport:
         return out
 
 
-def _bipartition_from_mask(n: int, mask: int) -> VertexPartition:
-    chosen = {v for v in range(2, n + 1) if mask >> (v - 2) & 1}
-    s1 = [v for v in range(1, n + 1) if v not in chosen]
-    return VertexPartition.from_blocks([s1, sorted(chosen)])
-
-
 def _row_for_mask(g: Graph, mask: int) -> SearchRow:
-    bip = _bipartition_from_mask(g.n, mask)
+    bip = bipartition_from_mask(g.n, mask)
     result = classify_bipartition(g, bip)
     return SearchRow(
         mask=mask,
@@ -443,8 +397,9 @@ def search_all_bipartitions(
 
     The 2**(n-1) - 1 subsets are enumerated by the bitmask of which of
     vertices 2..n sit opposite vertex 1.  With jobs > 1 the mask range is
-    split into contiguous chunks handled by worker processes and merged
-    back in range order, so the report is identical for any job count.
+    split into contiguous chunks handled by at most os.cpu_count() worker
+    processes and merged back in range order, so the report is identical
+    for any job count.
     """
     if g.n > cap and not force:
         raise TooLargeError(f"n={g.n} exceeds cap {cap}; pass force to override")
@@ -453,12 +408,13 @@ def search_all_bipartitions(
     total = (1 << (g.n - 1)) - 1
     if total < 1:
         raise BadParameterError("bipartitions need n >= 2")
-    if jobs == 1 or total < 4 * jobs:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or total < 4 * workers:
         rows = _classify_chunk((g, 1, total + 1))
     else:
-        bounds = np.linspace(1, total + 1, jobs + 1).astype(int)
-        chunks = [(g, int(bounds[i]), int(bounds[i + 1])) for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        bounds = np.linspace(1, total + 1, workers + 1).astype(int)
+        chunks = [(g, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for chunk in pool.map(_classify_chunk, chunks) for row in chunk]
     return SearchReport(n=g.n, rows=tuple(rows))
 

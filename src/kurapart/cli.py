@@ -451,7 +451,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sea = subs.add_parser("search", help="classify every bipartition")
     _add_graph_args(sea)
-    sea.add_argument("--jobs", type=int, help="worker processes (default: cpu count)")
+    sea.add_argument(
+        "--jobs", type=int, help="worker processes, at most the cpu count (default: cpu count)"
+    )
     sea.add_argument("--force", action="store_true", help="ignore the size cap")
     sea.add_argument("--out", help="write the text report here instead of stdout")
     sea.set_defaults(func=cmd_search)

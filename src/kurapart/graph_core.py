@@ -37,6 +37,7 @@ __all__ = [
     "automorphisms_brute_force",
     "orbit_partition_brute_force",
     "enumerate_bipartitions",
+    "bipartition_from_mask",
     "linear_family_graph",
     "latoro_profile_graph",
     "right_angle_profile_graph",
@@ -328,11 +329,16 @@ def enumerate_bipartitions(g: Graph) -> Iterator[VertexPartition]:
     """
     if g.n < 2:
         raise BadParameterError("bipartitions need n >= 2")
-    rest = list(range(2, g.n + 1))
     for mask in range(1, 1 << (g.n - 1)):
-        s2 = [rest[i] for i in range(g.n - 1) if mask >> i & 1]
-        s1 = [1] + [v for v in rest if v not in set(s2)]
-        yield VertexPartition.from_blocks([s1, s2])
+        yield bipartition_from_mask(g.n, mask)
+
+
+def bipartition_from_mask(n: int, mask: int) -> VertexPartition:
+    """Bipartition of 1..n whose second block holds vertex v + 2 for each set bit v."""
+    s1, s2 = [1], []
+    for v in range(2, n + 1):
+        (s2 if mask >> (v - 2) & 1 else s1).append(v)
+    return VertexPartition.from_blocks([s1, s2])
 
 
 # Named graph constructions.

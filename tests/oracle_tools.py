@@ -8,10 +8,11 @@ appearing on both sides of an assertion.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
-from kurapart import Graph, VertexPartition
+from kurapart import Graph, SolutionSet, VertexPartition
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -20,6 +21,55 @@ def adjacency_sets(g: Graph) -> dict[int, set[int]]:
         nbrs[u].add(v)
         nbrs[v].add(u)
     return nbrs
+
+
+def condition2_rows(g: Graph, blocks) -> list[tuple[int, int, int]]:
+    """Rows (c_mu1, c_mu2, rhs) of mu1*c_mu1 + mu2*c_mu2 - r = rhs, one per vertex."""
+    nbrs = adjacency_sets(g)
+    s1, s2 = (set(b) for b in blocks)
+    rows = [(len(nbrs[v] & s2), 0, len(nbrs[v] & s1)) for v in sorted(s1)]
+    rows += [(0, len(nbrs[v] & s1), len(nbrs[v] & s2)) for v in sorted(s2)]
+    return rows
+
+
+def condition2_solution_slow(g: Graph, blocks) -> SolutionSet:
+    """Exact Gauss-Jordan elimination of the per-vertex rows; unknowns (mu1, mu2, r)."""
+    aug = [
+        [Fraction(a), Fraction(b), Fraction(-1), Fraction(rhs)]
+        for a, b, rhs in condition2_rows(g, blocks)
+    ]
+    ncols = 3
+    pivots: list[int] = []
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(aug)) if aug[r][col] != 0), None)
+        if pivot is None:
+            continue
+        aug[row], aug[pivot] = aug[pivot], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for r in range(len(aug)):
+            if r != row and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(aug):
+            break
+    if any(aug[r][ncols] != 0 for r in range(row, len(aug))):
+        return SolutionSet("empty", None, ())
+    base = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        base[col] = aug[i][ncols]
+    directions = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        d = [Fraction(0)] * ncols
+        d[fc] = Fraction(1)
+        for i, col in enumerate(pivots):
+            d[col] = -aug[i][fc]
+        directions.append(tuple(d))
+    kind = {0: "point", 1: "line", 2: "plane"}[len(directions)]
+    return SolutionSet(kind, tuple(base), tuple(directions))
 
 
 def all_partitions(items: list[int]):

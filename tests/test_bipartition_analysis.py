@@ -1,83 +1,103 @@
 import json
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import kurapart as kp
-from oracle_tools import adjacency_sets, random_connected_graph
+from kurapart import bipartition_analysis as ban
+from oracle_tools import (
+    condition2_rows,
+    condition2_solution_slow,
+    is_equitable_slow,
+    random_connected_graph,
+)
 
 
-def slow_rows(g, bip):
-    """Recompute the count table straight from adjacency sets."""
-    s1, s2 = bip.blocks
-    nbrs = adjacency_sets(g)
-    rows = []
-    for v in s1:
-        rows.append(("s1", v, len(nbrs[v] & set(s2)), len(nbrs[v] & set(s1))))
-    for v in s2:
-        rows.append(("s2", v, len(nbrs[v] & set(s1)), len(nbrs[v] & set(s2))))
-    return rows
+def named_graphs():
+    return [
+        kp.linear_family_graph(4)[0],
+        kp.latoro_profile_graph()[0],
+        kp.right_angle_profile_graph()[0],
+        kp.star_graph(6)[0],
+        kp.petersen_graph(),
+        kp.cycle_graph(10),
+        kp.complete_graph(6),
+        kp.path_graph(7),
+    ]
+
+
+def assert_matches_oracle(g, bip):
+    """The classifier's solution set equals the Gauss-Jordan oracle's, types included."""
+    got = kp.classify_bipartition(g, bip).solution_set
+    want = condition2_solution_slow(g, bip.blocks)
+    assert got == want
+    assert repr(got) == repr(want)
+    return got
+
+
+def rows_by_vertex(g, bip):
+    return dict(zip(bip.blocks[0] + bip.blocks[1], condition2_rows(g, bip.blocks)))
 
 
 class TestSystemConstruction:
     def test_linear_p4_rows(self):
         g, bip = kp.linear_family_graph(4)
-        sys = kp.build_condition2_system(g, bip)
-        assert sys.size == 9
-        by_vertex = {row.vertex: row for row in sys.rows}
-        assert (by_vertex[1].c_mu1, by_vertex[1].c_mu2, by_vertex[1].rhs) == (4, 0, 0)
-        assert (by_vertex[2].c_mu1, by_vertex[2].c_mu2, by_vertex[2].rhs) == (0, 1, 1)
-        assert (by_vertex[6].c_mu1, by_vertex[6].c_mu2, by_vertex[6].rhs) == (0, 0, 2)
+        rows = rows_by_vertex(g, bip)
+        assert len(rows) == 9
+        assert rows[1] == (4, 0, 0)
+        assert rows[2] == (0, 1, 1)
+        assert rows[6] == (0, 0, 2)
+        assert_matches_oracle(g, bip)
 
     def test_rows_match_slow_counts(self):
+        # the oracle's rows are the library's degree profile, read per block
         rng = np.random.default_rng(3)
         for _ in range(25):
             g = random_connected_graph(rng, int(rng.integers(2, 8)))
             for bip in kp.enumerate_bipartitions(g):
-                sys = kp.build_condition2_system(g, bip)
-                by_vertex = {row.vertex: row for row in sys.rows}
-                for side, v, cross, inside in slow_rows(g, bip):
-                    row = by_vertex[v]
-                    if side == "s1":
-                        assert (row.c_mu1, row.c_mu2) == (cross, 0)
-                    else:
-                        assert (row.c_mu1, row.c_mu2) == (0, cross)
-                    assert row.rhs == inside
+                prof = kp.degree_profile(g, bip)
+                rows = rows_by_vertex(g, bip)
+                for v in bip.blocks[0]:
+                    d_in, d_cross = prof.row(v)
+                    assert rows[v] == (d_cross, 0, d_in)
+                for v in bip.blocks[1]:
+                    d_cross, d_in = prof.row(v)
+                    assert rows[v] == (0, d_cross, d_in)
+                assert_matches_oracle(g, bip)
 
     def test_requires_two_blocks(self):
         g = kp.cycle_graph(4)
-        p = kp.VertexPartition.from_blocks([[1], [2], [3, 4]])
-        with pytest.raises(kp.NotBipartitionError):
-            kp.build_condition2_system(g, p)
+        for blocks in ([[1], [2], [3, 4]], [[1, 2, 3, 4]]):
+            with pytest.raises(kp.NotBipartitionError):
+                kp.classify_bipartition(g, kp.VertexPartition.from_blocks(blocks))
 
 
 class TestSolver:
-    def check_membership(self, sys, sol):
-        """Every reported generator must satisfy the system exactly."""
+    def check_membership(self, g, bip, sol):
+        """Every reported generator must satisfy the oracle's rows exactly."""
         points = [sol.basepoint]
         for d in sol.directions:
             points.append(tuple(b + x for b, x in zip(sol.basepoint, d)))
         for m1, m2, r in points:
-            for row in sys.rows:
-                assert row.c_mu1 * m1 + row.c_mu2 * m2 - r == row.rhs
+            for c_mu1, c_mu2, rhs in condition2_rows(g, bip.blocks):
+                assert c_mu1 * m1 + c_mu2 * m2 - r == rhs
 
     def test_point_case(self):
         g, bip = kp.linear_family_graph(4)
-        sys = kp.build_condition2_system(g, bip)
-        sol = kp.solve_condition2(sys)
+        sol = assert_matches_oracle(g, bip)
         assert sol.kind == "point" and sol.dim == 0
         assert sol.basepoint == (Fraction(-1, 2), Fraction(-1), Fraction(-2))
-        self.check_membership(sys, sol)
+        self.check_membership(g, bip, sol)
 
     def test_line_case_two_vertices(self):
         g = kp.path_graph(2)
         bip = kp.VertexPartition.from_blocks([[1], [2]])
-        sys = kp.build_condition2_system(g, bip)
-        sol = kp.solve_condition2(sys)
+        sol = assert_matches_oracle(g, bip)
         assert sol.kind == "line" and sol.dim == 1
-        self.check_membership(sys, sol)
+        self.check_membership(g, bip, sol)
         # the line is mu1 = mu2 = r
         d = sol.directions[0]
         assert d[0] == d[1] == d[2] != 0
@@ -85,26 +105,24 @@ class TestSolver:
     def test_empty_case(self):
         g = kp.path_graph(5)
         bip = kp.VertexPartition.from_blocks([[1], [2, 3, 4, 5]])
-        sol = kp.solve_condition2(kp.build_condition2_system(g, bip))
+        sol = assert_matches_oracle(g, bip)
         assert sol.kind == "empty"
         assert sol.dim == -1
 
     def test_solution_sets_verified_exactly(self):
         rng = np.random.default_rng(5)
-        for _ in range(30):
-            g = random_connected_graph(rng, int(rng.integers(2, 8)))
+        graphs = named_graphs()
+        for _ in range(300):
+            n = int(rng.integers(2, 10))
+            graphs.append(random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0))))
+        kinds = set()
+        for g in graphs:
             for bip in kp.enumerate_bipartitions(g):
-                sys = kp.build_condition2_system(g, bip)
-                sol = kp.solve_condition2(sys)
-                if sol.kind == "empty":
-                    a = np.array(
-                        [[r.c_mu1, r.c_mu2, -1] for r in sys.rows], dtype=float
-                    )
-                    b = np.array([[r.rhs] for r in sys.rows], dtype=float)
-                    aug = np.hstack([a, b])
-                    assert np.linalg.matrix_rank(aug) > np.linalg.matrix_rank(a)
-                else:
-                    self.check_membership(sys, sol)
+                sol = assert_matches_oracle(g, bip)
+                kinds.add(sol.kind)
+                if sol.kind != "empty":
+                    self.check_membership(g, bip, sol)
+        assert kinds == {"empty", "point", "line"}
 
 
 class TestAngles:
@@ -198,13 +216,19 @@ class TestClassification:
         assert not res.family.feasible
 
     def test_connected_graphs_never_give_a_plane(self):
-        # each block of a connected graph has a cross edge, so rank >= 2
+        # each block of a connected graph has a cross edge, so rank >= 2, and
+        # the set is a line exactly when each block has one count point
         rng = np.random.default_rng(23)
         for _ in range(12):
             n = int(rng.integers(2, 9))
             g = random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0)))
             for bip in kp.enumerate_bipartitions(g):
-                assert kp.classify_bipartition(g, bip).solution_set.dim <= 1
+                res = kp.classify_bipartition(g, bip)
+                assert res.solution_set.dim <= 1
+                line = res.solution_set.dim == 1
+                equitable = res.classification is kp.Classification.EQUITABLE
+                assert line == equitable == is_equitable_slow(g, [list(b) for b in bip.blocks])
+                assert res.quotient == kp.is_equitable(g, bip)
 
     def test_three_block_partition_rejected(self):
         g = kp.cycle_graph(4)
@@ -337,6 +361,30 @@ class TestSearch:
         serial = kp.search_all_bipartitions(g, jobs=1)
         parallel = kp.search_all_bipartitions(g, jobs=2)
         assert kp.format_search_report(serial) == kp.format_search_report(parallel)
+
+    def test_workers_capped_at_cpu_count(self, monkeypatch):
+        seen = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        g = kp.cycle_graph(12)
+        serial = kp.format_search_report(kp.search_all_bipartitions(g, jobs=1))
+        monkeypatch.setattr(ban, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capped = kp.format_search_report(kp.search_all_bipartitions(g, jobs=10_000))
+        assert seen == [2]
+        assert capped == serial
 
     def test_size_cap(self):
         g = kp.cycle_graph(23)

@@ -209,6 +209,24 @@ class TestSearch:
     def test_cap_enforced(self):
         assert run("search", "--builtin", "cycle:23") == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "builtin, digest",
+        [
+            ("linear:6", "ae17bf4a9aaec7991bd01c61dfc49295020395c1d539d65cf40f0a15b177c56d"),
+            ("petersen", "a8961e1f0e9751dfeb6fe0d0f79ec5f339b6a9d84a29e319a30a725cdb625503"),
+            ("kura-eg", "b98551f5fabc84abd35f4e8fc0ba28fa85d0ed019b686b8cbb8aebfb450ac4d0"),
+            ("latoro", "0142173aaf0c232c0ae7c243759adbd88207a9b5c7da896dc405e09b1590d9f5"),
+            ("cycle:10", "6fd1d19b807603e0d2b8f3449218512f08a384bb4cff438f932aff8e3a204fa7"),
+            ("star:6", "4f901f0e913d17531dbdb91de18bf3ab2a81006db4e6104b422cc9ae333ad207"),
+        ],
+    )
+    def test_bytes_match_0_1_0(self, capsys, builtin, digest, jobs):
+        # digests of the report 0.1.0 wrote for the same graph
+        assert run("search", "--builtin", builtin, "--jobs", jobs) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestVerify:
     def test_all_pass(self, capsys):
