@@ -22,17 +22,25 @@ and the cross-block offset then follow from
 defined when |mu1 + mu2| <= 2 and mu1 >= mu2, strict on the interior.
 Equality mu1 = mu2 pins alpha to a right angle and |mu1 + mu2| = 2
 degenerates the offset; both are reported as boundary flags.
+
+The exhaustive search filters, then certifies.  It takes masks in batches
+of SEARCH_BATCH_ROWS, gets every neighbour count of a batch from one int64
+product X @ A, and rejects the rows whose points cannot share a line per
+block and one r, by integer cross-multiplication alone.  Only the
+surviving rows reach the exact rational classifier, the same one that
+classify_bipartition uses.  Masks are int64, so the search stops at n = 63.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,7 +56,6 @@ from .graph_core import (
     Graph,
     QuotientMatrix,
     VertexPartition,
-    bipartition_from_mask,
     degree_profile,
 )
 
@@ -72,6 +79,9 @@ __all__ = [
 ]
 
 RationalLike = Fraction | int | str
+
+# masks per batch of the bipartition search; fixed, so batch memory is bounded
+SEARCH_BATCH_ROWS = 1024
 
 
 class Classification(str, enum.Enum):
@@ -161,9 +171,7 @@ def alpha_from_mu(mu1: RationalLike, mu2: RationalLike) -> AlphaResult:
 
 def beta_from_mu(mu1: RationalLike, mu2: RationalLike) -> float:
     """Cross-block offset minus lag: acos(-(mu1+mu2)/2) - alpha, principal branch."""
-    m1, m2 = _as_fraction(mu1), _as_fraction(mu2)
-    alpha = alpha_from_mu(m1, m2).value
-    return math.acos(float(-(m1 + m2) / 2)) - alpha
+    return _angles(_as_fraction(mu1), _as_fraction(mu2))[1]
 
 
 @dataclass(frozen=True)
@@ -214,25 +222,11 @@ def _alpha_value(m1: Fraction, m2: Fraction) -> float:
     return alpha_from_mu(m1, m2).value
 
 
-def _make_certificate(
-    m1: Fraction, m2: Fraction, r: Fraction, bip: VertexPartition
-) -> Condition2Certificate:
-    s = m1 + m2
+def _angles(m1: Fraction, m2: Fraction) -> tuple[float, float, float]:
+    """(alpha, beta, offset) of a gain pair that alpha_from_mu accepts."""
     alpha = _alpha_value(m1, m2)
-    offset = math.acos(float(-s / 2))
-    return Condition2Certificate(
-        mu1=m1,
-        mu2=m2,
-        r=r,
-        alpha=alpha,
-        beta=offset - alpha,
-        offset=offset,
-        mu_equal=m1 == m2,
-        offset_at_limit=abs(s) == 2,
-        feasible=abs(s) < 2 and m1 > m2,
-        s1=bip.blocks[0],
-        s2=bip.blocks[1],
-    )
+    offset = math.acos(float(-(m1 + m2) / 2))
+    return alpha, offset - alpha, offset
 
 
 def _line_family(sol: SolutionSet) -> FamilySegment:
@@ -297,6 +291,20 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     s1, s2 = bip.blocks
     p1 = sorted({(delta[v - 1][1], delta[v - 1][0]) for v in s1})
     p2 = sorted({delta[v - 1] for v in s2})
+    return _classify_points(p1, p2, s1, s2)
+
+
+def _classify_points(
+    p1: list[tuple[int, int]],
+    p2: list[tuple[int, int]],
+    s1: tuple[int, ...],
+    s2: tuple[int, ...],
+    angles: Callable[[Fraction, Fraction], tuple[float, float, float]] = _angles,
+) -> BipartitionClassification:
+    """Classify from each block's sorted distinct count points (d_cross, d_in).
+
+    angles may be a memoised _angles; the search shares one per chunk.
+    """
     sol = _solve_points(p1, p2)
     if sol.kind == "line":
         (c1, d1), (c2, d2) = p1[0], p2[0]
@@ -309,9 +317,23 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     if sol.kind == "empty":
         return BipartitionClassification(Classification.INFEASIBLE, solution_set=sol)
     m1, m2, r = sol.basepoint
-    if m1 < m2 or abs(m1 + m2) > 2:
+    total = m1 + m2
+    if m1 < m2 or abs(total) > 2:
         return BipartitionClassification(Classification.INFEASIBLE, solution_set=sol)
-    cert = _make_certificate(m1, m2, r, bip)
+    alpha, beta, offset = angles(m1, m2)
+    cert = Condition2Certificate(
+        mu1=m1,
+        mu2=m2,
+        r=r,
+        alpha=alpha,
+        beta=beta,
+        offset=offset,
+        mu_equal=m1 == m2,
+        offset_at_limit=abs(total) == 2,
+        feasible=abs(total) < 2 and m1 > m2,
+        s1=s1,
+        s2=s2,
+    )
     label = Classification.CONDITION2_UNIQUE if cert.feasible else Classification.BOUNDARY
     return BipartitionClassification(label, solution_set=sol, certificate=cert)
 
@@ -373,21 +395,72 @@ class SearchReport:
         return out
 
 
-def _row_for_mask(g: Graph, mask: int) -> SearchRow:
-    bip = bipartition_from_mask(g.n, mask)
-    result = classify_bipartition(g, bip)
-    return SearchRow(
-        mask=mask,
-        s2=bip.blocks[1],
-        classification=result.classification,
-        certificate=result.certificate,
-        family=result.family,
-    )
+def _batch_counts(adj: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indicator X of the second block (vertex 1 never in it) for each mask,
+    and every vertex's (d_cross, d_in) counts, all int64."""
+    x = np.zeros((masks.size, adj.shape[0]), dtype=np.int64)
+    x[:, 1:] = masks[:, None] >> np.arange(adj.shape[0] - 1) & 1
+    to_s2 = x @ adj
+    degree = adj.sum(axis=1)
+    cross = np.where(x == 1, degree - to_s2, to_s2)
+    return x, cross, degree - cross
+
+
+def _nonempty_rows(x: np.ndarray, cross: np.ndarray, d_in: np.ndarray) -> np.ndarray:
+    """True for each row whose solution set is nonempty, decided exactly by
+    int64 cross-multiplication.
+
+    Each block's points must lie on the line through its points A and B of
+    smallest and largest d_cross, or, when all share one d_cross, coincide.
+    A block with two distinct d_cross values pins r = (d_B c_A - d_A c_B) /
+    (c_B - c_A); when both blocks pin r the two values must agree.
+    """
+    ok = np.ones(x.shape[0], dtype=bool)
+    pinned = []
+    for member in (x == 0, x == 1):
+        # pad non-members past every count: n above, -1 below
+        lo = np.argmin(np.where(member, cross, x.shape[1]), axis=1)[:, None]
+        hi = np.argmax(np.where(member, cross, -1), axis=1)[:, None]
+        ca, da = np.take_along_axis(cross, lo, 1), np.take_along_axis(d_in, lo, 1)
+        cb, db = np.take_along_axis(cross, hi, 1), np.take_along_axis(d_in, hi, 1)
+        span = cb - ca
+        on_line = ((d_in - da) * span == (db - da) * (cross - ca)) & ((span > 0) | (d_in == da))
+        ok &= np.all(on_line | ~member, axis=1)
+        pinned.append(((db * ca - da * cb)[:, 0], span[:, 0]))
+    (num1, den1), (num2, den2) = pinned
+    ok &= (den1 == 0) | (den2 == 0) | (num1 * den2 == num2 * den1)
+    return ok
 
 
 def _classify_chunk(args: tuple[Graph, int, int]) -> list[SearchRow]:
+    """Rows for masks lo..hi-1, SEARCH_BATCH_ROWS at a time."""
     g, lo, hi = args
-    return [_row_for_mask(g, mask) for mask in range(lo, hi)]
+    src, dst = g._arcs
+    adj = np.zeros((g.n, g.n), dtype=np.int64)
+    adj[dst, src] = 1
+    angles = functools.cache(_angles)
+    rows: list[SearchRow] = []
+    for start in range(lo, hi, SEARCH_BATCH_ROWS):
+        masks = np.arange(start, min(start + SEARCH_BATCH_ROWS, hi), dtype=np.int64)
+        x, cross, d_in = _batch_counts(adj, masks)
+        keep = _nonempty_rows(x, cross, d_in)
+        labels = (np.nonzero(x)[1] + 1).tolist()
+        ends = np.cumsum(x.sum(axis=1)).tolist()
+        survivors = zip(x[keep].tolist(), cross[keep].tolist(), d_in[keep].tolist())
+        begin = 0
+        for mask, end, kept in zip(masks.tolist(), ends, keep.tolist()):
+            s2 = tuple(labels[begin:end])
+            begin = end
+            if not kept:
+                rows.append(SearchRow(mask, s2, Classification.INFEASIBLE, None, None))
+                continue
+            xr, cr, dr = next(survivors)
+            p1 = sorted({(c, d) for b, c, d in zip(xr, cr, dr) if not b})
+            p2 = sorted({(c, d) for b, c, d in zip(xr, cr, dr) if b})
+            s1 = tuple(v for v, b in enumerate(xr, 1) if not b)
+            res = _classify_points(p1, p2, s1, s2, angles)
+            rows.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
+    return rows
 
 
 def search_all_bipartitions(
@@ -396,11 +469,20 @@ def search_all_bipartitions(
     """Classify every bipartition of g, in ascending mask order.
 
     The 2**(n-1) - 1 subsets are enumerated by the bitmask of which of
-    vertices 2..n sit opposite vertex 1.  With jobs > 1 the mask range is
-    split into contiguous chunks handled by at most os.cpu_count() worker
-    processes and merged back in range order, so the report is identical
-    for any job count.
+    vertices 2..n sit opposite vertex 1, SEARCH_BATCH_ROWS masks at a time
+    (filter, then certify).  Each batch decodes to an int64 indicator
+    matrix X, every neighbour count comes from one product X @ A, and
+    int64 cross-multiplication rejects the rows whose count points admit no
+    common (mu1, mu2, r); those are Infeasible without further work.  Only
+    the survivors build their distinct count points and go through the
+    exact rational classifier that classify_bipartition uses.  Masks are
+    int64, so n >= 64 raises TooLargeError even with force.  With jobs > 1
+    the mask range is split into contiguous chunks handled by at most
+    os.cpu_count() worker processes and merged back in range order, so the
+    report is identical for any job count.
     """
+    if g.n >= 64:
+        raise TooLargeError(f"n={g.n} exceeds 63, the most that int64 search masks hold")
     if g.n > cap and not force:
         raise TooLargeError(f"n={g.n} exceeds cap {cap}; pass force to override")
     if jobs < 1:

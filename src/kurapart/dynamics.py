@@ -199,10 +199,9 @@ def _coupling_rhs(
 
 
 def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
-    # (dst, src) order: each vertex pulled by its sorted neighbours, unit weight
-    nbrs = g.adjacency[1:]
-    src = np.array([u - 1 for a in nbrs for u in a], dtype=np.intp)
-    dst = np.repeat(np.arange(g.n), [len(a) for a in nbrs])
+    # the graph's arcs, built once with it: each vertex pulled by its sorted
+    # neighbours, unit weight
+    src, dst = g._arcs
     return _coupling_rhs(
         src, dst, np.ones(src.size), g.n, params.alpha, params.omega, params.coupling
     )

@@ -60,6 +60,9 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    # read-only 0-based (src, dst) arrays holding both directions of every
+    # edge, sorted by (dst, src); built once so RHS builders need not rebuild
+    _arcs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -77,8 +80,13 @@ class Graph:
         for u, v in canonical:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        object.__setattr__(self, "adjacency", tuple(tuple(sorted(a)) for a in nbrs))
+        adjacency = tuple(tuple(sorted(a)) for a in nbrs)
+        object.__setattr__(self, "adjacency", adjacency)
         self._check_connected()
+        src = np.array([u - 1 for a in adjacency[1:] for u in a], dtype=np.intp)
+        dst = np.repeat(np.arange(self.n, dtype=np.intp), [len(a) for a in adjacency[1:]])
+        src.flags.writeable = dst.flags.writeable = False
+        object.__setattr__(self, "_arcs", (src, dst))
 
     def _check_connected(self) -> None:
         reached = {1}

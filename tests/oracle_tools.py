@@ -12,7 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from kurapart import Graph, SolutionSet, VertexPartition
+from kurapart import (
+    Graph,
+    SearchRow,
+    SolutionSet,
+    VertexPartition,
+    classify_bipartition,
+)
+from kurapart.graph_core import bipartition_from_mask
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -70,6 +77,17 @@ def condition2_solution_slow(g: Graph, blocks) -> SolutionSet:
         directions.append(tuple(d))
     kind = {0: "point", 1: "line", 2: "plane"}[len(directions)]
     return SolutionSet(kind, tuple(base), tuple(directions))
+
+
+def search_rows_slow(g: Graph) -> list[SearchRow]:
+    """The search one row at a time: decode each mask into a partition and
+    classify it through its degree profile, with no batch filter."""
+    rows = []
+    for mask in range(1, 1 << (g.n - 1)):
+        bip = bipartition_from_mask(g.n, mask)
+        res = classify_bipartition(g, bip)
+        rows.append(SearchRow(mask, bip.blocks[1], res.classification, res.certificate, res.family))
+    return rows
 
 
 def all_partitions(items: list[int]):

@@ -13,6 +13,7 @@ from oracle_tools import (
     condition2_solution_slow,
     is_equitable_slow,
     random_connected_graph,
+    search_rows_slow,
 )
 
 
@@ -391,9 +392,70 @@ class TestSearch:
         with pytest.raises(kp.TooLargeError):
             kp.search_all_bipartitions(g)
 
+    def test_int64_mask_limit_holds_with_force(self, monkeypatch):
+        def never(args):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(ban, "_classify_chunk", never)
+        with pytest.raises(kp.TooLargeError):
+            kp.search_all_bipartitions(kp.path_graph(64), force=True)
+
     def test_report_text_shape(self):
         g = kp.cycle_graph(4)
         text = kp.format_search_report(kp.search_all_bipartitions(g))
         lines = text.strip().splitlines()
         assert len(lines) == 8
         assert lines[-1].startswith("# total=7 ")
+
+
+def circulant_graph(n, jumps):
+    return kp.from_edge_list(n, [(i + 1, (i + j) % n + 1) for i in range(n) for j in jumps])
+
+
+def search_oracle_graphs():
+    """Named graphs plus random connected graphs with n <= 12."""
+    rng = np.random.default_rng(41)
+    graphs = named_graphs() + [kp.linear_family_graph(6)[0], circulant_graph(12, (1, 2))]
+    for n in [int(rng.integers(2, 11)) for _ in range(40)] + [11, 11, 12, 12]:
+        graphs.append(random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0))))
+    return graphs
+
+
+class TestBatchSearch:
+    """The batched filter-then-certify search against the per-row oracle."""
+
+    def test_rows_match_per_row_oracle(self):
+        kinds = set()
+        for g in search_oracle_graphs():
+            want = search_rows_slow(g)
+            assert kp.search_all_bipartitions(g).rows == tuple(want)
+            kinds.update(row.classification for row in want)
+        assert kinds == {
+            kp.Classification.EQUITABLE,
+            kp.Classification.CONDITION2_UNIQUE,
+            kp.Classification.BOUNDARY,
+            kp.Classification.INFEASIBLE,
+        }
+
+    def test_filter_rejects_exactly_the_empty_rows(self):
+        rejected = kept = 0
+        for g in search_oracle_graphs():
+            src, dst = g._arcs
+            adj = np.zeros((g.n, g.n), dtype=np.int64)
+            adj[dst, src] = 1
+            masks = np.arange(1, 1 << (g.n - 1), dtype=np.int64)
+            keep = ban._nonempty_rows(*ban._batch_counts(adj, masks))
+            for bip, kept_row in zip(kp.enumerate_bipartitions(g), keep.tolist()):
+                empty = kp.classify_bipartition(g, bip).solution_set.kind == "empty"
+                assert kept_row != empty
+                kept += kept_row
+                rejected += not kept_row
+        assert kept > 100 and rejected > 1000
+
+    def test_chunks_not_aligned_to_batches(self):
+        assert ban.SEARCH_BATCH_ROWS == 1024
+        g = circulant_graph(12, (1, 2))
+        whole = ban._classify_chunk((g, 1, 2048))
+        split = ban._classify_chunk((g, 1, 1000)) + ban._classify_chunk((g, 1000, 2048))
+        assert [row.mask for row in whole] == list(range(1, 2048))
+        assert split == whole

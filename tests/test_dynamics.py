@@ -442,6 +442,22 @@ class TestRhsOracles:
         got = kp.kuramoto_rhs(g, theta, params)
         assert np.allclose(got, rhs_slow(g, theta, 0.7, 0.3, 1.7), rtol=0, atol=1e-12)
 
+    def test_kuramoto_rhs_reuses_the_graph_arcs(self):
+        # the arcs are built once with the graph, read-only, and give one answer
+        g = kp.cycle_graph(200)
+        src, dst = g._arcs
+        assert g._arcs[0] is src and g._arcs[1] is dst
+        assert not src.flags.writeable and not dst.flags.writeable
+        assert sorted(zip(dst.tolist(), src.tolist())) == sorted(
+            (v - 1, u - 1) for v in range(1, g.n + 1) for u in g.neighbors(v)
+        )
+        theta = np.random.default_rng(1).uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
+        first = kp.kuramoto_rhs(g, theta, params)
+        for _ in range(3):
+            assert np.array_equal(kp.kuramoto_rhs(g, theta, params), first)
+        assert g._arcs[0] is src
+
 
 class TestIntegratorOracles:
     def test_rk45_is_fsal_six_calls_per_attempt(self, monkeypatch):
