@@ -12,8 +12,7 @@ those across.  Each block's vertices give count points (d_cross, d_in) that
 must lie on the line d_in = mu * d_cross - r, with r shared by both blocks.
 On a connected graph every block has a point with d_cross > 0, so the
 solution set is a line exactly when each block has a single distinct point
-(the partition is equitable) and otherwise a point or empty; it is solved
-in closed form over the rationals from the distinct points.  The phase lag
+(the partition is equitable) and otherwise a point or empty.  The phase lag
 and the cross-block offset then follow from
 
     alpha  = atan2(sqrt(4 - (mu1+mu2)^2), mu1 - mu2)
@@ -23,12 +22,15 @@ defined when |mu1 + mu2| <= 2 and mu1 >= mu2, strict on the interior.
 Equality mu1 = mu2 pins alpha to a right angle and |mu1 + mu2| = 2
 degenerates the offset; both are reported as boundary flags.
 
-The exhaustive search filters, then certifies.  It takes masks in batches
-of SEARCH_BATCH_ROWS, gets every neighbour count of a batch from one int64
-product X @ A, and rejects the rows whose points cannot share a line per
-block and one r, by integer cross-multiplication alone.  Only the
-surviving rows reach the exact rational classifier, the same one that
-classify_bipartition uses.  Masks are int64, so the search stops at n = 63.
+One solve serves every bipartition: _solve_rows takes a batch of
+bipartitions as int64 indicator rows with their neighbour counts and
+decides emptiness, r and each block's gain point in int64
+cross-multiplication alone.  The exhaustive search feeds it batches of
+SEARCH_BATCH_ROWS masks with counts from one product X @ A, and
+classify_bipartition feeds it one row with counts summed over the arcs.
+Both then pass each solved row through one tail, _classify_row, which
+builds exact Fractions only for the reported gains.  Masks are int64, so
+the search stops at n = 63.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from .graph_core import (
     Graph,
     QuotientMatrix,
     VertexPartition,
-    degree_profile,
+    _check_partition,
 )
 
 __all__ = [
@@ -82,6 +84,8 @@ RationalLike = Fraction | int | str
 
 # masks per batch of the bipartition search; fixed, so batch memory is bounded
 SEARCH_BATCH_ROWS = 1024
+# largest n the search runs without force: 2**21 rows
+SEARCH_MAX_N = 22
 
 
 class Classification(str, enum.Enum):
@@ -109,26 +113,45 @@ class SolutionSet:
 _EMPTY = SolutionSet("empty", None, ())
 
 
-def _solve_points(p1: list[tuple[int, int]], p2: list[tuple[int, int]]) -> SolutionSet:
-    """Solve mu_b * c - r = d over each block's sorted distinct points (c, d).
+def _solve_rows(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> np.ndarray:
+    """Solve mu_b * d_cross - r = d_in for every row of a batch, in int64.
 
-    Connectivity gives every block a point with c > 0, so one point per
-    block leaves r free (a line) and any second point pins r.
+    x is the (rows, n) indicator of the second block, to_s2 every vertex's
+    neighbour count into that block and degree the vertex degrees.  Each
+    block's count points (d_cross, d_in) must lie on the line through its
+    points A and B of smallest and largest d_cross or, when all share one
+    d_cross, coincide.  A block with two distinct d_cross values pins
+    r = (d_B c_A - d_A c_B) / (c_B - c_A); when both blocks pin r the two
+    values must agree.  Returns one int64 row per mask,
+
+        (nonempty, line, r_num, r_den, c1, d1, c2, d2),
+
+    where line marks one point per block (r is free; r_num / r_den = 0 / 1
+    gives the line's base), r_num / r_den comes from the first block that
+    pins it, and (c_b, d_b) is block b's point B, so
+    mu_b = (d_b r_den + r_num) / (c_b r_den).  Connectivity makes c_b > 0.
+    Every product is bounded by Delta**3 for the maximum degree Delta, so
+    the solve is exact while Delta < 2**21.
     """
-    if len(p1) == len(p2) == 1:
-        (c1, d1), (c2, d2) = p1[0], p2[0]
-        base = (Fraction(d1, c1), Fraction(d2, c2), Fraction(0))
-        return SolutionSet("line", base, ((Fraction(1, c1), Fraction(1, c2), Fraction(1)),))
-    (ca, da), (cb, db) = (p1 if len(p1) > 1 else p2)[:2]
-    if ca == cb:
-        return _EMPTY
-    r = Fraction(db * ca - da * cb, cb - ca)
-    # the last point of a sorted block has the largest c, which is positive
-    mu = tuple((pts[-1][1] + r) / pts[-1][0] for pts in (p1, p2))
-    for m, pts in zip(mu, (p1, p2)):
-        if any(m * c - r != d for c, d in pts):
-            return _EMPTY
-    return SolutionSet("point", (*mu, r), ())
+    cross = np.where(x == 1, degree - to_s2, to_s2)
+    d_in = degree - cross
+    ok = np.ones(x.shape[0], dtype=bool)
+    rows = np.arange(x.shape[0])[:, None]
+    blocks = []
+    for member in (x == 0, x == 1):
+        # pad non-members past every count: n above, -1 below
+        lo = np.argmin(np.where(member, cross, x.shape[1]), axis=1)[:, None]
+        hi = np.argmax(np.where(member, cross, -1), axis=1)[:, None]
+        ca, da, cb, db = cross[rows, lo], d_in[rows, lo], cross[rows, hi], d_in[rows, hi]
+        span = cb - ca
+        on_line = ((d_in - da) * span == (db - da) * (cross - ca)) & ((span > 0) | (d_in == da))
+        ok &= np.all(on_line | ~member, axis=1)
+        blocks.append([a[:, 0] for a in (db * ca - da * cb, span, cb, db)])
+    (num1, den1, c1, d1), (num2, den2, c2, d2) = blocks
+    ok &= (den1 == 0) | (den2 == 0) | (num1 * den2 == num2 * den1)
+    r_num = np.where(den1 > 0, num1, np.where(den2 > 0, num2, 0))
+    r_den = np.where(den1 > 0, den1, np.where(den2 > 0, den2, 1))
+    return np.column_stack([ok, (den1 == 0) & (den2 == 0), r_num, r_den, c1, d1, c2, d2])
 
 
 @dataclass(frozen=True)
@@ -218,6 +241,9 @@ class BipartitionClassification:
     family: FamilySegment | None = None
 
 
+_INFEASIBLE = BipartitionClassification(Classification.INFEASIBLE, _EMPTY)
+
+
 def _alpha_value(m1: Fraction, m2: Fraction) -> float:
     return alpha_from_mu(m1, m2).value
 
@@ -277,65 +303,70 @@ def _line_family(sol: SolutionSet) -> FamilySegment:
 def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassification:
     """Decide what kind of rigid two-block structure the bipartition admits.
 
-    One degree-profile pass gives each block's distinct count points
-    (d_cross, d_in).  A single point per block is the equitable case: the
+    The bipartition becomes a one-row batch: its second block's indicator
+    and every vertex's neighbour count into that block, summed over the
+    graph's arcs, so no n x n matrix is built.  The batch goes through
+    _solve_rows and _classify_row, the same solve and tail the exhaustive
+    search uses.  One count point per block is the equitable case: the
     solution set is a line, reported as `Equitable` with its quotient and
     family segment.  Otherwise the set is one point or empty: a strictly
     feasible point certifies the bipartition, equality cases are boundary
     hits, and everything else is infeasible.  `Condition2Family` is never
     returned, because a connected graph never gives a non-equitable line.
+    The int64 solve is exact while the maximum degree is below 2**21;
+    larger degrees raise TooLargeError.
     """
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
-    delta = degree_profile(g, bip).delta
+    _check_partition(g, bip)
+    src, dst = g._arcs
+    degree = np.bincount(dst, minlength=g.n)
+    if degree.max() >= 1 << 21:
+        raise TooLargeError(f"maximum degree {degree.max()} reaches 2**21, past exact int64 products")
     s1, s2 = bip.blocks
-    p1 = sorted({(delta[v - 1][1], delta[v - 1][0]) for v in s1})
-    p2 = sorted({delta[v - 1] for v in s2})
-    return _classify_points(p1, p2, s1, s2)
+    x = np.zeros((1, g.n), dtype=np.int64)
+    x[0, np.array(s2) - 1] = 1
+    to_s2 = np.bincount(dst[x[0, src] == 1], minlength=g.n)
+    # tolist hands the tail Python ints, never numpy scalars
+    return _classify_row(_solve_rows(x, to_s2[None], degree)[0].tolist(), s1, s2)
 
 
-def _classify_points(
-    p1: list[tuple[int, int]],
-    p2: list[tuple[int, int]],
-    s1: tuple[int, ...],
-    s2: tuple[int, ...],
-    angles: Callable[[Fraction, Fraction], tuple[float, float, float]] = _angles,
-) -> BipartitionClassification:
-    """Classify from each block's sorted distinct count points (d_cross, d_in).
-
-    angles may be a memoised _angles; the search shares one per chunk.
-    """
-    sol = _solve_points(p1, p2)
-    if sol.kind == "line":
-        (c1, d1), (c2, d2) = p1[0], p2[0]
-        return BipartitionClassification(
-            Classification.EQUITABLE,
-            solution_set=sol,
-            quotient=QuotientMatrix(((d1, c1), (c2, d2))),
-            family=_line_family(sol),
-        )
-    if sol.kind == "empty":
-        return BipartitionClassification(Classification.INFEASIBLE, solution_set=sol)
-    m1, m2, r = sol.basepoint
+def _solution(
+    line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int
+) -> tuple[Classification, SolutionSet, tuple | None, QuotientMatrix | None, FamilySegment | None]:
+    """What a nonempty solved row fixes apart from its vertex sets: the
+    label, the solution set, the certificate's fields before (s1, s2), the
+    quotient and the family.  Fractions are built only for what is printed."""
+    if line:
+        base = (Fraction(d1, c1), Fraction(d2, c2), Fraction(0))
+        sol = SolutionSet("line", base, ((Fraction(1, c1), Fraction(1, c2), Fraction(1)),))
+        quotient = QuotientMatrix(((d1, c1), (c2, d2)))
+        return Classification.EQUITABLE, sol, None, quotient, _line_family(sol)
+    m1 = Fraction(d1 * r_den + r_num, c1 * r_den)
+    m2 = Fraction(d2 * r_den + r_num, c2 * r_den)
+    r = Fraction(r_num, r_den)
+    sol = SolutionSet("point", (m1, m2, r), ())
     total = m1 + m2
     if m1 < m2 or abs(total) > 2:
-        return BipartitionClassification(Classification.INFEASIBLE, solution_set=sol)
-    alpha, beta, offset = angles(m1, m2)
-    cert = Condition2Certificate(
-        mu1=m1,
-        mu2=m2,
-        r=r,
-        alpha=alpha,
-        beta=beta,
-        offset=offset,
-        mu_equal=m1 == m2,
-        offset_at_limit=abs(total) == 2,
-        feasible=abs(total) < 2 and m1 > m2,
-        s1=s1,
-        s2=s2,
-    )
-    label = Classification.CONDITION2_UNIQUE if cert.feasible else Classification.BOUNDARY
-    return BipartitionClassification(label, solution_set=sol, certificate=cert)
+        return Classification.INFEASIBLE, sol, None, None, None
+    feasible = abs(total) < 2 and m1 > m2
+    label = Classification.CONDITION2_UNIQUE if feasible else Classification.BOUNDARY
+    gains = (m1, m2, r, *_angles(m1, m2), m1 == m2, abs(total) == 2, feasible)
+    return label, sol, gains, None, None
+
+
+def _classify_row(
+    row: list[int], s1: tuple[int, ...], s2: tuple[int, ...], solution=_solution
+) -> BipartitionClassification:
+    """The one tail from a row of _solve_rows to a classification.
+
+    solution may be a memoised _solution; the search shares one per chunk.
+    """
+    if not row[0]:
+        return _INFEASIBLE
+    label, sol, gains, quotient, family = solution(*row[1:])
+    cert = None if gains is None else Condition2Certificate(*gains, s1=s1, s2=s2)
+    return BipartitionClassification(label, sol, cert, quotient, family)
 
 
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
@@ -395,41 +426,11 @@ class SearchReport:
         return out
 
 
-def _batch_counts(adj: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indicator X of the second block (vertex 1 never in it) for each mask,
-    and every vertex's (d_cross, d_in) counts, all int64."""
-    x = np.zeros((masks.size, adj.shape[0]), dtype=np.int64)
-    x[:, 1:] = masks[:, None] >> np.arange(adj.shape[0] - 1) & 1
-    to_s2 = x @ adj
-    degree = adj.sum(axis=1)
-    cross = np.where(x == 1, degree - to_s2, to_s2)
-    return x, cross, degree - cross
-
-
-def _nonempty_rows(x: np.ndarray, cross: np.ndarray, d_in: np.ndarray) -> np.ndarray:
-    """True for each row whose solution set is nonempty, decided exactly by
-    int64 cross-multiplication.
-
-    Each block's points must lie on the line through its points A and B of
-    smallest and largest d_cross, or, when all share one d_cross, coincide.
-    A block with two distinct d_cross values pins r = (d_B c_A - d_A c_B) /
-    (c_B - c_A); when both blocks pin r the two values must agree.
-    """
-    ok = np.ones(x.shape[0], dtype=bool)
-    pinned = []
-    for member in (x == 0, x == 1):
-        # pad non-members past every count: n above, -1 below
-        lo = np.argmin(np.where(member, cross, x.shape[1]), axis=1)[:, None]
-        hi = np.argmax(np.where(member, cross, -1), axis=1)[:, None]
-        ca, da = np.take_along_axis(cross, lo, 1), np.take_along_axis(d_in, lo, 1)
-        cb, db = np.take_along_axis(cross, hi, 1), np.take_along_axis(d_in, hi, 1)
-        span = cb - ca
-        on_line = ((d_in - da) * span == (db - da) * (cross - ca)) & ((span > 0) | (d_in == da))
-        ok &= np.all(on_line | ~member, axis=1)
-        pinned.append(((db * ca - da * cb)[:, 0], span[:, 0]))
-    (num1, den1), (num2, den2) = pinned
-    ok &= (den1 == 0) | (den2 == 0) | (num1 * den2 == num2 * den1)
-    return ok
+def _block_labels(member: np.ndarray) -> list[tuple[int, ...]]:
+    """Per row of a boolean batch, the 1-based labels of its set entries."""
+    labels = (np.nonzero(member)[1] + 1).tolist()
+    ends = np.cumsum(member.sum(axis=1)).tolist()
+    return [tuple(labels[begin:end]) for begin, end in zip([0, *ends], ends)]
 
 
 def _classify_chunk(args: tuple[Graph, int, int]) -> list[SearchRow]:
@@ -438,53 +439,43 @@ def _classify_chunk(args: tuple[Graph, int, int]) -> list[SearchRow]:
     src, dst = g._arcs
     adj = np.zeros((g.n, g.n), dtype=np.int64)
     adj[dst, src] = 1
-    angles = functools.cache(_angles)
+    degree = adj.sum(axis=1)
+    solution = functools.cache(_solution)
     rows: list[SearchRow] = []
     for start in range(lo, hi, SEARCH_BATCH_ROWS):
         masks = np.arange(start, min(start + SEARCH_BATCH_ROWS, hi), dtype=np.int64)
-        x, cross, d_in = _batch_counts(adj, masks)
-        keep = _nonempty_rows(x, cross, d_in)
-        labels = (np.nonzero(x)[1] + 1).tolist()
-        ends = np.cumsum(x.sum(axis=1)).tolist()
-        survivors = zip(x[keep].tolist(), cross[keep].tolist(), d_in[keep].tolist())
-        begin = 0
-        for mask, end, kept in zip(masks.tolist(), ends, keep.tolist()):
-            s2 = tuple(labels[begin:end])
-            begin = end
-            if not kept:
-                rows.append(SearchRow(mask, s2, Classification.INFEASIBLE, None, None))
-                continue
-            xr, cr, dr = next(survivors)
-            p1 = sorted({(c, d) for b, c, d in zip(xr, cr, dr) if not b})
-            p2 = sorted({(c, d) for b, c, d in zip(xr, cr, dr) if b})
-            s1 = tuple(v for v, b in enumerate(xr, 1) if not b)
-            res = _classify_points(p1, p2, s1, s2, angles)
+        # indicator of the second block; vertex 1 always sits in the first
+        x = np.zeros((masks.size, g.n), dtype=np.int64)
+        x[:, 1:] = masks[:, None] >> np.arange(g.n - 1) & 1
+        solved = _solve_rows(x, x @ adj, degree)
+        # the first blocks of nonempty rows only: the tail never reads the others
+        s1s = iter(_block_labels(x[solved[:, 0] == 1] == 0))
+        for mask, row, s2 in zip(masks.tolist(), solved.tolist(), _block_labels(x == 1)):
+            res = _classify_row(row, next(s1s) if row[0] else (), s2, solution)
             rows.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
     return rows
 
 
-def search_all_bipartitions(
-    g: Graph, cap: int = 22, force: bool = False, jobs: int = 1
-) -> SearchReport:
+def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> SearchReport:
     """Classify every bipartition of g, in ascending mask order.
 
     The 2**(n-1) - 1 subsets are enumerated by the bitmask of which of
-    vertices 2..n sit opposite vertex 1, SEARCH_BATCH_ROWS masks at a time
-    (filter, then certify).  Each batch decodes to an int64 indicator
-    matrix X, every neighbour count comes from one product X @ A, and
-    int64 cross-multiplication rejects the rows whose count points admit no
-    common (mu1, mu2, r); those are Infeasible without further work.  Only
-    the survivors build their distinct count points and go through the
-    exact rational classifier that classify_bipartition uses.  Masks are
-    int64, so n >= 64 raises TooLargeError even with force.  With jobs > 1
-    the mask range is split into contiguous chunks handled by at most
-    os.cpu_count() worker processes and merged back in range order, so the
-    report is identical for any job count.
+    vertices 2..n sit opposite vertex 1, SEARCH_BATCH_ROWS masks at a time.
+    Each batch decodes to an int64 indicator matrix X, every neighbour
+    count comes from one product X @ A, and _solve_rows solves every row
+    in int64: emptiness, r and the gains.  Each solved row then goes
+    through _classify_row, the tail classify_bipartition also uses, which
+    builds Fractions only for the printed gains.  n > SEARCH_MAX_N raises
+    TooLargeError unless force is set; masks are int64, so n >= 64 raises
+    it even with force.  With jobs > 1 the mask range is split into
+    contiguous chunks handled by at most os.cpu_count() worker processes
+    and merged back in range order, so the report is identical for any
+    job count.
     """
     if g.n >= 64:
         raise TooLargeError(f"n={g.n} exceeds 63, the most that int64 search masks hold")
-    if g.n > cap and not force:
-        raise TooLargeError(f"n={g.n} exceeds cap {cap}; pass force to override")
+    if g.n > SEARCH_MAX_N and not force:
+        raise TooLargeError(f"n={g.n} exceeds cap {SEARCH_MAX_N}; pass force to override")
     if jobs < 1:
         raise BadParameterError(f"jobs must be >= 1, got {jobs}")
     total = (1 << (g.n - 1)) - 1

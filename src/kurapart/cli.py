@@ -166,6 +166,16 @@ def _initial_state(
     return ban.certificate_to_solution(cert, c=0.0).start
 
 
+def _exact_json(
+    partition: gc.VertexPartition, chained: tuple[tuple[int, int, float], ...], tol: float
+) -> dict:
+    return {
+        "tol": tol,
+        "blocks": [list(b) for b in partition.blocks],
+        "chained_pairs": [[i, j, d] for i, j, d in chained],
+    }
+
+
 def _sync_report_json(
     traj: dyn.Trajectory, args: argparse.Namespace, params: dyn.ModelParams
 ) -> str:
@@ -180,20 +190,11 @@ def _sync_report_json(
             exact_tol=args.sync_tol,
         )
     except TooShortError as exc:
-        exact = dyn.exact_sync_partition(traj, tol=args.sync_tol)
-        payload["exact"] = {
-            "tol": args.sync_tol,
-            "blocks": [list(b) for b in exact.blocks],
-            "chained_pairs": [],
-        }
+        payload["exact"] = _exact_json(*dyn.exact_sync_chains(traj, tol=args.sync_tol), args.sync_tol)
         payload["tail"] = None
         payload["tail_skipped"] = str(exc)
         return json.dumps(payload, indent=2, sort_keys=True)
-    payload["exact"] = {
-        "tol": args.sync_tol,
-        "blocks": [list(b) for b in report.exact_partition.blocks],
-        "chained_pairs": [[i, j, d] for i, j, d in report.chained_pairs],
-    }
+    payload["exact"] = _exact_json(report.exact_partition, report.chained_pairs, args.sync_tol)
     payload["tail"] = {
         "fraction": report.tail_fraction,
         "tol": report.tail_tol,

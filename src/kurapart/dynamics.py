@@ -39,6 +39,7 @@ __all__ = [
     "integrate_quotient",
     "lift_quotient_trajectory",
     "exact_sync_partition",
+    "exact_sync_chains",
     "asymptotic_sync_clusters",
     "analytic_regular_solution",
     "residual_max",
@@ -95,8 +96,8 @@ class IntegratorConfig:
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
             raise BadParameterError(f"t_end must be finite and >= 0, got {self.t_end}")
         if self.method == "rk4":
-            if self.dt is None or not self.dt > 0.0:
-                raise BadParameterError("rk4 needs dt > 0")
+            if self.dt is None or not 0.0 < self.dt < math.inf:
+                raise BadParameterError(f"rk4 needs a finite dt > 0, got {self.dt}")
         elif self.dt is not None:
             raise BadParameterError("dt applies to rk4 only")
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
@@ -473,17 +474,25 @@ def exact_sync_partition(traj: Trajectory, tol: float = 1e-8) -> VertexPartition
     Grouping closes under single linkage, so two members of a block can sit
     up to a chain of tol-close intermediaries apart.
     """
+    return exact_sync_chains(traj, tol)[0]
+
+
+def exact_sync_chains(
+    traj: Trajectory, tol: float = 1e-8
+) -> tuple[VertexPartition, tuple[tuple[int, int, float], ...]]:
+    """exact_sync_partition plus its chained pairs (i, j, gap): members of
+    one block whose own largest phase gap reached tol."""
     if traj.n_recorded == 0:
         raise EmptyTrajectoryError("no recorded states")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise BadParameterError(f"tol must be positive, got {tol}")
-    dev = _pairwise_max_dev(traj)
-    return VertexPartition.from_blocks(_merge_components(traj.dimension, dev < tol))
+    return _exact_sync(_pairwise_max_dev(traj), tol)
 
 
-def _chained_pairs(
-    dev: np.ndarray, partition: VertexPartition, tol: float
-) -> tuple[tuple[int, int, float], ...]:
+def _exact_sync(
+    dev: np.ndarray, tol: float
+) -> tuple[VertexPartition, tuple[tuple[int, int, float], ...]]:
+    partition = VertexPartition.from_blocks(_merge_components(dev.shape[0], dev < tol))
     flagged = []
     for block in partition.blocks:
         for a in range(len(block)):
@@ -492,7 +501,7 @@ def _chained_pairs(
                 d = dev[i - 1, j - 1]
                 if d >= tol:
                     flagged.append((i, j, float(d)))
-    return tuple(flagged)
+    return partition, tuple(flagged)
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,7 +535,7 @@ def asymptotic_sync_clusters(
     """
     if not 0.0 < tail_fraction <= 0.5:
         raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
-    if tol <= 0.0 or exact_tol <= 0.0:
+    if not (tol > 0.0 and exact_tol > 0.0):
         raise BadParameterError("tolerances must be positive")
     times = traj.times
     span = float(times[-1] - times[0])
@@ -546,7 +555,7 @@ def asymptotic_sync_clusters(
     if dev_prev is not None:
         linked &= dev_tail <= dev_prev + 1e-12
     clusters = VertexPartition.from_blocks(_merge_components(n, linked))
-    exact = VertexPartition.from_blocks(_merge_components(n, dev_full < exact_tol))
+    exact, chained = _exact_sync(dev_full, exact_tol)
     cmap = clusters.index_map()
     means = np.empty((traj.n_recorded, clusters.k))
     for b, block in enumerate(clusters.blocks):
@@ -569,7 +578,7 @@ def asymptotic_sync_clusters(
     return SyncReport(
         exact_partition=exact,
         exact_tol=exact_tol,
-        chained_pairs=_chained_pairs(dev_full, exact, exact_tol),
+        chained_pairs=chained,
         clusters=clusters,
         tail_fraction=tail_fraction,
         tail_tol=tol,

@@ -140,7 +140,7 @@ class VertexPartition:
             if not b:
                 raise PartitionMismatchError("empty block")
             for v in b:
-                if not isinstance(v, int) or v < 1:
+                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                     raise PartitionMismatchError(f"bad vertex label {v!r}")
                 if v in seen:
                     raise PartitionMismatchError(f"vertex {v} appears in two blocks")
@@ -488,7 +488,7 @@ def partition_from_json(text: str) -> VertexPartition:
         raise FormatError('"blocks" must be a list of lists')
     for b in blocks:
         for v in b:
-            if not isinstance(v, int):
+            if isinstance(v, bool) or not isinstance(v, int):
                 raise FormatError(f"non-integer vertex {v!r}")
     return VertexPartition.from_blocks(blocks)
 

@@ -9,6 +9,7 @@ import pytest
 import kurapart as kp
 from kurapart import bipartition_analysis as ban
 from oracle_tools import (
+    adjacency_sets,
     condition2_rows,
     condition2_solution_slow,
     is_equitable_slow,
@@ -422,7 +423,7 @@ def search_oracle_graphs():
 
 
 class TestBatchSearch:
-    """The batched filter-then-certify search against the per-row oracle."""
+    """The batched search and its int64 solve against the slow oracles."""
 
     def test_rows_match_per_row_oracle(self):
         kinds = set()
@@ -437,20 +438,57 @@ class TestBatchSearch:
             kp.Classification.INFEASIBLE,
         }
 
-    def test_filter_rejects_exactly_the_empty_rows(self):
-        rejected = kept = 0
+    def test_solve_rows_match_gauss_jordan(self):
+        # counts come from adjacency sets, not from the search's X @ A
+        kinds = {"empty": 0, "point": 0, "line": 0}
         for g in search_oracle_graphs():
-            src, dst = g._arcs
-            adj = np.zeros((g.n, g.n), dtype=np.int64)
-            adj[dst, src] = 1
-            masks = np.arange(1, 1 << (g.n - 1), dtype=np.int64)
-            keep = ban._nonempty_rows(*ban._batch_counts(adj, masks))
-            for bip, kept_row in zip(kp.enumerate_bipartitions(g), keep.tolist()):
-                empty = kp.classify_bipartition(g, bip).solution_set.kind == "empty"
-                assert kept_row != empty
-                kept += kept_row
-                rejected += not kept_row
-        assert kept > 100 and rejected > 1000
+            nbrs = adjacency_sets(g)
+            bips = list(kp.enumerate_bipartitions(g))
+            x = np.array([[v in bip.blocks[1] for v in range(1, g.n + 1)] for bip in bips], dtype=np.int64)
+            to_s2 = np.array(
+                [[len(nbrs[v] & set(bip.blocks[1])) for v in range(1, g.n + 1)] for bip in bips],
+                dtype=np.int64,
+            )
+            degree = np.array([len(nbrs[v]) for v in range(1, g.n + 1)], dtype=np.int64)
+            for bip, row in zip(bips, ban._solve_rows(x, to_s2, degree).tolist()):
+                nonempty, line, r_num, r_den, c1, d1, c2, d2 = row
+                want = condition2_solution_slow(g, bip.blocks)
+                kinds[want.kind] += 1
+                assert bool(nonempty) == (want.kind != "empty")
+                if want.kind == "empty":
+                    continue
+                assert bool(line) == (want.kind == "line")
+                mu1 = Fraction(d1 * r_den + r_num, c1 * r_den)
+                mu2 = Fraction(d2 * r_den + r_num, c2 * r_den)
+                assert (mu1, mu2, Fraction(r_num, r_den)) == want.basepoint
+                if line:
+                    assert want.directions == ((Fraction(1, c1), Fraction(1, c2), 1),)
+        assert kinds["empty"] > 1000 and kinds["point"] > 100 and kinds["line"] > 10
+
+    def test_classify_beyond_63_vertices(self):
+        # no mask or n x n matrix limits the one-row path
+        halves = kp.VertexPartition.from_blocks([range(1, 1001), range(1001, 2001)])
+        linear, bip = kp.linear_family_graph(32)
+        for g, part, label, gains in [
+            (kp.cycle_graph(2000), halves, kp.Classification.BOUNDARY, (-1, -1, -2)),
+            (linear, bip, kp.Classification.CONDITION2_UNIQUE, (Fraction(-1, 16), -1, -2)),
+        ]:
+            assert g.n >= 64
+            res = kp.classify_bipartition(g, part)
+            cert = res.certificate
+            assert res.classification is label
+            assert (cert.mu1, cert.mu2, cert.r) == gains
+            assert res.solution_set == condition2_solution_slow(g, part.blocks)
+            text = json.dumps(kp.classification_report(part, res, residual=0.0))
+            assert json.loads(text)["mu1"] == str(gains[0])
+
+    def test_degree_past_exact_int64_products_rejected(self):
+        g = kp.path_graph(2)
+        # a vertex of degree 2**21 would overflow int64 products in the solve
+        arcs = np.ones(1 << 21, dtype=np.intp), np.zeros(1 << 21, dtype=np.intp)
+        object.__setattr__(g, "_arcs", arcs)
+        with pytest.raises(kp.TooLargeError):
+            kp.classify_bipartition(g, kp.VertexPartition.from_blocks([[1], [2]]))
 
     def test_chunks_not_aligned_to_batches(self):
         assert ban.SEARCH_BATCH_ROWS == 1024

@@ -153,6 +153,18 @@ class TestSyncReport:
         assert json.loads(text)["exact"]["blocks"] == [list(b) for b in exact.blocks]
 
 
+    @pytest.mark.parametrize("points", [5, 101], ids=["too-short", "with-tail"])
+    def test_chained_pairs_reported_with_or_without_tail(self, points):
+        t = np.linspace(0.0, 1.0, points)
+        traj = kp.Trajectory(t, np.column_stack([t, t + 6e-7, t + 1.2e-6]))
+        args = argparse.Namespace(sync_tol=1e-6, tail_fraction=0.2, tail_tol=1e-4)
+        payload = json.loads(_sync_report_json(traj, args, kp.ModelParams(alpha=0.7)))
+        assert (payload["tail"] is None) == (points == 5)
+        assert payload["exact"]["blocks"] == [[1, 2, 3]]
+        [[i, j, gap]] = payload["exact"]["chained_pairs"]
+        assert (i, j) == (1, 3) and gap == pytest.approx(1.2e-6)
+
+
 class TestAnalyze:
     def test_stdout_report(self, capsys):
         code = run("analyze", "--builtin", "latoro")
@@ -277,6 +289,23 @@ class TestExitCodes:
             "--rel-tol", 1e-300, "--abs-tol", 1e-320,
             "--out", tmp_path / "x.csv",
         ) == 4
+
+    def test_infinite_rk4_step(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-equal", 0.0,
+            "--method", "rk4", "--dt", "inf", "--out", out,
+        ) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--sync-tol", "--tail-tol"])
+    def test_nan_sync_tolerance(self, tmp_path, flag):
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-random", "--t-end", 1,
+            flag, "nan", "--out", tmp_path / "x.csv",
+        ) == 3
 
     def test_graph_and_builtin_conflict(self, tmp_path):
         graph = tmp_path / "c4.edges"

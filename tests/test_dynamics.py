@@ -45,6 +45,11 @@ class TestIntegratorConfig:
         with pytest.raises(kp.BadParameterError):
             kp.IntegratorConfig(t_end=1.0, method="rk4")
 
+    def test_rk4_needs_finite_dt(self):
+        for dt in (float("inf"), float("nan")):
+            with pytest.raises(kp.BadParameterError):
+                kp.IntegratorConfig(t_end=1.0, method="rk4", dt=dt)
+
     def test_rk45_rejects_dt(self):
         with pytest.raises(kp.BadParameterError):
             kp.IntegratorConfig(t_end=1.0, method="rk45", dt=0.1)
@@ -285,6 +290,26 @@ class TestSyncDetection:
         rep = kp.asymptotic_sync_clusters(traj, tail_fraction=0.2, tol=1e-4, exact_tol=tol)
         assert rep.exact_partition.blocks == ((1, 2, 3),)
         assert [(i, j) for i, j, _ in rep.chained_pairs] == [(1, 3)]
+
+    def test_nan_tolerances_rejected(self):
+        times = np.linspace(0.0, 50.0, 101)
+        traj = kp.Trajectory(times, np.column_stack([times, times]))
+        nan = float("nan")
+        with pytest.raises(kp.BadParameterError):
+            kp.exact_sync_partition(traj, tol=nan)
+        with pytest.raises(kp.BadParameterError):
+            kp.asymptotic_sync_clusters(traj, tol=nan)
+        with pytest.raises(kp.BadParameterError):
+            kp.asymptotic_sync_clusters(traj, exact_tol=nan)
+
+    def test_exact_sync_chains_without_a_tail(self):
+        tol = 1e-6
+        t = np.linspace(0.0, 1.0, 5)
+        traj = kp.Trajectory(t, np.column_stack([t, t + 0.6 * tol, t + 1.2 * tol]))
+        partition, chained = kp.exact_sync_chains(traj, tol=tol)
+        assert partition == kp.exact_sync_partition(traj, tol=tol)
+        assert partition.blocks == ((1, 2, 3),)
+        assert [(i, j) for i, j, _ in chained] == [(1, 3)]
 
     def test_generic_path_init_stays_split(self):
         g = kp.path_graph(3)

@@ -71,6 +71,11 @@ class TestVertexPartition:
         with pytest.raises(kp.KurapartError):
             kp.VertexPartition.from_blocks([[1, 2], []])
 
+    def test_bool_label_rejected(self):
+        # True == 1 as an int, but it is not a vertex label
+        with pytest.raises(kp.PartitionMismatchError):
+            kp.VertexPartition.from_blocks([[True], [2, 3]])
+
     def test_refines(self):
         fine = kp.VertexPartition.from_blocks([[1], [2], [3, 4]])
         coarse = kp.VertexPartition.from_blocks([[1, 2], [3, 4]])
@@ -364,3 +369,7 @@ class TestSerialization:
             kp.partition_from_json(json.dumps({"wrong": []}))
         with pytest.raises(kp.FormatError):
             kp.partition_from_json("not json")
+
+    def test_partition_json_bool_label_rejected(self):
+        with pytest.raises(kp.FormatError):
+            kp.partition_from_json('{"blocks": [[true], [2, 3]]}')
