@@ -142,6 +142,8 @@ def _initial_state(
             "pick exactly one of --init-equal, --init-blocks, --init-random, --init-cert"
         )
     if args.init_equal is not None:
+        if not math.isfinite(args.init_equal):
+            raise BadParameterError(f"--init-equal must be finite, got {args.init_equal}")
         return np.full(g.n, args.init_equal)
     if args.init_blocks is not None:
         if part is None:
@@ -150,6 +152,8 @@ def _initial_state(
             values = [float(x) for x in args.init_blocks.split(",")]
         except ValueError:
             raise BadParameterError(f"bad --init-blocks value {args.init_blocks!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise BadParameterError(f"non-finite --init-blocks value in {args.init_blocks!r}")
         if len(values) != part.k:
             raise BadParameterError(
                 f"--init-blocks gave {len(values)} values for {part.k} blocks"

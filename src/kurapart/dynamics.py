@@ -436,19 +436,45 @@ def lift_quotient_trajectory(
     return Trajectory(qt.times.copy(), states, derivatives=derivs)
 
 
-def _pairwise_max_dev(traj: Trajectory, rows: np.ndarray | None = None) -> np.ndarray:
-    states = traj.states if rows is None else traj.states[rows]
+def _pairwise_max_dev(states: np.ndarray) -> np.ndarray:
+    """Symmetric matrix of each column pair's largest absolute gap over the rows."""
     n = states.shape[1]
     out = np.zeros((n, n))
-    for i in range(n):
-        d = np.abs(states[:, i + 1 :] - states[:, i : i + 1])
-        if d.size:
-            out[i, i + 1 :] = d.max(axis=0)
+    for i in range(n - 1):
+        out[i, i + 1 :] = np.abs(states[:, i + 1 :] - states[:, i : i + 1]).max(axis=0)
     return np.maximum(out, out.T)
 
 
-def _merge_components(n: int, linked: np.ndarray) -> list[list[int]]:
-    parent = list(range(n))
+_Run = tuple[np.ndarray, list[np.ndarray]]
+
+
+def _sync_runs(
+    states: np.ndarray, cut: float, windows: Sequence[np.ndarray | slice]
+) -> list[_Run]:
+    """Sort-then-verify candidates for the single-linkage sync partitions.
+
+    A pair whose gap stays below cut over rows that include the last one is
+    below cut at the last row, so it lies in one run of the final phases
+    sorted on the line, cut wherever sorted neighbours are cut or more apart
+    (or their gap is not a number).  Returns each run of two or more
+    vertices as its ascending columns plus its pairwise deviation matrix
+    over each window of rows; every other vertex is a singleton.
+    """
+    final = states[-1]
+    order = np.argsort(final)
+    bounds = np.r_[0, np.flatnonzero(~(np.diff(final[order]) < cut)) + 1, final.size]
+    runs = []
+    for r in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        cols = np.sort(order[bounds[r] : bounds[r + 1]])
+        sub = states[:, cols]
+        runs.append((cols, [_pairwise_max_dev(sub[rows]) for rows in windows]))
+    return runs
+
+
+def _merge_components(linked: np.ndarray) -> list[list[int]]:
+    """Single-linkage groups of a symmetric boolean matrix: ascending index
+    lists, ordered by their least index."""
+    parent = list(range(linked.shape[0]))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -456,16 +482,19 @@ def _merge_components(n: int, linked: np.ndarray) -> list[list[int]]:
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if linked[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(linked, 1)))):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
     groups: dict[int, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), []).append(v + 1)
-    return sorted(groups.values(), key=min)
+    for v in range(len(parent)):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
+def _with_singletons(n: int, blocks: list[list[int]]) -> VertexPartition:
+    placed = {v for block in blocks for v in block}
+    return VertexPartition.from_blocks(blocks + [[v] for v in range(1, n + 1) if v not in placed])
 
 
 def exact_sync_partition(traj: Trajectory, tol: float = 1e-8) -> VertexPartition:
@@ -486,27 +515,37 @@ def exact_sync_chains(
         raise EmptyTrajectoryError("no recorded states")
     if not tol > 0.0:
         raise BadParameterError(f"tol must be positive, got {tol}")
-    return _exact_sync(_pairwise_max_dev(traj), tol)
+    return _exact_sync(traj.dimension, _sync_runs(traj.states, tol, [slice(None)]), tol)
 
 
 def _exact_sync(
-    dev: np.ndarray, tol: float
+    n: int, runs: list[_Run], tol: float
 ) -> tuple[VertexPartition, tuple[tuple[int, int, float], ...]]:
-    partition = VertexPartition.from_blocks(_merge_components(dev.shape[0], dev < tol))
-    flagged = []
-    for block in partition.blocks:
-        for a in range(len(block)):
-            for b in range(a + 1, len(block)):
-                i, j = block[a], block[b]
-                d = dev[i - 1, j - 1]
-                if d >= tol:
-                    flagged.append((i, j, float(d)))
-    return partition, tuple(flagged)
+    # each run's first window spans the whole record
+    blocks, chains = [], {}
+    for cols, (full, *_) in runs:
+        for group in _merge_components(full < tol):
+            block = cols[group] + 1
+            blocks.append(block.tolist())
+            if len(group) > 1:
+                dev = full[np.ix_(group, group)]
+                a, b = np.nonzero(np.triu(dev >= tol, 1))
+                gaps = dev[a, b].tolist()
+                chains[blocks[-1][0]] = list(zip(block[a].tolist(), block[b].tolist(), gaps))
+    partition = _with_singletons(n, blocks)
+    flagged = tuple(pair for block in partition.blocks for pair in chains.get(block[0], ()))
+    return partition, flagged
 
 
 @dataclass(frozen=True, eq=False)
 class SyncReport:
-    """Synchronisation diagnostics for one trajectory."""
+    """Synchronisation diagnostics for one trajectory.
+
+    pair_classes lists, in lexicographic order, only the pairs labelled
+    "synchronised" (same exact block, own gap below exact_tol) or
+    "asymptotic" (same tail cluster), each with its tail-window maximum gap;
+    every pair not listed is desynchronised.
+    """
 
     exact_partition: VertexPartition
     exact_tol: float
@@ -532,12 +571,19 @@ def asymptotic_sync_clusters(
     tail window and its tail maximum does not exceed the maximum over the
     window immediately before, a cheap monotonicity proxy for convergence.
     Thresholds are echoed in the report rather than applied silently.
+
+    Both partitions are found by sort-then-verify: the final phases are
+    sorted and cut where neighbours sit max(tol, exact_tol) or more apart,
+    and only the runs of two or more vertices are checked over the whole
+    record, the tail and the window before it.  Vertices in different runs
+    are desynchronised and are left out of pair_classes.  For n vertices and
+    m rows the cost is O(n m + n log n), plus O(r^2 m) for each run of r.
     """
     if not 0.0 < tail_fraction <= 0.5:
         raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
     if not (tol > 0.0 and exact_tol > 0.0):
         raise BadParameterError("tolerances must be positive")
-    times = traj.times
+    times, states = traj.times, traj.states
     span = float(times[-1] - times[0])
     tail_lo = times[-1] - tail_fraction * span
     prev_lo = times[-1] - 2.0 * tail_fraction * span
@@ -548,33 +594,40 @@ def asymptotic_sync_clusters(
             f"tail window holds {tail_rows.size} recorded points, need at least 10"
         )
     n = traj.dimension
-    dev_full = _pairwise_max_dev(traj)
-    dev_tail = _pairwise_max_dev(traj, tail_rows)
-    dev_prev = _pairwise_max_dev(traj, prev_rows) if prev_rows.size else None
-    linked = dev_tail < tol
-    if dev_prev is not None:
-        linked &= dev_tail <= dev_prev + 1e-12
-    clusters = VertexPartition.from_blocks(_merge_components(n, linked))
-    exact, chained = _exact_sync(dev_full, exact_tol)
-    cmap = clusters.index_map()
+    windows = [slice(None), tail_rows] + ([prev_rows] if prev_rows.size else [])
+    runs = _sync_runs(states, max(tol, exact_tol), windows)
+    blocks = []
+    for cols, (_, dev_tail, *dev_prev) in runs:
+        linked = dev_tail < tol
+        if dev_prev:
+            linked &= dev_tail <= dev_prev[0] + 1e-12
+        blocks += [(cols[group] + 1).tolist() for group in _merge_components(linked)]
+    clusters = _with_singletons(n, blocks)
+    exact, chained = _exact_sync(n, runs, exact_tol)
     means = np.empty((traj.n_recorded, clusters.k))
+    lone = [b for b, block in enumerate(clusters.blocks) if len(block) == 1]
+    means[:, lone] = states[:, [clusters.blocks[b][0] - 1 for b in lone]]
     for b, block in enumerate(clusters.blocks):
-        means[:, b] = traj.states[:, [v - 1 for v in block]].mean(axis=1)
-    tail_dev = []
-    for b, block in enumerate(clusters.blocks):
-        gap = traj.states[np.ix_(tail_rows, [v - 1 for v in block])] - means[tail_rows, b : b + 1]
-        tail_dev.append(float(np.abs(gap).max()) if gap.size else 0.0)
-    emap = exact.index_map()
-    pair_classes = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if emap[i] == emap[j] and dev_full[i - 1, j - 1] < exact_tol:
-                label = "synchronised"
-            elif cmap[i] == cmap[j]:
-                label = "asymptotic"
-            else:
-                label = "desynchronised"
-            pair_classes.append((i, j, label, float(dev_tail[i - 1, j - 1])))
+        if len(block) > 1:
+            means[:, b] = states[:, [v - 1 for v in block]].mean(axis=1)
+    cmap, emap = clusters.index_map(), exact.index_map()
+    cluster_of = np.array([cmap[v] for v in range(1, n + 1)])
+    exact_of = np.array([emap[v] for v in range(1, n + 1)])
+    col_dev = np.abs(states[tail_rows] - means[tail_rows][:, cluster_of]).max(axis=0)
+    tail_dev = np.full(clusters.k, -np.inf)
+    np.maximum.at(tail_dev, cluster_of, col_dev)
+    pairs: list[tuple[int, int, str, float]] = []
+    for cols, (dev_full, dev_tail, *_) in runs:
+        a, b = np.triu_indices(cols.size, 1)
+        sync = (exact_of[cols[a]] == exact_of[cols[b]]) & (dev_full[a, b] < exact_tol)
+        keep = sync | (cluster_of[cols[a]] == cluster_of[cols[b]])
+        a, b, sync = a[keep], b[keep], sync[keep]
+        pairs += zip(
+            (cols[a] + 1).tolist(),
+            (cols[b] + 1).tolist(),
+            np.where(sync, "synchronised", "asymptotic").tolist(),
+            dev_tail[a, b].tolist(),
+        )
     return SyncReport(
         exact_partition=exact,
         exact_tol=exact_tol,
@@ -584,8 +637,8 @@ def asymptotic_sync_clusters(
         tail_tol=tol,
         tail_start=float(max(tail_lo, 0.0)),
         block_means=means,
-        tail_max_deviation=tuple(tail_dev),
-        pair_classes=tuple(pair_classes),
+        tail_max_deviation=tuple(tail_dev.tolist()),
+        pair_classes=tuple(sorted(pairs)),
     )
 
 
@@ -645,9 +698,9 @@ def residual_max(
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Header t,theta_1,...,theta_n; 17 significant digits throughout."""
     n = traj.dimension
+    row = ",".join(["%.17g"] * (n + 1))
     lines = ["t," + ",".join(f"theta_{i}" for i in range(1, n + 1))]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join(f"{x:.17g}" for x in [t, *row]))
+    lines += [row % tuple(r) for r in np.column_stack((traj.times, traj.states)).tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -13,9 +13,13 @@ from fractions import Fraction
 import numpy as np
 
 from kurapart import (
+    BadParameterError,
     Graph,
     SearchRow,
     SolutionSet,
+    SyncReport,
+    TooShortError,
+    Trajectory,
     VertexPartition,
     classify_bipartition,
 )
@@ -171,3 +175,124 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 0.3)
             if frozenset((u, v)) not in present and rng.random() < extra:
                 edges.append((u, v))
     return Graph(n, tuple(edges))
+
+
+def _pairwise_max_dev_slow(states: np.ndarray) -> np.ndarray:
+    """Every pair's largest absolute phase gap over the rows: n x n."""
+    n = states.shape[1]
+    out = np.zeros((n, n))
+    for i in range(n):
+        d = np.abs(states[:, i + 1 :] - states[:, i : i + 1])
+        if d.size:
+            out[i, i + 1 :] = d.max(axis=0)
+    return np.maximum(out, out.T)
+
+
+def _merge_components_slow(n: int, linked: np.ndarray) -> list[list[int]]:
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if linked[i, j]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v + 1)
+    return sorted(groups.values(), key=min)
+
+
+def _exact_sync_slow(dev: np.ndarray, tol: float):
+    partition = VertexPartition.from_blocks(_merge_components_slow(dev.shape[0], dev < tol))
+    flagged = []
+    for block in partition.blocks:
+        for a in range(len(block)):
+            for b in range(a + 1, len(block)):
+                i, j = block[a], block[b]
+                d = dev[i - 1, j - 1]
+                if d >= tol:
+                    flagged.append((i, j, float(d)))
+    return partition, tuple(flagged)
+
+
+def exact_sync_chains_slow(traj: Trajectory, tol: float = 1e-8):
+    """Exact single-linkage partition and chained pairs from the full n x n
+    deviation matrix."""
+    return _exact_sync_slow(_pairwise_max_dev_slow(traj.states), tol)
+
+
+def sync_report_slow(
+    traj: Trajectory, tail_fraction: float = 0.2, tol: float = 1e-4, exact_tol: float = 1e-8
+) -> SyncReport:
+    """The all-pairs sync report: n x n deviation matrices over the whole
+    record, the tail and the window before it, and a label for every pair,
+    "desynchronised" included."""
+    if not 0.0 < tail_fraction <= 0.5:
+        raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
+    times = traj.times
+    span = float(times[-1] - times[0])
+    tail_lo = times[-1] - tail_fraction * span
+    prev_lo = times[-1] - 2.0 * tail_fraction * span
+    tail_rows = np.nonzero(times >= tail_lo - 1e-12)[0]
+    prev_rows = np.nonzero((times >= prev_lo - 1e-12) & (times < tail_lo - 1e-12))[0]
+    if tail_rows.size < 10:
+        raise TooShortError(
+            f"tail window holds {tail_rows.size} recorded points, need at least 10"
+        )
+    n = traj.dimension
+    dev_full = _pairwise_max_dev_slow(traj.states)
+    dev_tail = _pairwise_max_dev_slow(traj.states[tail_rows])
+    dev_prev = _pairwise_max_dev_slow(traj.states[prev_rows]) if prev_rows.size else None
+    linked = dev_tail < tol
+    if dev_prev is not None:
+        linked &= dev_tail <= dev_prev + 1e-12
+    clusters = VertexPartition.from_blocks(_merge_components_slow(n, linked))
+    exact, chained = _exact_sync_slow(dev_full, exact_tol)
+    cmap = clusters.index_map()
+    means = np.empty((traj.n_recorded, clusters.k))
+    for b, block in enumerate(clusters.blocks):
+        means[:, b] = traj.states[:, [v - 1 for v in block]].mean(axis=1)
+    tail_dev = []
+    for b, block in enumerate(clusters.blocks):
+        gap = traj.states[np.ix_(tail_rows, [v - 1 for v in block])] - means[tail_rows, b : b + 1]
+        tail_dev.append(float(np.abs(gap).max()) if gap.size else 0.0)
+    emap = exact.index_map()
+    pair_classes = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if emap[i] == emap[j] and dev_full[i - 1, j - 1] < exact_tol:
+                label = "synchronised"
+            elif cmap[i] == cmap[j]:
+                label = "asymptotic"
+            else:
+                label = "desynchronised"
+            pair_classes.append((i, j, label, float(dev_tail[i - 1, j - 1])))
+    return SyncReport(
+        exact_partition=exact,
+        exact_tol=exact_tol,
+        chained_pairs=chained,
+        clusters=clusters,
+        tail_fraction=tail_fraction,
+        tail_tol=tol,
+        tail_start=float(max(tail_lo, 0.0)),
+        block_means=means,
+        tail_max_deviation=tuple(tail_dev),
+        pair_classes=tuple(pair_classes),
+    )
+
+
+def trajectory_to_csv_slow(traj: Trajectory) -> str:
+    """One f-string per value: header t,theta_1,...,theta_n, then 17
+    significant digits throughout."""
+    n = traj.dimension
+    lines = ["t," + ",".join(f"theta_{i}" for i in range(1, n + 1))]
+    for t, row in zip(traj.times, traj.states):
+        lines.append(",".join(f"{x:.17g}" for x in [t, *row]))
+    return "\n".join(lines) + "\n"

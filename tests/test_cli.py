@@ -7,6 +7,7 @@ import pytest
 
 import kurapart as kp
 from kurapart.cli import _sync_report_json, main
+from oracle_tools import exact_sync_chains_slow, sync_report_slow
 
 
 def run(*argv):
@@ -136,15 +137,24 @@ def _short_trajectory():
 
 class TestSyncReport:
     @pytest.mark.parametrize(
-        "make, digest",
+        "make, digest, digest_0_1_0",
         [
-            (_tail_trajectory, "98d2019e7fcc2737cd5c405913e34f973b1334ef052c0e901dbe854acd82f7d7"),
-            (_short_trajectory, "594802dab9bad19ec9f0296e826b060a54202bcaa33fa2d6ded63b9abd604d03"),
+            (
+                _tail_trajectory,
+                "8f224947544a465e7da5764928f457ed680b8c458be68525c6922421df8b54b8",
+                "98d2019e7fcc2737cd5c405913e34f973b1334ef052c0e901dbe854acd82f7d7",
+            ),
+            (
+                _short_trajectory,
+                "594802dab9bad19ec9f0296e826b060a54202bcaa33fa2d6ded63b9abd604d03",
+                "594802dab9bad19ec9f0296e826b060a54202bcaa33fa2d6ded63b9abd604d03",
+            ),
         ],
         ids=["with-tail", "too-short"],
     )
-    def test_bytes_match_0_1_0(self, make, digest):
-        # digests of the report 0.1.0 wrote for the same trajectory
+    def test_bytes_match_0_1_0(self, monkeypatch, make, digest, digest_0_1_0):
+        # digest_0_1_0 is the report 0.1.0 wrote, which listed every pair;
+        # this version drops the desynchronised pairs and changes nothing else
         traj = make()
         args = argparse.Namespace(sync_tol=1e-6, tail_fraction=0.2, tail_tol=1e-4)
         text = _sync_report_json(traj, args, kp.ModelParams(alpha=0.7))
@@ -152,6 +162,14 @@ class TestSyncReport:
         exact = kp.exact_sync_partition(traj, tol=1e-6)
         assert json.loads(text)["exact"]["blocks"] == [list(b) for b in exact.blocks]
 
+        monkeypatch.setattr(kp.dynamics, "asymptotic_sync_clusters", sync_report_slow)
+        monkeypatch.setattr(kp.dynamics, "exact_sync_chains", exact_sync_chains_slow)
+        old_text = _sync_report_json(traj, args, kp.ModelParams(alpha=0.7))
+        assert hashlib.sha256(old_text.encode()).hexdigest() == digest_0_1_0
+        old = json.loads(old_text)
+        if old["tail"] is not None:
+            old["tail"]["pairs"] = [p for p in old["tail"]["pairs"] if p[2] != "desynchronised"]
+        assert json.loads(text) == old
 
     @pytest.mark.parametrize("points", [5, 101], ids=["too-short", "with-tail"])
     def test_chained_pairs_reported_with_or_without_tail(self, points):
@@ -306,6 +324,23 @@ class TestExitCodes:
             "--alpha", 0.5, "--init-random", "--t-end", 1,
             flag, "nan", "--out", tmp_path / "x.csv",
         ) == 3
+
+    def test_non_finite_init_equal(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-equal", "nan", "--t-end", 1, "--out", out,
+        ) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values", ["nan,1", "inf,1"])
+    def test_non_finite_init_blocks(self, tmp_path, values):
+        out = tmp_path / "x.csv"
+        assert run(
+            "simulate", "--builtin", "linear:4",
+            "--alpha", 0.5, "--init-blocks", values, "--t-end", 1, "--out", out,
+        ) == 3
+        assert not out.exists()
 
     def test_graph_and_builtin_conflict(self, tmp_path):
         graph = tmp_path / "c4.edges"

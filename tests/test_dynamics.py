@@ -1,10 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import kurapart as kp
-from oracle_tools import random_connected_graph
+from oracle_tools import (
+    exact_sync_chains_slow,
+    random_connected_graph,
+    sync_report_slow,
+    trajectory_to_csv_slow,
+)
 
 
 def rhs_slow(g, theta, alpha, omega=0.0, coupling=1.0):
@@ -351,7 +357,7 @@ class TestSyncDetection:
         rep = kp.asymptotic_sync_clusters(traj, tail_fraction=0.2, tol=1e-4)
         assert rep.clusters.blocks == ((1,), (2,))
         labels = {(i, j): label for i, j, label, _ in rep.pair_classes}
-        assert labels[(1, 2)] == "desynchronised"
+        assert (1, 2) not in labels
 
     def test_exact_pair_labelled_synchronised(self):
         times = np.linspace(0.0, 50.0, 501)
@@ -426,6 +432,204 @@ class TestTrajectoryCsv:
             kp.trajectory_from_csv("t,theta_1\n0,not_a_number\n")
         with pytest.raises(kp.FormatError):
             kp.trajectory_from_csv("wrong,header\n0,1\n")
+
+
+    def test_bytes_match_per_value_writer(self):
+        g = kp.cycle_graph(7)
+        init = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, g.n)
+        params = kp.ModelParams(alpha=0.9)
+        trajs = [
+            kp.integrate(g, init, params, kp.IntegratorConfig(t_end=3.0)),
+            kp.integrate(g, init, params, kp.IntegratorConfig(t_end=1.0, method="rk4", dt=0.1)),
+            kp.integrate(g, np.zeros(g.n), params, kp.IntegratorConfig(t_end=0.0)),
+        ]
+        for traj in trajs:
+            assert kp.trajectory_to_csv(traj) == trajectory_to_csv_slow(traj)
+
+    def test_bytes_match_per_value_writer_on_special_values(self):
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, 0.1]
+        states = np.array([values, values[::-1]])
+        traj = kp.Trajectory(np.array([0.0, 5e-324]), states)
+        text = kp.trajectory_to_csv(traj)
+        assert text == trajectory_to_csv_slow(traj)
+        assert ",-0," in text and ",4.9406564584124654e-324," in text and ",nan," in text
+
+
+def _assert_sync_matches_oracle(traj, **kw):
+    """Sort-then-verify against the all-pairs oracle, desynchronised pairs left out."""
+    new = kp.asymptotic_sync_clusters(traj, **kw)
+    old = sync_report_slow(traj, **kw)
+    assert new.exact_partition == old.exact_partition
+    assert new.chained_pairs == old.chained_pairs
+    assert new.clusters == old.clusters
+    np.testing.assert_array_equal(new.tail_max_deviation, old.tail_max_deviation)
+    np.testing.assert_array_equal(new.block_means, old.block_means)
+    assert new.pair_classes == tuple(p for p in old.pair_classes if p[2] != "desynchronised")
+    exact_tol = kw.get("exact_tol", 1e-8)
+    assert kp.exact_sync_chains(traj, exact_tol) == exact_sync_chains_slow(traj, exact_tol)
+    return new
+
+
+def _synthetic(*columns):
+    t = np.linspace(0.0, 50.0, 101)
+    return kp.Trajectory(t, np.column_stack([np.broadcast_to(c(t), t.shape) for c in columns]))
+
+
+def _offsets(*xs):
+    """Rigid rotation at rate 0.1 with constant offsets xs."""
+    return _synthetic(*[(lambda x: lambda t: 0.1 * t + x)(x) for x in xs])
+
+
+def _interleaved():
+    # blocks {1, 5, 9} and {2, 3}, the rest far apart; {2, 3} ends 5e-5 from
+    # {1, 5, 9}, inside one sorted run, but sits 1e-3 away when the tail starts
+    t = np.linspace(0.0, 50.0, 101)
+    cols = [np.full(t.shape, 1.0 + 0.2 * v) for v in range(10)]
+    for v in (0, 4, 8):
+        cols[v] = 0.1 * t
+    for v in (1, 2):
+        cols[v] = 0.1 * t + 5e-5 + 1e-4 * (50.0 - t)
+    cols[2] = cols[2] + 2e-9 * np.sin(t)
+    return kp.Trajectory(t, np.column_stack(cols))
+
+
+SYNTHETIC_SYNC_CASES = {
+    # the gap shrinks to zero at the last row only
+    "close-at-last-row": (
+        _synthetic(lambda t: 0.1 * t, lambda t: 0.1 * t + 0.02 * (50.0 - t)),
+        {},
+    ),
+    # equal final phases reached from different histories, and identical columns
+    "final-ties": (
+        _synthetic(
+            lambda t: 0.0 * t,
+            lambda t: 1e-3 * (50.0 - t),
+            lambda t: 0.0 * t,
+            lambda t: 1e-7 * (50.0 - t),
+            lambda t: -1e-7 * (50.0 - t),
+            lambda t: 0.0 * t + 3.0,
+        ),
+        {"exact_tol": 1e-6},
+    ),
+    # six links of 0.6 tol span 3.6 tol: every step below tol, the ends far apart
+    "long-chain": (_offsets(*[0.6e-6 * k for k in (6, 0, 3, 1, 5, 2, 4)]), {"exact_tol": 1e-6}),
+    # the tail gap stays below tol but grows, so the proxy rejects the pair
+    "proxy-rejects": (
+        _synthetic(lambda t: 0.1 * t, lambda t: 0.1 * t + 1e-6 * t / 50.0, lambda t: 0.2 * t),
+        {},
+    ),
+    # exact_tol above tol: exact blocks wider than the tail clusters
+    "exact-tol-above-tol": (_offsets(0.0, 5e-6, 1e-5, 2e-4), {"tol": 1e-6, "exact_tol": 1e-4}),
+    # chained blocks {1, 3, 6, 7} and {2, 4, 5}: block order is not the
+    # lexicographic order of their chained pairs
+    "interleaved-chains": (
+        _offsets(0.0, 1.0, 0.6e-6, 1.0 + 0.6e-6, 1.0 + 1.2e-6, 1.2e-6, 1.8e-6),
+        {"exact_tol": 1e-6},
+    ),
+    "interleaved-blocks": (_interleaved(), {"exact_tol": 1e-6}),
+    "one-vertex": (_synthetic(lambda t: 0.3 * t), {}),
+    # non-finite final phases never link
+    "non-finite": (
+        _synthetic(
+            lambda t: np.where(t < 50.0, 0.0, math.nan),
+            lambda t: np.where(t < 50.0, 0.0, math.nan),
+            lambda t: np.where(t < 50.0, 0.0, math.inf),
+            lambda t: np.where(t < 50.0, 0.0, math.inf),
+            lambda t: np.where(t < 1.0, math.nan, 0.0),
+            lambda t: 0.0 * t,
+        ),
+        {},
+    ),
+}
+
+
+def _sync_case(name):
+    traj, kw = SYNTHETIC_SYNC_CASES[name]
+    with np.errstate(invalid="ignore"):  # nan and inf - inf gaps
+        return _assert_sync_matches_oracle(traj, **kw)
+
+
+class TestSyncOracle:
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_SYNC_CASES))
+    def test_synthetic_trajectories_match_all_pairs_oracle(self, name):
+        _sync_case(name)
+
+    def test_synthetic_cases_reach_their_branches(self):
+        long = _sync_case("long-chain")
+        assert long.exact_partition.k == 1 and len(long.chained_pairs) > 6
+        proxy = _sync_case("proxy-rejects")
+        assert proxy.clusters.k == 3 and proxy.pair_classes == ()
+        wide = _sync_case("exact-tol-above-tol")
+        assert wide.exact_partition.blocks == ((1, 2, 3), (4,)) and wide.clusters.k == 4
+        chains = _sync_case("interleaved-chains")
+        assert [p[:2] for p in chains.chained_pairs] == [(1, 6), (1, 7), (3, 7), (2, 5)]
+        mixed = _sync_case("interleaved-blocks")
+        assert mixed.exact_partition.blocks[:2] == ((1, 5, 9), (2, 3))
+        assert mixed.clusters.blocks[:2] == ((1, 5, 9), (2, 3))
+        assert [p[:2] for p in mixed.pair_classes] == [(1, 5), (1, 9), (2, 3), (5, 9)]
+
+    def test_random_synthetic_trajectories_match_all_pairs_oracle(self):
+        rng = np.random.default_rng(23)
+        t = np.linspace(0.0, 50.0, 101)
+        for _ in range(60):
+            n = int(rng.integers(1, 14))
+            levels = rng.integers(0, 4, n) * rng.choice([2e-7, 3e-5, 1e-3])
+            noisy = rng.random(n) < 0.4
+            states = 0.1 * t[:, None] + levels + noisy * rng.normal(0.0, 1e-7, (t.size, n))
+            states += (rng.random(n) < 0.2) * np.exp(-0.3 * t)[:, None] * rng.uniform(0.0, 1e-3, n)
+            traj = kp.Trajectory(t, states)
+            _assert_sync_matches_oracle(traj, exact_tol=1e-6)
+            _assert_sync_matches_oracle(traj, tol=1e-6, exact_tol=1e-4)
+
+    def test_integrator_runs_match_all_pairs_oracle(self):
+        rng = np.random.default_rng(31)
+        cfg = kp.IntegratorConfig(t_end=30.0)
+        grid = np.linspace(0.0, 30.0, 151)
+        runs = []
+        for _ in range(12):
+            g = random_connected_graph(rng, int(rng.integers(3, 11)))
+            params = kp.ModelParams(alpha=float(rng.uniform(0.2, 1.4)))
+            runs.append((g, rng.uniform(0.0, 2.0 * math.pi, g.n), params))
+            pinned = kp.VertexPartition.from_blocks([[1], list(range(2, g.n + 1))])
+            blocks = kp.coarsest_equitable_refinement(g, pinned).blocks
+            phases = rng.uniform(0.0, 2.0 * math.pi, len(blocks))
+            init = np.empty(g.n)
+            for phase, block in zip(phases, blocks):
+                init[[v - 1 for v in block]] = phase
+            runs.append((g, init, params))
+            runs.append((g, init + rng.uniform(-1e-5, 1e-5, g.n), params))
+        for g, part in (
+            kp.linear_family_graph(4),
+            kp.linear_family_graph(6),
+            kp.latoro_profile_graph(),
+            kp.right_angle_profile_graph(),
+        ):
+            cert = kp.classify_bipartition(g, part).certificate
+            start = kp.certificate_to_solution(cert).start
+            params = kp.ModelParams(alpha=cert.alpha)
+            runs.append((g, start, params))
+            runs.append((g, start + rng.uniform(-1e-5, 1e-5, g.n), params))
+        listed = 0
+        for g, init, params in runs:
+            traj = kp.integrate(g, init, params, cfg, t_eval=grid)
+            for kw in ({"exact_tol": 1e-6}, {"exact_tol": 1e-8, "tol": 1e-3}):
+                listed += len(_assert_sync_matches_oracle(traj, **kw).pair_classes)
+        assert listed > 0
+
+    def test_memory_stays_linear_in_n(self):
+        # one n x n float64 matrix at n = 3000 would be 72 MB
+        n, rows = 3000, 200
+        t = np.linspace(0.0, 20.0, rows)
+        offsets = np.random.default_rng(3).permutation(n) * 1e-3
+        traj = kp.Trajectory(t, 0.1 * t[:, None] + offsets + 1e-4 * np.sin(t)[:, None])
+        tracemalloc.start()
+        try:
+            rep = kp.asymptotic_sync_clusters(traj, exact_tol=1e-6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * traj.states.nbytes
+        assert rep.clusters.k == n and rep.pair_classes == ()
 
 
 def quotient_rhs_slow(gamma, f, alpha):
