@@ -3,8 +3,10 @@
 The model couples each vertex to its neighbours through a sine with a fixed
 phase lag, so equal phases are not stationary in general; rigid rotations
 are.  Both the full vertex system and the block quotient system share one
-edge-list right-hand side and one integration core: classical fixed-step
-RK4 or an embedded Dormand-Prince 4(5) pair with proportional step control.
+arc-list right-hand side, evaluated through the angle-sum identity from one
+complex exponential per vertex, and one integration core: classical
+fixed-step RK4 or an embedded Dormand-Prince 4(5) pair with proportional
+step control.  Each integration reports its step and evaluation counts.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .errors import (
     StepUnderflowError,
     TooShortError,
 )
-from .graph_core import Graph, QuotientMatrix, VertexPartition
+from .graph_core import Graph, QuotientMatrix, VertexPartition, _interleaved_bins
 
 __all__ = [
     "ModelParams",
     "IntegratorConfig",
+    "RunStats",
     "Trajectory",
     "LinearTrajectory",
     "SyncReport",
@@ -64,8 +67,8 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= math.pi / 2:
             raise BadParameterError(f"alpha must lie in (0, pi/2], got {self.alpha}")
-        if not self.coupling > 0.0:
-            raise BadParameterError(f"coupling must be positive, got {self.coupling}")
+        if not 0.0 < self.coupling < math.inf:
+            raise BadParameterError(f"coupling must be positive and finite, got {self.coupling}")
         if not math.isfinite(self.omega):
             raise BadParameterError(f"omega must be finite, got {self.omega}")
 
@@ -100,10 +103,25 @@ class IntegratorConfig:
                 raise BadParameterError(f"rk4 needs a finite dt > 0, got {self.dt}")
         elif self.dt is not None:
             raise BadParameterError("dt applies to rk4 only")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise BadParameterError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise BadParameterError(
+                f"tolerances must be positive and finite, got {self.rel_tol}, {self.abs_tol}"
+            )
         if self.record_every < 1:
             raise BadParameterError(f"record_every must be >= 1, got {self.record_every}")
+
+
+@dataclass(frozen=True)
+class RunStats:
+    """What one integration did: accepted and rejected steps, right-hand side
+    evaluations, and the smallest and largest accepted step size (None when
+    no step was taken)."""
+
+    accepted: int
+    rejected: int
+    rhs_calls: int
+    h_min: float | None
+    h_max: float | None
 
 
 class Trajectory:
@@ -111,7 +129,8 @@ class Trajectory:
 
     Optional derivatives hold closed-form time derivatives at the recorded
     times, supplied by analytic constructions; integrator output leaves them
-    unset so residual checks stay independent of the solver.
+    unset so residual checks stay independent of the solver.  Integrator
+    output carries the run's stats instead, which no file format records.
     """
 
     def __init__(
@@ -119,6 +138,7 @@ class Trajectory:
         times: np.ndarray,
         states: np.ndarray,
         derivatives: np.ndarray | None = None,
+        stats: RunStats | None = None,
     ) -> None:
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
@@ -139,6 +159,7 @@ class Trajectory:
         self.times = times
         self.states = states
         self.derivatives = derivatives
+        self.stats = stats
 
     @property
     def dimension(self) -> int:
@@ -179,32 +200,49 @@ class LinearTrajectory:
 
 def _coupling_rhs(
     src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray,
+    bins: np.ndarray,
+    w: np.ndarray | None,
     n: int,
     alpha: float,
     omega: float = 0.0,
     coupling: float = 1.0,
 ) -> Rhs:
-    """y -> omega + coupling * sum over edges src->dst of w sin(y_src - y_dst - alpha).
+    """y -> omega + coupling * sum over arcs src->dst of w sin(y_src - y_dst - alpha).
 
-    The one place the coupling sum is evaluated: O(n + |E|) per call, summed
-    per destination in edge order, so callers fix the summation order.
+    The one place the coupling sum is evaluated.  By the angle-sum identity
+    the sum at vertex i is Im(e^{-i alpha} conj(z_i) S_i), where z = e^{iy}
+    and S_i sums w z_src over the arcs into i.  A call costs n complex
+    exponentials, one gather of z over the arcs, and one bincount of the
+    gathered (re, im) parts into bins, the interleaved (2 dst, 2 dst + 1)
+    of _interleaved_bins; the rest is O(n).  Sums run in arc order, so
+    callers fix the summation order.  The lag enters as the constant
+    rotation coupling * e^{-i alpha}, never as y + alpha, which would round
+    at ulp(|y|).  w holds each arc's weight twice, matching bins, or is
+    None for unit weights.
     """
+    rot = complex(coupling * math.cos(alpha), -coupling * math.sin(alpha))
 
     def f(y: np.ndarray) -> np.ndarray:
-        pull = np.bincount(dst, weights=w * np.sin(y[src] - y[dst] - alpha), minlength=n)
-        return omega + coupling * pull
+        z = np.empty(n, dtype=complex)
+        np.cos(y, out=z.real)
+        np.sin(y, out=z.imag)
+        parts = z[src].view(float)
+        if w is not None:
+            parts *= w
+        pull = np.bincount(bins, weights=parts, minlength=2 * n).view(complex)
+        np.conjugate(z, out=z)
+        z *= rot
+        z *= pull
+        return z.imag + omega
 
     return f
 
 
 def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
-    # the graph's arcs, built once with it: each vertex pulled by its sorted
-    # neighbours, unit weight
-    src, dst = g._arcs
+    # the graph's arcs and bins, built once with it: each vertex pulled by
+    # its sorted neighbours, unit weight
     return _coupling_rhs(
-        src, dst, np.ones(src.size), g.n, params.alpha, params.omega, params.coupling
+        g._arcs[0], g._arc_bins, None, g.n, params.alpha, params.omega, params.coupling
     )
 
 
@@ -212,7 +250,7 @@ def _gamma_rhs(gamma: QuotientMatrix, alpha: float) -> Rhs:
     # block j pulls block i with weight gamma_ij; nonzero() yields (dst, src) order
     gm = gamma.as_array()
     dst, src = np.nonzero(gm)
-    return _coupling_rhs(src, dst, gm[dst, src], gamma.k, alpha)
+    return _coupling_rhs(src, _interleaved_bins(dst), np.repeat(gm[dst, src], 2), gamma.k, alpha)
 
 
 def kuramoto_rhs(g: Graph, theta: Sequence[float], params: ModelParams) -> np.ndarray:
@@ -277,16 +315,26 @@ _DP_E = _DP_A[6] - np.array(
 )
 
 
-def _rk_stages(f: Rhs, y: np.ndarray, h: float, a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Fill k[1:] for one step of size h from y, given k[0] = f(y); return the new state."""
-    for i in range(1, a.shape[0]):
-        y_i = y + h * (a[i, :i] @ k[:i])
+def _rk_stages(
+    f: Rhs, y: np.ndarray, h: float, a: np.ndarray, k: np.ndarray, arg: np.ndarray
+) -> np.ndarray:
+    """Fill k[1:] for one step of size h from y, given k[0] = f(y); return the new state.
+
+    Inner stage arguments are formed in place in the scratch row arg; the
+    last one, the new state, is a fresh array.
+    """
+    last = a.shape[0] - 1
+    for i in range(1, last + 1):
+        y_i = arg if i < last else np.empty_like(y)
+        np.dot(a[i, :i], k[:i], out=y_i)
+        y_i *= h
+        y_i += y
         k[i] = f(y_i)
     return y_i
 
 
 def _rk4_path(
-    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig
+    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, stats: list[RunStats] | None = None
 ) -> tuple[list[float], list[np.ndarray]]:
     dt = float(cfg.dt)  # validated > 0
     t_end = cfg.t_end
@@ -296,9 +344,10 @@ def _rk4_path(
     times, states = [0.0], [y0]
     y = y0
     k = np.empty((_RK4_A.shape[0], y.size))
+    arg = np.empty(y.size)
     k[0] = f(y)
     for i, h in enumerate(steps, start=1):
-        y = _rk_stages(f, y, h, _RK4_A, k)
+        y = _rk_stages(f, y, h, _RK4_A, k, arg)
         k[0] = k[-1]
         _check_finite(y, f"after step {i}")
         if i == len(steps) or i % cfg.record_every == 0:
@@ -307,21 +356,31 @@ def _rk4_path(
     if times[-1] < t_end:  # horizon shorter than the step tolerance: no step taken
         times.append(t_end)
         states.append(y)
+    if stats is not None:
+        h_min, h_max = min(steps, default=None), max(steps, default=None)
+        stats.append(RunStats(len(steps), 0, 1 + 4 * len(steps), h_min, h_max))
     return times, states
 
 
 def _rk45_path(
-    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, t_eval: np.ndarray | None
+    f: Rhs,
+    y0: np.ndarray,
+    cfg: IntegratorConfig,
+    t_eval: np.ndarray | None,
+    stats: list[RunStats] | None = None,
 ) -> tuple[list[float], list[np.ndarray]]:
     t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
     times, states = [0.0], [y0]
     y = y0
+    abs_y = np.abs(y)  # carried from each accepted step to the next
     t = 0.0
     h = min(t_goal, max(t_goal / 100.0, 1e-6))
     eval_idx = 1  # t_eval[0] == 0 already recorded
     accepted = 0
     steps = 0
+    h_min, h_max = math.inf, 0.0
     k = np.empty((_DP_A.shape[0], y.size))
+    arg, err_vec, scale = np.empty((3, y.size))
     k[0] = f(y)
     while t < t_goal:
         steps += 1
@@ -332,17 +391,23 @@ def _rk45_path(
         boundary = t_eval[eval_idx] if t_eval is not None else t_goal
         clipped = t + h >= boundary
         h_step = boundary - t if clipped else h
-        y_new = _rk_stages(f, y, h_step, _DP_A, k)
-        err_vec = h_step * (_DP_E @ k)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        y_new = _rk_stages(f, y, h_step, _DP_A, k, arg)
+        abs_new = np.abs(y_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        scale *= cfg.rel_tol
+        scale += cfg.abs_tol
+        np.dot(_DP_E, k, out=err_vec)
         with np.errstate(over="ignore"):
-            err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
+            err_vec /= scale
+            # RMS of h * (E @ k) / scale, with h taken out of the norm
+            err = h_step * math.sqrt(float(err_vec @ err_vec) / y.size)
         if err <= 1.0:
             t = boundary if clipped else t + h_step
-            y = y_new
+            y, abs_y = y_new, abs_new
             k[0] = k[-1]
             _check_finite(y, f"at t={t}")
             accepted += 1
+            h_min, h_max = min(h_min, h_step), max(h_max, h_step)
             if t_eval is None:
                 keep = accepted % cfg.record_every == 0 or t >= t_goal
             else:
@@ -353,6 +418,9 @@ def _rk45_path(
         factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         h = h_step * factor if (not clipped or err > 1.0) else h * factor
         h = min(h, t_goal)
+    if stats is not None:
+        h_range = (float(h_min), float(h_max)) if accepted else (None, None)
+        stats.append(RunStats(accepted, steps - accepted, 1 + 6 * steps, *h_range))
     return times, states
 
 
@@ -362,13 +430,14 @@ def _integrate_core(
     y0 = np.asarray(init, dtype=float).copy()
     _check_finite(y0, "in initial condition")
     te = _validate_t_eval(t_eval, cfg.t_end)
+    stats: list[RunStats] = []  # each path appends its run's counts
     if cfg.method == "rk4":
         if te is not None:
             raise BadParameterError("t_eval is supported by rk45 only")
-        times, states = _rk4_path(f, y0, cfg)
+        times, states = _rk4_path(f, y0, cfg, stats)
     else:
-        times, states = _rk45_path(f, y0, cfg, te)
-    return Trajectory(np.array(times), np.array(states))
+        times, states = _rk45_path(f, y0, cfg, te, stats)
+    return Trajectory(np.array(times), np.array(states), stats=stats[0])
 
 
 def integrate(

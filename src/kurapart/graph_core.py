@@ -53,6 +53,13 @@ __all__ = [
 ]
 
 
+def _interleaved_bins(dst: np.ndarray) -> np.ndarray:
+    """Bins (2 d, 2 d + 1) per arc destination d, interleaved, so one
+    bincount sums the (re, im) parts of a complex value per arc into the
+    (re, im) parts of a length-n complex array."""
+    return np.stack((2 * dst, 2 * dst + 1), axis=1).ravel()
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected connected graph on vertices 1..n."""
@@ -61,8 +68,10 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     # read-only 0-based (src, dst) arrays holding both directions of every
-    # edge, sorted by (dst, src); built once so RHS builders need not rebuild
+    # edge, sorted by (dst, src), and the arcs' interleaved scatter bins
+    # (2 dst, 2 dst + 1); built once so RHS builders need not rebuild them
     _arcs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _arc_bins: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -85,8 +94,10 @@ class Graph:
         self._check_connected()
         src = np.array([u - 1 for a in adjacency[1:] for u in a], dtype=np.intp)
         dst = np.repeat(np.arange(self.n, dtype=np.intp), [len(a) for a in adjacency[1:]])
-        src.flags.writeable = dst.flags.writeable = False
+        bins = _interleaved_bins(dst)
+        src.flags.writeable = dst.flags.writeable = bins.flags.writeable = False
         object.__setattr__(self, "_arcs", (src, dst))
+        object.__setattr__(self, "_arc_bins", bins)
 
     def _check_connected(self) -> None:
         reached = {1}

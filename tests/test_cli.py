@@ -119,6 +119,20 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag", ["--rel-tol", "--abs-tol", "--lambda"], ids=["rel-tol", "abs-tol", "lambda"]
+    )
+    def test_infinite_tolerance_or_gain_rejected(self, tmp_path, flag):
+        # an infinite tolerance leaves the step uncontrolled and an infinite
+        # gain makes every step non-finite; both are bad parameters
+        out = tmp_path / "x.csv"
+        code = run(
+            "simulate", "--builtin", "cycle:6", "--alpha", 0.5,
+            "--init-random", flag, "inf", "--out", out,
+        )
+        assert code == 3
+        assert not out.exists()
+
 
 def _tail_trajectory():
     # an exact pair, a chained triple, a converging pair and a stray phase

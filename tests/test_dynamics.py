@@ -41,6 +41,11 @@ class TestModelParams:
         with pytest.raises(kp.BadParameterError):
             kp.ModelParams(alpha=0.5, coupling=0.0)
 
+    def test_coupling_finite(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(kp.BadParameterError):
+                kp.ModelParams(alpha=0.5, coupling=bad)
+
     def test_omega_finite(self):
         with pytest.raises(kp.BadParameterError):
             kp.ModelParams(alpha=0.5, omega=math.inf)
@@ -73,6 +78,11 @@ class TestIntegratorConfig:
             kp.IntegratorConfig(t_end=1.0, rel_tol=0.0)
         with pytest.raises(kp.BadParameterError):
             kp.IntegratorConfig(t_end=1.0, abs_tol=-1e-9)
+
+    def test_tolerances_finite(self):
+        for bad in ({"rel_tol": math.inf}, {"abs_tol": math.inf}, {"rel_tol": math.nan}):
+            with pytest.raises(kp.BadParameterError):
+                kp.IntegratorConfig(t_end=1.0, **bad)
 
     def test_unknown_method(self):
         with pytest.raises(kp.BadParameterError):
@@ -223,6 +233,68 @@ class TestIntegration:
         init = np.array([0.0, 1.3, 2.1, 0.4])
         with pytest.raises(kp.StepUnderflowError):
             kp.integrate(g, init, kp.ModelParams(alpha=0.5), cfg)
+
+
+class TestRunStats:
+    def test_rk45_counts_every_attempt_and_rhs_call(self, monkeypatch):
+        from kurapart import dynamics as dyn
+
+        attempts = []
+        stages = dyn._rk_stages
+
+        def counting_stages(*args):
+            attempts.append(1)  # the stage loop runs once per attempted step
+            return stages(*args)
+
+        monkeypatch.setattr(dyn, "_rk_stages", counting_stages)
+        rhs = dyn._graph_rhs(kp.cycle_graph(6), kp.ModelParams(alpha=0.7))
+        calls = []
+
+        def f(y):
+            calls.append(1)
+            return rhs(y)
+
+        cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
+        init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
+        traj = dyn._integrate_core(f, init, cfg, None)
+        stats = traj.stats
+        assert stats.rejected > 0
+        assert stats.accepted + stats.rejected == len(attempts)
+        assert stats.rhs_calls == len(calls) == 1 + 6 * len(attempts)
+        # record_every 1 records every accepted step
+        assert stats.accepted == traj.n_recorded - 1
+        h = np.diff(traj.times)
+        assert stats.h_min == pytest.approx(h.min(), rel=1e-12)
+        assert stats.h_max == pytest.approx(h.max(), rel=1e-12)
+
+    def test_rk4_counts_fixed_steps(self):
+        cfg = kp.IntegratorConfig(t_end=1.0, method="rk4", dt=0.3)
+        traj = kp.integrate(kp.cycle_graph(4), np.zeros(4), kp.ModelParams(alpha=0.5), cfg)
+        stats = traj.stats
+        assert (stats.accepted, stats.rejected, stats.rhs_calls) == (4, 0, 1 + 4 * 4)
+        assert stats.h_max == 0.3
+        assert stats.h_min == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("method, dt", [("rk45", None), ("rk4", 0.1)])
+    def test_no_step_on_a_zero_horizon(self, method, dt):
+        cfg = kp.IntegratorConfig(t_end=0.0, method=method, dt=dt)
+        traj = kp.integrate(kp.cycle_graph(4), np.zeros(4), kp.ModelParams(alpha=0.5), cfg)
+        assert traj.stats == kp.RunStats(0, 0, 1, None, None)
+
+    def test_quotient_run_counted(self):
+        gamma = kp.QuotientMatrix(((0, 6), (1, 0)))
+        traj = kp.integrate_quotient(gamma, [0.2, 1.0], 0.7, kp.IntegratorConfig(t_end=3.0))
+        stats = traj.stats
+        assert stats.accepted == traj.n_recorded - 1
+        assert stats.rhs_calls == 1 + 6 * (stats.accepted + stats.rejected)
+
+    def test_stats_stay_out_of_the_csv(self):
+        cfg = kp.IntegratorConfig(t_end=2.0)
+        traj = kp.integrate(kp.cycle_graph(5), np.arange(5.0), kp.ModelParams(alpha=0.6), cfg)
+        assert traj.stats is not None
+        text = kp.trajectory_to_csv(traj)
+        assert text == kp.trajectory_to_csv(kp.Trajectory(traj.times, traj.states))
+        assert kp.trajectory_from_csv(text).stats is None
 
 
 class TestQuotientIntegration:
@@ -671,6 +743,57 @@ class TestRhsOracles:
         got = kp.kuramoto_rhs(g, theta, params)
         assert np.allclose(got, rhs_slow(g, theta, 0.7, 0.3, 1.7), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "g", [kp.cycle_graph(200), kp.complete_graph(48)], ids=["cycle:200", "complete:48"]
+    )
+    def test_kuramoto_rhs_matches_slow_at_large_phases(self, g):
+        # simulate-dense drifts to about -4000 rad by t = 100, where one ulp
+        # of a phase is about 1e-12; the slow form subtracts phases first
+        rng = np.random.default_rng(g.n + 1)
+        theta = -4000.0 + rng.uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=1.0, omega=0.3, coupling=1.7)
+        got = kp.kuramoto_rhs(g, theta, params)
+        assert np.allclose(got, rhs_slow(g, theta, 1.0, 0.3, 1.7), rtol=0, atol=1e-12)
+
+    def test_single_vertex_has_no_arcs(self):
+        g = kp.Graph(1, ())
+        assert g._arcs[0].size == 0 and g._arc_bins.size == 0
+        params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
+        for theta in ([0.0], [-4000.0]):
+            got = kp.kuramoto_rhs(g, theta, params)
+            assert np.array_equal(got, rhs_slow(g, theta, 0.7, 0.3, 1.7))
+        cfg = kp.IntegratorConfig(t_end=2.0, method="rk4", dt=0.5)
+        traj = kp.integrate(g, [1.0], params, cfg)
+        assert np.allclose(traj.states[:, 0], 1.0 + 0.3 * traj.times, rtol=0, atol=1e-14)
+
+    def test_weighted_quotients_match_double_loop_at_large_phases(self):
+        rng = np.random.default_rng(37)
+        for _ in range(15):
+            g = random_connected_graph(rng, int(rng.integers(2, 12)))
+            cut = int(rng.integers(1, g.n + 1))
+            seed = kp.VertexPartition.from_blocks(
+                [b for b in (range(1, cut + 1), range(cut + 1, g.n + 1)) if b]
+            )
+            part = kp.coarsest_equitable_refinement(g, seed)
+            gamma = kp.is_equitable(g, part)
+            f = -4000.0 + rng.uniform(0.0, 2 * math.pi, part.k)
+            alpha = float(rng.uniform(0.05, math.pi / 2))
+            got = kp.quotient_rhs(gamma, f, alpha)
+            assert np.allclose(got, quotient_rhs_slow(gamma, f, alpha), rtol=0, atol=1e-13)
+            cols = [part.index_map()[v] for v in range(1, g.n + 1)]
+            full = kp.kuramoto_rhs(g, f[cols], kp.ModelParams(alpha=alpha))
+            assert np.allclose(full, got[cols], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("f0", [0.4, -3999.3])
+    def test_one_block_quotient_with_a_diagonal_gamma(self, f0):
+        # complete:48 as one block: every phase moves at -47 sin(alpha)
+        gamma = kp.QuotientMatrix(((47,),))
+        got = kp.quotient_rhs(gamma, [f0], 1.0)
+        assert np.allclose(got, quotient_rhs_slow(gamma, [f0], 1.0), rtol=0, atol=1e-13)
+        assert got[0] == pytest.approx(-47 * math.sin(1.0), rel=1e-14)
+        full = kp.kuramoto_rhs(kp.complete_graph(48), np.full(48, f0), kp.ModelParams(alpha=1.0))
+        assert np.allclose(full, got[0], rtol=0, atol=1e-13)
+
     def test_kuramoto_rhs_reuses_the_graph_arcs(self):
         # the arcs are built once with the graph, read-only, and give one answer
         g = kp.cycle_graph(200)
@@ -726,6 +849,27 @@ class TestIntegratorOracles:
         ref = integrate_mod.solve_ivp(
             lambda t, y: rhs_slow(g, y, 0.9, 0.3, 1.3),
             (0.0, 8.0),
+            init,
+            method="DOP853",
+            rtol=1e-12,
+            atol=1e-14,
+            t_eval=grid,
+        )
+        assert ref.success
+        assert np.abs(ours.states - ref.y.T).max() < 1e-8
+
+    def test_rk45_matches_scipy_dop853_on_complete_48(self):
+        integrate_mod = pytest.importorskip("scipy.integrate")
+        g = kp.complete_graph(48)
+        rng = np.random.default_rng(48)
+        init = rng.uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=1.0)
+        grid = np.linspace(0.0, 0.5, 6)
+        cfg = kp.IntegratorConfig(t_end=0.5, rel_tol=1e-11, abs_tol=1e-13)
+        ours = kp.integrate(g, init, params, cfg, t_eval=grid)
+        ref = integrate_mod.solve_ivp(
+            lambda t, y: rhs_slow(g, y, 1.0),
+            (0.0, 0.5),
             init,
             method="DOP853",
             rtol=1e-12,
