@@ -1,163 +1,12 @@
 """Phase synchronisation analysis for frustrated Kuramoto dynamics on graphs."""
 
-from .errors import (
-    BadParameterError,
-    DimensionMismatchError,
-    DisconnectedError,
-    EmptyGraphError,
-    EmptyTrajectoryError,
-    FormatError,
-    InfeasibleMuError,
-    KurapartError,
-    NoCertificateError,
-    NonFiniteStateError,
-    NotBipartitionError,
-    PartitionMismatchError,
-    SelfLoopError,
-    StepUnderflowError,
-    TooLargeError,
-    TooShortError,
-    VertexOutOfRangeError,
-)
-from .graph_core import (
-    DegreeProfile,
-    Graph,
-    QuotientMatrix,
-    VertexPartition,
-    automorphisms_brute_force,
-    coarsest_equitable_refinement,
-    complete_graph,
-    cycle_graph,
-    degree_profile,
-    enumerate_bipartitions,
-    from_edge_list,
-    is_equitable,
-    latoro_profile_graph,
-    linear_family_graph,
-    orbit_partition_brute_force,
-    partition_from_json,
-    partition_to_json,
-    path_graph,
-    petersen_graph,
-    read_edge_list,
-    right_angle_profile_graph,
-    star_graph,
-    write_edge_list,
-)
-from .dynamics import (
-    IntegratorConfig,
-    LinearTrajectory,
-    ModelParams,
-    RunStats,
-    SyncReport,
-    Trajectory,
-    analytic_regular_solution,
-    asymptotic_sync_clusters,
-    exact_sync_chains,
-    exact_sync_partition,
-    integrate,
-    integrate_quotient,
-    kuramoto_rhs,
-    lift_quotient_trajectory,
-    quotient_rhs,
-    residual_max,
-    trajectory_from_csv,
-    trajectory_to_csv,
-)
-from .bipartition_analysis import (
-    AlphaResult,
-    BipartitionClassification,
-    Classification,
-    Condition2Certificate,
-    FamilySegment,
-    SearchReport,
-    SearchRow,
-    SolutionSet,
-    alpha_from_mu,
-    beta_from_mu,
-    certificate_to_solution,
-    classification_report,
-    classify_bipartition,
-    format_search_report,
-    search_all_bipartitions,
-    verify_certificate,
-)
+from . import bipartition_analysis, dynamics, errors, graph_core
+from .bipartition_analysis import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .graph_core import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlphaResult",
-    "BadParameterError",
-    "BipartitionClassification",
-    "Classification",
-    "Condition2Certificate",
-    "DegreeProfile",
-    "DimensionMismatchError",
-    "DisconnectedError",
-    "EmptyGraphError",
-    "EmptyTrajectoryError",
-    "FamilySegment",
-    "FormatError",
-    "Graph",
-    "InfeasibleMuError",
-    "IntegratorConfig",
-    "KurapartError",
-    "LinearTrajectory",
-    "ModelParams",
-    "NoCertificateError",
-    "NonFiniteStateError",
-    "NotBipartitionError",
-    "PartitionMismatchError",
-    "QuotientMatrix",
-    "RunStats",
-    "SearchReport",
-    "SearchRow",
-    "SelfLoopError",
-    "SolutionSet",
-    "StepUnderflowError",
-    "SyncReport",
-    "TooLargeError",
-    "TooShortError",
-    "Trajectory",
-    "VertexOutOfRangeError",
-    "VertexPartition",
-    "alpha_from_mu",
-    "analytic_regular_solution",
-    "asymptotic_sync_clusters",
-    "automorphisms_brute_force",
-    "beta_from_mu",
-    "certificate_to_solution",
-    "classification_report",
-    "classify_bipartition",
-    "coarsest_equitable_refinement",
-    "complete_graph",
-    "cycle_graph",
-    "degree_profile",
-    "enumerate_bipartitions",
-    "exact_sync_partition",
-    "exact_sync_chains",
-    "format_search_report",
-    "from_edge_list",
-    "integrate",
-    "integrate_quotient",
-    "is_equitable",
-    "kuramoto_rhs",
-    "latoro_profile_graph",
-    "lift_quotient_trajectory",
-    "linear_family_graph",
-    "orbit_partition_brute_force",
-    "partition_from_json",
-    "partition_to_json",
-    "path_graph",
-    "petersen_graph",
-    "quotient_rhs",
-    "read_edge_list",
-    "residual_max",
-    "right_angle_profile_graph",
-    "search_all_bipartitions",
-    "star_graph",
-    "trajectory_from_csv",
-    "trajectory_to_csv",
-    "verify_certificate",
-    "write_edge_list",
-]
+# each module's own export list is the one copy of its public names
+__all__ = [*errors.__all__, *graph_core.__all__, *dynamics.__all__, *bipartition_analysis.__all__]

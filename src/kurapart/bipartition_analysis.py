@@ -58,7 +58,7 @@ from .graph_core import (
     Graph,
     QuotientMatrix,
     VertexPartition,
-    _check_partition,
+    _block_index,
 )
 
 __all__ = [
@@ -318,14 +318,13 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     """
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
-    _check_partition(g, bip)
+    # block positions are 0 / 1, so the index is the second block's indicator
+    x = _block_index(bip, g.n).astype(np.int64)[None]
     src, dst = g._arcs
     degree = np.bincount(dst, minlength=g.n)
     if degree.max() >= 1 << 21:
         raise TooLargeError(f"maximum degree {degree.max()} reaches 2**21, past exact int64 products")
     s1, s2 = bip.blocks
-    x = np.zeros((1, g.n), dtype=np.int64)
-    x[0, np.array(s2) - 1] = 1
     to_s2 = np.bincount(dst[x[0, src] == 1], minlength=g.n)
     # tolist hands the tail Python ints, never numpy scalars
     return _classify_row(_solve_rows(x, to_s2[None], degree)[0].tolist(), s1, s2)
@@ -372,13 +371,9 @@ def _classify_row(
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
     """Closed-form motion the certificate promises: phase c + r sin(alpha) t on
     the first block and the same plus the cross-block offset on the second."""
-    vertices = sorted(cert.s1 + cert.s2)
-    n = vertices[-1]
-    if vertices != list(range(1, n + 1)):
-        raise PartitionMismatchError("certificate blocks must cover 1..n")
-    start = np.full(n, float(c))
-    for v in cert.s2:
-        start[v - 1] += cert.offset
+    side = _block_index(VertexPartition((cert.s1, cert.s2)), max(cert.s1 + cert.s2))
+    # blocks are ordered by smallest vertex, so s2 is whichever side holds s2[0]
+    start = np.where(side == side[cert.s2[0] - 1], float(c) + cert.offset, float(c))
     rate = float(cert.r) * math.sin(cert.alpha)
     return LinearTrajectory(start, rate)
 

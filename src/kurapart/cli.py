@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -158,11 +159,7 @@ def _initial_state(
             raise BadParameterError(
                 f"--init-blocks gave {len(values)} values for {part.k} blocks"
             )
-        state = np.empty(g.n)
-        for value, block in zip(values, part.blocks):
-            for v in block:
-                state[v - 1] = value
-        return state
+        return np.array(values)[gc._block_index(part, g.n)]
     if args.init_random:
         rng = np.random.Generator(np.random.PCG64(args.seed))
         return rng.uniform(0.0, 2.0 * math.pi, size=g.n)
@@ -279,64 +276,51 @@ def _check(label: str, ok: bool, detail: str, failures: list[str]) -> None:
         failures.append(label)
 
 
-def _verify_linear(p: int, failures: list[str]) -> None:
-    from fractions import Fraction
-
-    g, part = gc.linear_family_graph(p)
+def _verify_certified(
+    name: str,
+    g: gc.Graph,
+    part: gc.VertexPartition,
+    label: ban.Classification,
+    gains: tuple[Fraction, Fraction, Fraction],
+    alpha_ref: float,
+    offset_ref: float,
+    failures: list[str],
+) -> ban.Condition2Certificate | None:
+    """Check one certified example: its label and exact gains (mu1, mu2, r),
+    its closed-form lag and offset, and the residual of the certified motion."""
     result = ban.classify_bipartition(g, part)
     cert = result.certificate
     ok = (
-        result.classification is ban.Classification.CONDITION2_UNIQUE
+        result.classification is label
         and cert is not None
-        and cert.mu1 == Fraction(-2, p)
-        and cert.mu2 == Fraction(-1)
-        and cert.r == Fraction(-2)
+        and (cert.mu1, cert.mu2, cert.r) == gains
     )
-    _check(
-        f"linear p={p} gains",
-        ok,
-        f"mu1={cert.mu1 if cert else '?'} mu2={cert.mu2 if cert else '?'} r={cert.r if cert else '?'}",
-        failures,
-    )
+    detail = f"mu1={cert.mu1} mu2={cert.mu2} r={cert.r}" if cert else "no certificate"
+    _check(f"{name} gains", ok, f"{result.classification.value} {detail}", failures)
     if cert is None:
-        return
-    alpha_ref = math.atan(math.sqrt(3 * p * p - 4 * p - 4) / (p - 2))
-    offset_ref = math.acos((p + 2) / (2.0 * p))
+        return None
     _check(
-        f"linear p={p} angles",
+        f"{name} angles",
         abs(cert.alpha - alpha_ref) <= 1e-12 and abs(cert.offset - offset_ref) <= 1e-12,
         f"alpha={cert.alpha:.17g} offset={cert.offset:.17g}",
         failures,
     )
-    slope_gap = abs(p * math.sin(cert.beta) - float(cert.r) * math.sin(cert.alpha))
-    _check(f"linear p={p} slope identity", slope_gap <= 1e-12, f"gap={slope_gap:.3g}", failures)
     residual = ban.verify_certificate(g, part, cert)
-    _check(f"linear p={p} residual", residual <= 1e-9, f"residual={residual:.3g}", failures)
+    _check(f"{name} residual", residual <= 1e-9, f"residual={residual:.3g}", failures)
+    return cert
 
 
-def _verify_latoro(failures: list[str]) -> None:
-    from fractions import Fraction
-
-    g, part = gc.latoro_profile_graph()
-    result = ban.classify_bipartition(g, part)
-    cert = result.certificate
-    ok = (
-        result.classification is ban.Classification.CONDITION2_UNIQUE
-        and cert is not None
-        and (cert.mu1, cert.mu2, cert.r) == (Fraction(-1, 2), Fraction(-1), Fraction(-2))
-    )
-    _check("latoro gains", ok, "mu1=-1/2 mu2=-1 r=-2 expected", failures)
-    if cert is None:
-        return
-    alpha_ref = math.atan(math.sqrt(7.0))
-    _check(
-        "latoro lag",
-        abs(cert.alpha - alpha_ref) <= 1e-12,
-        f"alpha={cert.alpha:.17g}",
+def _verify_linear(p: int, failures: list[str]) -> None:
+    g, part = gc.linear_family_graph(p)
+    cert = _verify_certified(
+        f"linear p={p}", g, part, ban.Classification.CONDITION2_UNIQUE,
+        (Fraction(-2, p), Fraction(-1), Fraction(-2)),
+        math.atan(math.sqrt(3 * p * p - 4 * p - 4) / (p - 2)), math.acos((p + 2) / (2.0 * p)),
         failures,
     )
-    residual = ban.verify_certificate(g, part, cert)
-    _check("latoro residual", residual <= 1e-9, f"residual={residual:.3g}", failures)
+    if cert is not None:
+        slope_gap = abs(p * math.sin(cert.beta) - float(cert.r) * math.sin(cert.alpha))
+        _check(f"linear p={p} slope identity", slope_gap <= 1e-12, f"gap={slope_gap:.3g}", failures)
 
 
 def _verify_regular(d: int, alpha: float, failures: list[str]) -> None:
@@ -352,42 +336,24 @@ def _verify_regular(d: int, alpha: float, failures: list[str]) -> None:
     _check(f"regular d={d} integration", gap <= 1e-8, f"max deviation={gap:.3g}", failures)
 
 
-def _verify_kura_eg(failures: list[str]) -> None:
-    from fractions import Fraction
-
-    g, part = gc.right_angle_profile_graph()
-    result = ban.classify_bipartition(g, part)
-    cert = result.certificate
-    ok = (
-        result.classification is ban.Classification.BOUNDARY
-        and cert is not None
-        and (cert.mu1, cert.mu2, cert.r) == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
-        and cert.mu_equal
-    )
-    _check("kura-eg boundary", ok, "mu1=mu2=1/2 r=0 expected", failures)
-    if cert is None:
-        return
-    _check(
-        "kura-eg angles",
-        abs(cert.alpha - math.pi / 2) <= 1e-12
-        and abs(cert.offset - 2 * math.pi / 3) <= 1e-12,
-        f"alpha={cert.alpha:.17g} offset={cert.offset:.17g}",
-        failures,
-    )
-    residual = ban.verify_certificate(g, part, cert)
-    _check("kura-eg residual", residual <= 1e-9, f"residual={residual:.3g}", failures)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     failures: list[str] = []
     if args.example in ("linear", "all"):
         _verify_linear(args.p, failures)
     if args.example in ("latoro", "all"):
-        _verify_latoro(failures)
+        _verify_certified(
+            "latoro", *gc.latoro_profile_graph(), ban.Classification.CONDITION2_UNIQUE,
+            (Fraction(-1, 2), Fraction(-1), Fraction(-2)), math.atan(math.sqrt(7.0)), math.acos(0.75),
+            failures,
+        )
     if args.example in ("regular", "all"):
         _verify_regular(args.d, args.alpha if args.alpha is not None else 0.5, failures)
     if args.example in ("kura-eg", "all"):
-        _verify_kura_eg(failures)
+        _verify_certified(
+            "kura-eg", *gc.right_angle_profile_graph(), ban.Classification.BOUNDARY,
+            (Fraction(1, 2), Fraction(1, 2), Fraction(0)), math.pi / 2, 2 * math.pi / 3,
+            failures,
+        )
     if failures:
         print(f"verify: FAIL ({len(failures)} check(s))")
         return EXIT_VERIFY_FAILED

@@ -23,11 +23,10 @@ from .errors import (
     EmptyTrajectoryError,
     FormatError,
     NonFiniteStateError,
-    PartitionMismatchError,
     StepUnderflowError,
     TooShortError,
 )
-from .graph_core import Graph, QuotientMatrix, VertexPartition, _interleaved_bins
+from .graph_core import Graph, QuotientMatrix, VertexPartition, _block_index, _interleaved_bins
 
 __all__ = [
     "ModelParams",
@@ -490,11 +489,7 @@ def lift_quotient_trajectory(
         raise DimensionMismatchError(
             f"quotient dimension {qt.dimension} or gamma size does not match {p.k} blocks"
         )
-    n = max(v for b in p.blocks for v in b)
-    if p.vertices() != frozenset(range(1, n + 1)):
-        raise PartitionMismatchError("partition must cover 1..n")
-    imap = p.index_map()
-    cols = np.array([imap[v] for v in range(1, n + 1)])
+    cols = _block_index(p, max(b[-1] for b in p.blocks))
     states = qt.states[:, cols]
     derivs = None
     if gamma is not None and alpha is not None:
@@ -679,9 +674,7 @@ def asymptotic_sync_clusters(
     for b, block in enumerate(clusters.blocks):
         if len(block) > 1:
             means[:, b] = states[:, [v - 1 for v in block]].mean(axis=1)
-    cmap, emap = clusters.index_map(), exact.index_map()
-    cluster_of = np.array([cmap[v] for v in range(1, n + 1)])
-    exact_of = np.array([emap[v] for v in range(1, n + 1)])
+    cluster_of, exact_of = _block_index(clusters, n), _block_index(exact, n)
     col_dev = np.abs(states[tail_rows] - means[tail_rows][:, cluster_of]).max(axis=0)
     tail_dev = np.full(clusters.k, -np.inf)
     np.maximum.at(tail_dev, cluster_of, col_dev)

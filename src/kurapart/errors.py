@@ -1,5 +1,25 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "KurapartError",
+    "EmptyGraphError",
+    "SelfLoopError",
+    "VertexOutOfRangeError",
+    "DisconnectedError",
+    "PartitionMismatchError",
+    "NotBipartitionError",
+    "TooLargeError",
+    "BadParameterError",
+    "DimensionMismatchError",
+    "StepUnderflowError",
+    "NonFiniteStateError",
+    "EmptyTrajectoryError",
+    "TooShortError",
+    "InfeasibleMuError",
+    "NoCertificateError",
+    "FormatError",
+]
+
 
 class KurapartError(Exception):
     """Base class for all errors raised by this package."""

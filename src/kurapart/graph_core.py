@@ -83,6 +83,12 @@ class Graph:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 1..{self.n}")
             seen.add((min(u, v), max(u, v)))
+        # a connected graph has at least n - 1 edges: a count that cannot
+        # connect is rejected before anything is allocated per vertex
+        if len(seen) < self.n - 1:
+            raise DisconnectedError(
+                f"{len(seen)} distinct edges cannot connect {self.n} vertices"
+            )
         canonical = tuple(sorted(seen))
         object.__setattr__(self, "edges", canonical)
         nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
@@ -109,8 +115,10 @@ class Graph:
                     reached.add(w)
                     frontier.append(w)
         if len(reached) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - reached)
-            raise DisconnectedError(f"vertices {missing} unreachable from vertex 1")
+            missing = [v for v in range(1, self.n + 1) if v not in reached]
+            raise DisconnectedError(
+                f"{len(missing)} vertices unreachable from vertex 1: {_few(missing)}"
+            )
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
@@ -184,11 +192,28 @@ class VertexPartition:
         return True
 
 
-def _check_partition(g: Graph, p: VertexPartition) -> None:
-    if p.vertices() != frozenset(range(1, g.n + 1)):
-        raise PartitionMismatchError(
-            f"partition covers {sorted(p.vertices())}, graph has 1..{g.n}"
-        )
+def _few(labels: list[int], shown: int = 10) -> str:
+    """At most `shown` labels, then how many more, so messages stay short."""
+    more = f" and {len(labels) - shown} more" if len(labels) > shown else ""
+    return ", ".join(map(str, labels[:shown])) + more
+
+
+def _block_index(p: VertexPartition, n: int) -> np.ndarray:
+    """Block position of each vertex, indexed by v - 1, after checking that
+    p partitions exactly 1..n.
+
+    Labels are distinct positive ints, so they are exactly 1..n when there
+    are n of them and the largest is n; nothing of size n is built before
+    that holds.
+    """
+    count = sum(map(len, p.blocks))
+    top = max(b[-1] for b in p.blocks)
+    if count != n or top != n:
+        raise PartitionMismatchError(f"partition has {count} vertices up to {top}, graph has 1..{n}")
+    labels = np.fromiter(itertools.chain.from_iterable(p.blocks), np.intp, n)
+    index = np.empty(n, dtype=np.intp)
+    index[labels - 1] = np.repeat(np.arange(p.k), [len(b) for b in p.blocks])
+    return index
 
 
 @dataclass(frozen=True)
@@ -228,15 +253,9 @@ class QuotientMatrix:
 
 def degree_profile(g: Graph, p: VertexPartition) -> DegreeProfile:
     """Count each vertex's neighbours per block of p."""
-    _check_partition(g, p)
-    imap = p.index_map()
-    rows = []
-    for v in range(1, g.n + 1):
-        counts = [0] * p.k
-        for w in g.adjacency[v]:
-            counts[imap[w]] += 1
-        rows.append(tuple(counts))
-    return DegreeProfile(tuple(rows))
+    src, dst = g._arcs
+    counts = np.bincount(dst * p.k + _block_index(p, g.n)[src], minlength=g.n * p.k)
+    return DegreeProfile(tuple(map(tuple, counts.reshape(g.n, p.k).tolist())))
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> QuotientMatrix | None:
@@ -253,32 +272,34 @@ def is_equitable(g: Graph, p: VertexPartition) -> QuotientMatrix | None:
 
 
 def coarsest_equitable_refinement(g: Graph, seed: VertexPartition) -> VertexPartition:
-    """Split blocks of seed by neighbour-count signature until stable.
+    """Colour refinement: split blocks of seed by neighbour-block multisets
+    until stable.
 
-    Splitting is forced: two vertices can stay together only while their
-    per-block neighbour counts agree, so the fixpoint is refined by every
-    equitable partition that refines the seed.  Block order is canonical
-    (ascending smallest vertex), making the result deterministic.
+    Each pass keys every vertex by its own block and the sorted tuple of its
+    neighbours' blocks, the same test as equal per-block neighbour counts,
+    and numbers the keys in order of first appearance over 1..n.  Splitting
+    is forced: two vertices can stay together only while their keys agree,
+    so the fixpoint is refined by every equitable partition that refines
+    the seed.  Numbering by first appearance keeps the blocks in canonical
+    order (ascending smallest vertex), so the result is deterministic.  One
+    pass costs O(|E| log Delta); refinement stops at the first pass that
+    splits no block.
     """
-    _check_partition(g, seed)
-    blocks = [list(b) for b in seed.blocks]
+    label = _block_index(seed, g.n).tolist()
+    k = seed.k
     while True:
-        index = {v: i for i, b in enumerate(blocks) for v in b}
-        sig = {}
-        for v in range(1, g.n + 1):
-            counts = [0] * len(blocks)
-            for w in g.adjacency[v]:
-                counts[index[w]] += 1
-            sig[v] = tuple(counts)
-        new_blocks: list[list[int]] = []
-        for b in blocks:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in b:
-                groups.setdefault(sig[v], []).append(v)
-            new_blocks.extend(sorted(groups.values(), key=lambda grp: min(grp)))
-        if len(new_blocks) == len(blocks):
-            return VertexPartition.from_blocks(blocks)
-        blocks = sorted(new_blocks, key=min)
+        keys: dict[tuple[int, tuple[int, ...]], int] = {}
+        label = [
+            keys.setdefault((own, tuple(sorted([label[w - 1] for w in nbrs]))), len(keys))
+            for own, nbrs in zip(label, g.adjacency[1:])
+        ]
+        if len(keys) == k:
+            break
+        k = len(keys)
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for v, b in enumerate(label, start=1):
+        blocks[b].append(v)
+    return VertexPartition.from_blocks(blocks)
 
 
 def automorphisms_brute_force(g: Graph, limit: int = 10) -> list[tuple[int, ...]]:

@@ -135,6 +135,31 @@ def coarsest_equitable_slow(g: Graph) -> VertexPartition:
     return VertexPartition.from_blocks(best)
 
 
+def coarsest_equitable_refinement_slow(g: Graph, seed: VertexPartition) -> VertexPartition:
+    """Refine seed by per-block neighbour-count vectors, one length-k count
+    tuple per vertex per pass, regrouping inside each block until no block
+    splits; blocks ordered by their smallest vertex."""
+    nbrs = adjacency_sets(g)
+    blocks = [list(b) for b in seed.blocks]
+    while True:
+        index = {v: i for i, b in enumerate(blocks) for v in b}
+        sig = {}
+        for v in range(1, g.n + 1):
+            counts = [0] * len(blocks)
+            for w in nbrs[v]:
+                counts[index[w]] += 1
+            sig[v] = tuple(counts)
+        new_blocks: list[list[int]] = []
+        for b in blocks:
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in b:
+                groups.setdefault(sig[v], []).append(v)
+            new_blocks.extend(sorted(groups.values(), key=min))
+        if len(new_blocks) == len(blocks):
+            return VertexPartition.from_blocks(blocks)
+        blocks = sorted(new_blocks, key=min)
+
+
 def automorphisms_slow(g: Graph) -> list[tuple[int, ...]]:
     """All adjacency-preserving vertex bijections, n! scan.  Keep n <= 7."""
     edges = {frozenset(e) for e in g.edges}

@@ -286,6 +286,15 @@ class TestVerify:
     def test_regular_custom_alpha(self):
         assert run("verify", "--example", "regular", "--d", 2, "--alpha", 1.2) == 0
 
+    def test_certified_examples_share_check_labels(self, capsys):
+        for example in ("linear", "latoro", "kura-eg"):
+            assert run("verify", "--example", example) == 0
+        labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        for name in ("linear p=4", "latoro", "kura-eg"):
+            for check in ("gains", "angles", "residual"):
+                assert f"{name} {check}" in labels
+        assert "linear p=4 slope identity" in labels
+
 
 class TestExitCodes:
     def test_missing_graph_file(self, tmp_path):
@@ -355,6 +364,23 @@ class TestExitCodes:
             "--alpha", 0.5, "--init-blocks", values, "--t-end", 1, "--out", out,
         ) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocks", [[[1], [2]], [[1], [2, 3, 4, 5]]])
+    def test_init_blocks_partition_must_cover(self, tmp_path, blocks):
+        # a partition missing vertices 3, 4 or naming vertex 5 of C4
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"blocks": blocks}))
+        out = tmp_path / "x.csv"
+        assert run(
+            "simulate", "--builtin", "cycle:4", "--alpha", 0.5, "--t-end", 1,
+            "--partition", part, "--init-blocks", "0,1", "--out", out,
+        ) == 3
+        assert not out.exists()
+
+    def test_search_rejects_vertex_count_without_edges(self, tmp_path):
+        graph = tmp_path / "huge.edges"
+        graph.write_text("n 3000000\n1 2\n")
+        assert run("search", "--graph", graph, "--jobs", 1) == 3
 
     def test_graph_and_builtin_conflict(self, tmp_path):
         graph = tmp_path / "c4.edges"

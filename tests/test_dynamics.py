@@ -321,6 +321,18 @@ class TestQuotientIntegration:
         with pytest.raises(kp.DimensionMismatchError):
             kp.lift_quotient_trajectory(part, qt)
 
+    def test_lift_rejects_huge_label_without_allocating(self):
+        part = kp.VertexPartition.from_blocks([[1, 2], [10**7]])
+        qt = kp.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(kp.PartitionMismatchError):
+                kp.lift_quotient_trajectory(part, qt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     def test_single_block_lift_all_identical(self):
         part = kp.VertexPartition.from_blocks([[1, 2, 3]])
         qt = kp.Trajectory(np.array([0.0, 1.0, 2.0]), np.array([[0.1], [0.4], [0.9]]))

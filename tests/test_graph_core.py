@@ -5,8 +5,10 @@ import pytest
 
 import kurapart as kp
 from oracle_tools import (
+    adjacency_sets,
     all_partitions,
     automorphisms_slow,
+    coarsest_equitable_refinement_slow,
     is_equitable_slow,
     orbit_blocks,
     random_connected_graph,
@@ -15,6 +17,43 @@ from oracle_tools import (
 
 def single_block(g):
     return kp.VertexPartition.from_blocks([list(range(1, g.n + 1))])
+
+
+def random_blocks(rng, n, most):
+    """Random partition of 1..n into at most `most` nonempty blocks."""
+    blocks = [[] for _ in range(most)]
+    for v in range(1, n + 1):
+        blocks[int(rng.integers(0, most))].append(v)
+    return kp.VertexPartition.from_blocks([b for b in blocks if b])
+
+
+class TestPublicNames:
+    def test_package_exports(self):
+        assert sorted(kp.__all__) == [
+            "AlphaResult", "BadParameterError", "BipartitionClassification", "Classification",
+            "Condition2Certificate", "DegreeProfile", "DimensionMismatchError",
+            "DisconnectedError", "EmptyGraphError", "EmptyTrajectoryError", "FamilySegment",
+            "FormatError", "Graph", "InfeasibleMuError", "IntegratorConfig", "KurapartError",
+            "LinearTrajectory", "ModelParams", "NoCertificateError", "NonFiniteStateError",
+            "NotBipartitionError", "PartitionMismatchError", "QuotientMatrix", "RunStats",
+            "SearchReport", "SearchRow", "SelfLoopError", "SolutionSet", "StepUnderflowError",
+            "SyncReport", "TooLargeError", "TooShortError", "Trajectory",
+            "VertexOutOfRangeError", "VertexPartition", "alpha_from_mu",
+            "analytic_regular_solution", "asymptotic_sync_clusters", "automorphisms_brute_force",
+            "beta_from_mu", "bipartition_from_mask", "certificate_to_solution",
+            "classification_report", "classify_bipartition", "coarsest_equitable_refinement",
+            "complete_graph", "cycle_graph", "degree_profile", "enumerate_bipartitions",
+            "exact_sync_chains", "exact_sync_partition", "format_search_report",
+            "from_edge_list", "integrate", "integrate_quotient", "is_equitable", "kuramoto_rhs",
+            "latoro_profile_graph", "lift_quotient_trajectory", "linear_family_graph",
+            "orbit_partition_brute_force", "partition_from_json", "partition_to_json",
+            "path_graph", "petersen_graph", "quotient_rhs", "read_edge_list", "residual_max",
+            "right_angle_profile_graph", "search_all_bipartitions", "star_graph",
+            "trajectory_from_csv", "trajectory_to_csv", "verify_certificate", "write_edge_list",
+        ]
+        assert len(set(kp.__all__)) == len(kp.__all__)
+        for name in kp.__all__:
+            assert getattr(kp, name) is not None
 
 
 class TestGraphConstruction:
@@ -41,6 +80,22 @@ class TestGraphConstruction:
             kp.Graph(4, ((1, 2), (3, 4)))
         with pytest.raises(kp.DisconnectedError):
             kp.Graph(2, ())
+
+    def test_too_few_edges_rejected_before_per_vertex_work(self):
+        # a 15-byte file naming a million vertices stays cheap to reject
+        with pytest.raises(kp.DisconnectedError) as info:
+            kp.read_edge_list("n 1000000\n1 2\n")
+        assert len(str(info.value)) < 1000
+
+    def test_disconnected_message_lists_few_vertices(self):
+        # enough edges for n - 1, but vertices 20..40 form their own component
+        edges = [(1, v) for v in range(2, 20)] + [(v, v + 1) for v in range(20, 40)]
+        edges += [(20, 40), (20, 30)]
+        with pytest.raises(kp.DisconnectedError) as info:
+            kp.Graph(40, tuple(edges))
+        message = str(info.value)
+        assert message.startswith("21 vertices unreachable")
+        assert "29" in message and "30" not in message
 
     def test_accessors(self):
         g = kp.from_edge_list(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
@@ -113,6 +168,23 @@ class TestDegreeProfile:
         p = kp.VertexPartition.from_blocks([[1, 2], [3]])
         with pytest.raises(kp.PartitionMismatchError):
             kp.degree_profile(g, p)
+
+    def test_mismatch_message_lists_few_vertices(self):
+        g = kp.cycle_graph(4)
+        p = kp.VertexPartition.from_blocks([[1, 2], list(range(3, 1000))])
+        with pytest.raises(kp.PartitionMismatchError) as info:
+            kp.degree_profile(g, p)
+        assert len(str(info.value)) < 200
+
+    def test_matches_adjacency_counts_three_blocks(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            g = random_connected_graph(rng, int(rng.integers(3, 12)))
+            p = random_blocks(rng, g.n, 3)
+            nbrs = adjacency_sets(g)
+            prof = kp.degree_profile(g, p)
+            for v in range(1, g.n + 1):
+                assert prof.row(v) == tuple(len(nbrs[v] & set(b)) for b in p.blocks)
 
     def test_cross_block_edge_count_symmetry(self):
         # counting edges between two blocks from either side gives one number
@@ -188,6 +260,28 @@ class TestCoarsestRefinement:
         ref = kp.coarsest_equitable_refinement(g, bip)
         assert ref.refines(bip)
         assert [list(b) for b in ref.blocks] == [[1], [2, 3, 4, 5], [6, 7, 8, 9]]
+
+    def test_matches_count_vector_refinement(self):
+        # the count-vector loop is the definition; seeds of 1-3 blocks
+        rng = np.random.default_rng(43)
+        for _ in range(500):
+            n, extra = int(rng.integers(2, 15)), 0.5 * float(rng.random())
+            g = random_connected_graph(rng, n, extra=extra)
+            seed = random_blocks(rng, g.n, int(rng.integers(1, 4)))
+            ref = kp.coarsest_equitable_refinement(g, seed)
+            assert ref.blocks == coarsest_equitable_refinement_slow(g, seed).blocks
+
+    def test_cycle_from_pinned_vertex(self):
+        # pinning vertex 1 of C_1000 leaves its mirror pairs {v, 1002 - v}
+        g = kp.cycle_graph(1000)
+        seed = kp.VertexPartition.from_blocks([[1], range(2, 1001)])
+        ref = kp.coarsest_equitable_refinement(g, seed)
+        assert ref.blocks == ((1,), *((v, 1002 - v) for v in range(2, 501)), (501,))
+
+    def test_seed_must_cover(self):
+        seed = kp.VertexPartition.from_blocks([[1, 2]])
+        with pytest.raises(kp.PartitionMismatchError):
+            kp.coarsest_equitable_refinement(kp.path_graph(3), seed)
 
 
 class TestAutomorphismsAndOrbits:
