@@ -218,9 +218,9 @@ class Condition2Certificate:
 class FamilySegment:
     """Feasible piece of a positive-dimensional solution set.
 
-    For a line the parameter runs over an open interval (None marks an
-    unbounded end); lag values at the endpoints and an interior sample are
-    for orientation only, no single lag is certified.
+    For a line the parameter runs over a bounded open interval; lag values
+    at the endpoints and an interior sample are for orientation only, no
+    single lag is certified.
     """
 
     feasible: bool
@@ -255,49 +255,26 @@ def _angles(m1: Fraction, m2: Fraction) -> tuple[float, float, float]:
     return alpha, offset - alpha, offset
 
 
-def _line_family(sol: SolutionSet) -> FamilySegment:
-    (p1, p2, _), ((d1, d2, _),) = sol.basepoint, sol.directions
-    # Open constraints A + B*t > 0: gain order, and both offset limits.
-    constraints = [
-        (p1 - p2, d1 - d2),
-        (2 - (p1 + p2), -(d1 + d2)),
-        ((p1 + p2) + 2, d1 + d2),
-    ]
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for a, b in constraints:
-        if b == 0:
-            if a <= 0:
-                return FamilySegment(feasible=False, dim=1)
-        elif b > 0:
-            bound = -a / b
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            bound = -a / b
-            hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo >= hi:
+def _equitable_family(c1: int, d1: int, c2: int, d2: int) -> FamilySegment:
+    """Feasible segment of the equitable line mu_b(t) = (d_b + t) / c_b.
+
+    With S = 1/c1 + 1/c2 > 0 and p = d1/c1 + d2/c2, |mu1 + mu2| < 2 is the
+    interval t in (-(p + 2)/S, (2 - p)/S).  mu1 > mu2 reads gap + slope*t > 0
+    for gap = d1/c1 - d2/c2 and slope = 1/c1 - 1/c2, so it moves one end to
+    -gap/slope, or keeps all of the interval or none of it when c1 = c2.
+    """
+    s, p = Fraction(c1 + c2, c1 * c2), Fraction(d1 * c2 + d2 * c1, c1 * c2)
+    lo, hi = -(p + 2) / s, (2 - p) / s
+    if c1 != c2:
+        cut = Fraction(d2 * c1 - d1 * c2, c2 - c1)  # -gap / slope
+        lo, hi = (max(lo, cut), hi) if c2 > c1 else (lo, min(hi, cut))
+    if lo >= hi or (c1 == c2 and d1 <= d2):
         return FamilySegment(feasible=False, dim=1)
 
-    def mu_at(t: Fraction) -> tuple[Fraction, Fraction]:
-        return p1 + t * d1, p2 + t * d2
+    def alpha_at(t: Fraction) -> float:
+        return _alpha_value((d1 + t) / c1, (d2 + t) / c2)
 
-    if lo is not None and hi is not None:
-        t_mid = (lo + hi) / 2
-    elif lo is not None:
-        t_mid = lo + 1
-    elif hi is not None:
-        t_mid = hi - 1
-    else:
-        t_mid = Fraction(0)
-    return FamilySegment(
-        feasible=True,
-        dim=1,
-        param_lo=lo,
-        param_hi=hi,
-        alpha_at_lo=_alpha_value(*mu_at(lo)) if lo is not None else None,
-        alpha_at_hi=_alpha_value(*mu_at(hi)) if hi is not None else None,
-        alpha_at_interior=_alpha_value(*mu_at(t_mid)),
-    )
+    return FamilySegment(True, 1, lo, hi, alpha_at(lo), alpha_at(hi), alpha_at((lo + hi) / 2))
 
 
 def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassification:
@@ -339,8 +316,8 @@ def _solution(
     if line:
         base = (Fraction(d1, c1), Fraction(d2, c2), Fraction(0))
         sol = SolutionSet("line", base, ((Fraction(1, c1), Fraction(1, c2), Fraction(1)),))
-        quotient = QuotientMatrix(((d1, c1), (c2, d2)))
-        return Classification.EQUITABLE, sol, None, quotient, _line_family(sol)
+        gamma = QuotientMatrix(((d1, c1), (c2, d2)))
+        return Classification.EQUITABLE, sol, None, gamma, _equitable_family(c1, d1, c2, d2)
     m1 = Fraction(d1 * r_den + r_num, c1 * r_den)
     m2 = Fraction(d2 * r_den + r_num, c2 * r_den)
     r = Fraction(r_num, r_den)

@@ -17,7 +17,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -56,14 +56,11 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[gc.Graph, gc.VertexPartition | None]:
-    if getattr(args, "graph", None) and getattr(args, "builtin", None):
-        raise BadParameterError("pass either --graph or --builtin, not both")
-    if getattr(args, "graph", None):
+    # the parser requires exactly one of --graph and --builtin
+    if args.graph is not None:
         with open(args.graph, "r") as handle:
             return gc.read_edge_list(handle.read()), None
-    if getattr(args, "builtin", None):
-        return _builtin(args.builtin)
-    raise BadParameterError("a graph is required: --graph FILE or --builtin NAME")
+    return _builtin(args.builtin)
 
 
 def _builtin(name: str) -> tuple[gc.Graph, gc.VertexPartition | None]:
@@ -96,7 +93,7 @@ def _builtin(name: str) -> tuple[gc.Graph, gc.VertexPartition | None]:
 def _load_partition(
     args: argparse.Namespace, builtin_part: gc.VertexPartition | None
 ) -> gc.VertexPartition | None:
-    if getattr(args, "partition", None):
+    if args.partition:
         with open(args.partition, "r") as handle:
             return gc.partition_from_json(handle.read())
     return builtin_part
@@ -132,16 +129,7 @@ def _initial_state(
     part: gc.VertexPartition | None,
     cert: ban.Condition2Certificate | None,
 ) -> np.ndarray:
-    chosen = [
-        args.init_equal is not None,
-        args.init_blocks is not None,
-        args.init_random,
-        args.init_cert,
-    ]
-    if sum(chosen) != 1:
-        raise BadParameterError(
-            "pick exactly one of --init-equal, --init-blocks, --init-random, --init-cert"
-        )
+    # the parser requires exactly one --init-* option
     if args.init_equal is not None:
         if not math.isfinite(args.init_equal):
             raise BadParameterError(f"--init-equal must be finite, got {args.init_equal}")
@@ -260,8 +248,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args)
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    report = ban.search_all_bipartitions(g, force=args.force, jobs=jobs)
+    report = ban.search_all_bipartitions(g, force=args.force, jobs=args.jobs)
     text = ban.format_search_report(report)
     if args.out:
         _atomic_write(args.out, text)
@@ -362,8 +349,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_graph_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--graph", help="edge list file: 'u v' lines, optional 'n N' header")
-    sub.add_argument(
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph", help="edge list file: 'u v' lines, optional 'n N' header")
+    source.add_argument(
         "--builtin",
         help="named graph: linear:<p>, latoro, kura-eg, star:<n>, cycle:<n>, "
         "complete:<n>, path:<n>, petersen",
@@ -378,8 +366,15 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 3 like every other invalid input."""
+
+    def error(self, message: str) -> NoReturn:
+        raise BadParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kurapart",
         description="Phase-locked structure analysis for lagged oscillator networks on graphs",
     )
@@ -395,13 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--abs-tol", type=float, default=1e-11)
     sim.add_argument("--t-end", type=float, default=10.0)
     sim.add_argument("--record-every", type=int, default=1)
-    sim.add_argument("--init-equal", type=float, help="all phases start at this value")
-    sim.add_argument("--init-blocks", help="comma-separated value per partition block")
-    sim.add_argument("--init-random", action="store_true", help=RANDOM_INIT_ALGORITHM)
+    init = sim.add_mutually_exclusive_group(required=True)
+    init.add_argument("--init-equal", type=float, help="all phases start at this value")
+    init.add_argument("--init-blocks", help="comma-separated value per partition block")
+    init.add_argument("--init-random", action="store_true", help=RANDOM_INIT_ALGORITHM)
+    init.add_argument("--init-cert", action="store_true", help="start on the certified closed form")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--init-cert", action="store_true", help="start on the certified closed form"
-    )
     sim.add_argument(
         "--alpha-from-cert",
         action="store_true",
@@ -423,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea = subs.add_parser("search", help="classify every bipartition")
     _add_graph_args(sea)
     sea.add_argument(
-        "--jobs", type=int, help="worker processes, at most the cpu count (default: cpu count)"
+        "--jobs", type=int, default=1, help="worker processes, at most the cpu count (default 1)"
     )
     sea.add_argument("--force", action="store_true", help="ignore the size cap")
     sea.add_argument("--out", help="write the text report here instead of stdout")
@@ -444,9 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (StepUnderflowError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -100,6 +100,8 @@ class IntegratorConfig:
         if self.method == "rk4":
             if self.dt is None or not 0.0 < self.dt < math.inf:
                 raise BadParameterError(f"rk4 needs a finite dt > 0, got {self.dt}")
+            if _rk4_steps(self.t_end, self.dt)[0] > MAX_ADAPTIVE_STEPS:
+                raise BadParameterError(f"rk4 takes over {MAX_ADAPTIVE_STEPS} steps of {self.dt}")
         elif self.dt is not None:
             raise BadParameterError("dt applies to rk4 only")
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -332,32 +334,40 @@ def _rk_stages(
     return y_i
 
 
+def _rk4_steps(t_end: float, dt: float) -> tuple[int, float]:
+    """Number of rk4 steps from 0 to t_end and the size of the last; the others are dt.
+
+    The ratio is capped, so one too large for int() still counts as over budget."""
+    n_full = int(math.floor(min(t_end / dt, 2.0 * MAX_ADAPTIVE_STEPS) + 1e-9))
+    remainder = t_end - n_full * dt
+    return (n_full + 1, remainder) if remainder > 1e-9 * max(dt, 1.0) else (n_full, dt)
+
+
 def _rk4_path(
     f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, stats: list[RunStats] | None = None
 ) -> tuple[list[float], list[np.ndarray]]:
     dt = float(cfg.dt)  # validated > 0
     t_end = cfg.t_end
-    n_full = int(math.floor(t_end / dt + 1e-9))
-    remainder = t_end - n_full * dt
-    steps = [dt] * n_full + ([remainder] if remainder > 1e-9 * max(dt, 1.0) else [])
+    n_steps, last = _rk4_steps(t_end, dt)  # validated <= MAX_ADAPTIVE_STEPS
     times, states = [0.0], [y0]
     y = y0
     k = np.empty((_RK4_A.shape[0], y.size))
     arg = np.empty(y.size)
     k[0] = f(y)
-    for i, h in enumerate(steps, start=1):
-        y = _rk_stages(f, y, h, _RK4_A, k, arg)
+    for i in range(1, n_steps + 1):
+        y = _rk_stages(f, y, dt if i < n_steps else last, _RK4_A, k, arg)
         k[0] = k[-1]
         _check_finite(y, f"after step {i}")
-        if i == len(steps) or i % cfg.record_every == 0:
-            times.append(t_end if i == len(steps) else i * dt)
+        if i == n_steps or i % cfg.record_every == 0:
+            times.append(t_end if i == n_steps else i * dt)
             states.append(y)
     if times[-1] < t_end:  # horizon shorter than the step tolerance: no step taken
         times.append(t_end)
         states.append(y)
     if stats is not None:
-        h_min, h_max = min(steps, default=None), max(steps, default=None)
-        stats.append(RunStats(len(steps), 0, 1 + 4 * len(steps), h_min, h_max))
+        sizes = [dt] * (n_steps > 1) + [last] * (n_steps > 0)  # only the last may differ
+        h_min, h_max = min(sizes, default=None), max(sizes, default=None)
+        stats.append(RunStats(n_steps, 0, 1 + 4 * n_steps, h_min, h_max))
     return times, states
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from kurapart import (
     BadParameterError,
+    FamilySegment,
     Graph,
     SearchRow,
     SolutionSet,
@@ -21,6 +22,7 @@ from kurapart import (
     TooShortError,
     Trajectory,
     VertexPartition,
+    alpha_from_mu,
     classify_bipartition,
 )
 from kurapart.graph_core import bipartition_from_mask
@@ -81,6 +83,43 @@ def condition2_solution_slow(g: Graph, blocks) -> SolutionSet:
         directions.append(tuple(d))
     kind = {0: "point", 1: "line", 2: "plane"}[len(directions)]
     return SolutionSet(kind, tuple(base), tuple(directions))
+
+
+def line_family_slow(sol: SolutionSet) -> FamilySegment:
+    """Feasible segment of a solution line by intersecting three generic
+    open half-lines A + B*t > 0, any of which may leave an end unbounded."""
+    (p1, p2, _), ((d1, d2, _),) = sol.basepoint, sol.directions
+    # gain order, then both offset limits
+    constraints = [
+        (p1 - p2, d1 - d2),
+        (2 - (p1 + p2), -(d1 + d2)),
+        ((p1 + p2) + 2, d1 + d2),
+    ]
+    lo: Fraction | None = None
+    hi: Fraction | None = None
+    for a, b in constraints:
+        if b == 0:
+            if a <= 0:
+                return FamilySegment(feasible=False, dim=1)
+        elif b > 0:
+            lo = -a / b if lo is None else max(lo, -a / b)
+        else:
+            hi = -a / b if hi is None else min(hi, -a / b)
+    if lo is not None and hi is not None and lo >= hi:
+        return FamilySegment(feasible=False, dim=1)
+
+    def alpha_at(t: Fraction | None) -> float | None:
+        return None if t is None else alpha_from_mu(p1 + t * d1, p2 + t * d2).value
+
+    if lo is not None and hi is not None:
+        t_mid = (lo + hi) / 2
+    elif lo is not None:
+        t_mid = lo + 1
+    elif hi is not None:
+        t_mid = hi - 1
+    else:
+        t_mid = Fraction(0)
+    return FamilySegment(True, 1, lo, hi, alpha_at(lo), alpha_at(hi), alpha_at(t_mid))
 
 
 def search_rows_slow(g: Graph) -> list[SearchRow]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -8,11 +9,13 @@ import pytest
 
 import kurapart as kp
 from kurapart import bipartition_analysis as ban
+from kurapart.graph_core import bipartition_from_mask
 from oracle_tools import (
     adjacency_sets,
     condition2_rows,
     condition2_solution_slow,
     is_equitable_slow,
+    line_family_slow,
     random_connected_graph,
     search_rows_slow,
 )
@@ -420,6 +423,38 @@ def search_oracle_graphs():
     for n in [int(rng.integers(2, 11)) for _ in range(40)] + [11, 11, 12, 12]:
         graphs.append(random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0))))
     return graphs
+
+
+class TestEquitableFamily:
+    """The closed-form family segment against the generic half-line oracle."""
+
+    def test_matches_half_lines_on_every_small_count_tuple(self):
+        feasible = 0
+        for c1, d1, c2, d2 in itertools.product(range(1, 9), range(9), range(1, 9), range(9)):
+            line = kp.SolutionSet(
+                "line",
+                (Fraction(d1, c1), Fraction(d2, c2), Fraction(0)),
+                ((Fraction(1, c1), Fraction(1, c2), Fraction(1)),),
+            )
+            got, want = ban._equitable_family(c1, d1, c2, d2), line_family_slow(line)
+            assert repr(got) == repr(want)
+            # a connected graph bounds both ends
+            assert not got.feasible or None not in (got.param_lo, got.param_hi)
+            feasible += got.feasible
+        assert 100 < feasible < 5184
+
+    def test_matches_half_lines_on_every_equitable_bipartition(self):
+        # the line comes from the Gauss-Jordan oracle, not from _solve_rows
+        seen = 0
+        for g in search_oracle_graphs():
+            for row in kp.search_all_bipartitions(g).rows:
+                if row.classification is not kp.Classification.EQUITABLE:
+                    continue
+                bip = bipartition_from_mask(g.n, row.mask)
+                want = line_family_slow(condition2_solution_slow(g, bip.blocks))
+                assert repr(row.family) == repr(want)
+                seen += 1
+        assert seen > 50
 
 
 class TestBatchSearch:

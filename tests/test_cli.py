@@ -1,17 +1,24 @@
 import argparse
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
 import kurapart as kp
+from kurapart import bipartition_analysis as ban
+from kurapart import cli
 from kurapart.cli import _sync_report_json, main
 from oracle_tools import exact_sync_chains_slow, sync_report_slow
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("this path must not be reached")
 
 
 class TestSimulate:
@@ -253,6 +260,35 @@ class TestSearch:
     def test_cap_enforced(self):
         assert run("search", "--builtin", "cycle:23") == 3
 
+    def test_one_process_unless_jobs_given(self, monkeypatch, capsys):
+        # a pool costs more than it saves on two cpus, so it is opt-in
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(ban, "ProcessPoolExecutor", _never)
+        assert run("search", "--builtin", "linear:4") == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1].startswith("# total=255 ")
+
+    def test_zero_jobs_rejected(self):
+        assert run("search", "--builtin", "linear:4", "--jobs", 0) == 3
+
+    @pytest.mark.parametrize(
+        "name, graph", [("complete:5", kp.complete_graph(5)), ("path:5", kp.path_graph(5))]
+    )
+    def test_builtin_names(self, capsys, name, graph):
+        assert run("search", "--builtin", name) == 0
+        assert capsys.readouterr().out == kp.format_search_report(kp.search_all_bipartitions(graph))
+
+    def test_failed_write_keeps_target_and_leaves_no_temp_file(self, monkeypatch, tmp_path):
+        target = tmp_path / "report.txt"
+        target.write_text("old content")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert run("search", "--builtin", "cycle:4", "--out", target) == 2
+        assert target.read_text() == "old content"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize(
         "builtin, digest",
@@ -297,6 +333,29 @@ class TestVerify:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--builtin", "cycle:4", "--alpha", "abc", "--init-equal", "0",
+             "--out", "x.csv"],
+            ["search", "--builtin", "cycle:4", "--jobs", "two"],
+            ["verify", "--example", "ring"],
+            ["bogus"],
+            [],
+        ],
+        ids=["bad-float", "bad-int", "bad-choice", "bad-command", "no-command"],
+    )
+    def test_usage_errors_are_invalid_input(self, tmp_path, monkeypatch, argv):
+        # argparse's own exit code 2 is the I/O code here
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 3
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_search_needs_a_graph(self, monkeypatch):
+        # the parser rejects it before any graph is loaded
+        monkeypatch.setattr(cli, "_load_graph", _never)
+        assert run("search") == 3
+
     def test_missing_graph_file(self, tmp_path):
         assert run(
             "simulate", "--graph", tmp_path / "missing.edges",

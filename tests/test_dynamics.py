@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import kurapart as kp
+from kurapart import dynamics as dyn
 from oracle_tools import (
     exact_sync_chains_slow,
     random_connected_graph,
@@ -87,6 +88,20 @@ class TestIntegratorConfig:
     def test_unknown_method(self):
         with pytest.raises(kp.BadParameterError):
             kp.IntegratorConfig(t_end=1.0, method="euler")
+
+    @pytest.mark.parametrize(
+        "t_end, dt",
+        [(1e6, 1e-6), (1e7 + 0.5, 1.0), (1.0, 5e-324)],
+        ids=["1e12", "budget+1", "inf-ratio"],
+    )
+    def test_rk4_step_budget(self, t_end, dt):
+        # rk4 obeys the rk45 step budget and is refused before anything is allocated
+        with pytest.raises(kp.BadParameterError, match="steps"):
+            kp.IntegratorConfig(t_end=t_end, method="rk4", dt=dt)
+
+    def test_rk4_exactly_at_budget_accepted(self):
+        cfg = kp.IntegratorConfig(t_end=float(dyn.MAX_ADAPTIVE_STEPS), method="rk4", dt=1.0)
+        assert dyn._rk4_steps(cfg.t_end, cfg.dt) == (dyn.MAX_ADAPTIVE_STEPS, 1.0)
 
 
 class TestTrajectory:
@@ -182,6 +197,22 @@ class TestIntegration:
         init = np.array([0.0, 1.3, 2.1, 0.4])
         traj = kp.integrate(g, init, kp.ModelParams(alpha=0.7), cfg, t_eval=grid)
         assert np.array_equal(traj.times, grid)
+
+    @pytest.mark.parametrize(
+        "method, dt, grid, message",
+        [
+            ("rk45", None, [0.5, 1.0], "start at 0"),
+            ("rk45", None, [0.0, 1.0, 1.0], "increase strictly"),
+            ("rk45", None, [0.0, 2.5], "past t_end"),
+            ("rk4", 0.1, [0.0, 1.0], "rk45 only"),
+        ],
+        ids=["late-start", "repeated", "past-end", "rk4"],
+    )
+    def test_t_eval_rejected(self, method, dt, grid, message):
+        cfg = kp.IntegratorConfig(t_end=2.0, method=method, dt=dt)
+        params = kp.ModelParams(alpha=0.5)
+        with pytest.raises(kp.BadParameterError, match=message):
+            kp.integrate(kp.cycle_graph(4), np.zeros(4), params, cfg, t_eval=grid)
 
     def test_rk45_agrees_with_rk4(self):
         g = kp.cycle_graph(4)
@@ -308,6 +339,15 @@ class TestQuotientIntegration:
             g, lifted.initial_state(), kp.ModelParams(alpha=0.7), cfg, t_eval=qt.times
         )
         assert np.abs(full.states - lifted.states).max() < 1e-8
+
+    def test_lift_carries_closed_form_derivatives(self):
+        # C4's rigid rotation on two blocks: two recorded times suffice, since
+        # the residual reads the lifted derivatives, not differences
+        part = kp.VertexPartition.from_blocks([[1, 3], [2, 4]])
+        qt = kp.analytic_regular_solution(2, 0.6, 2, [0.0, 1.5])
+        lifted = kp.lift_quotient_trajectory(part, qt)
+        assert np.array_equal(lifted.derivatives, np.full((2, 4), -2 * math.sin(0.6)))
+        assert kp.residual_max(kp.cycle_graph(4), lifted, kp.ModelParams(alpha=0.6)) < 1e-12
 
     def test_lift_preserves_initial_values(self):
         part = kp.VertexPartition.from_blocks([[1, 3], [2, 4]])
