@@ -39,7 +39,6 @@ import enum
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -428,6 +427,15 @@ def _classify_chunk(args: tuple[Graph, int, int]) -> list[SearchRow]:
     return rows
 
 
+def _check_search_size(n: int, force: bool) -> None:
+    """Raise TooLargeError unless a search over n vertices may run: n >= 64
+    never fits the int64 masks, and n > SEARCH_MAX_N needs force."""
+    if n >= 64:
+        raise TooLargeError(f"n={n} exceeds 63, the most that int64 search masks hold")
+    if n > SEARCH_MAX_N and not force:
+        raise TooLargeError(f"n={n} exceeds cap {SEARCH_MAX_N}; pass force to override")
+
+
 def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> SearchReport:
     """Classify every bipartition of g, in ascending mask order.
 
@@ -444,10 +452,7 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     and merged back in range order, so the report is identical for any
     job count.
     """
-    if g.n >= 64:
-        raise TooLargeError(f"n={g.n} exceeds 63, the most that int64 search masks hold")
-    if g.n > SEARCH_MAX_N and not force:
-        raise TooLargeError(f"n={g.n} exceeds cap {SEARCH_MAX_N}; pass force to override")
+    _check_search_size(g.n, force)
     if jobs < 1:
         raise BadParameterError(f"jobs must be >= 1, got {jobs}")
     total = (1 << (g.n - 1)) - 1
@@ -459,6 +464,9 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     else:
         bounds = np.linspace(1, total + 1, workers + 1).astype(int)
         chunks = [(g, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
+        # imported here, so runs without a pool never load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for chunk in pool.map(_classify_chunk, chunks) for row in chunk]
     return SearchReport(n=g.n, rows=tuple(rows))

@@ -11,6 +11,7 @@ failed run leaves no partial output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -63,6 +64,30 @@ def _load_graph(args: argparse.Namespace) -> tuple[gc.Graph, gc.VertexPartition 
     return _builtin(args.builtin)
 
 
+def _builtin_arg(name: str) -> tuple[str, int]:
+    kind, sep, arg = name.partition(":")
+    if not sep:
+        raise BadParameterError(f"unknown builtin {name!r}")
+    try:
+        return kind, int(arg)
+    except ValueError:
+        raise BadParameterError(f"builtin {name!r} needs an integer argument") from None
+
+
+def _builtin_n(name: str) -> int | None:
+    """Vertex count a parametrised builtin asks for, read from its name alone
+    so a size cap can refuse it before anything is built; None for the
+    fixed builtins, which have at most 10 vertices, and for unknown kinds."""
+    if ":" not in name:
+        return None
+    kind, value = _builtin_arg(name)
+    if kind == "linear":
+        return 2 * value + 1
+    if kind == "star":
+        return value + 1
+    return value if kind in ("cycle", "complete", "path") else None
+
+
 def _builtin(name: str) -> tuple[gc.Graph, gc.VertexPartition | None]:
     if name == "latoro":
         return gc.latoro_profile_graph()
@@ -70,13 +95,7 @@ def _builtin(name: str) -> tuple[gc.Graph, gc.VertexPartition | None]:
         return gc.right_angle_profile_graph()
     if name == "petersen":
         return gc.petersen_graph(), None
-    kind, sep, arg = name.partition(":")
-    if not sep:
-        raise BadParameterError(f"unknown builtin {name!r}")
-    try:
-        value = int(arg)
-    except ValueError:
-        raise BadParameterError(f"builtin {name!r} needs an integer argument") from None
+    kind, value = _builtin_arg(name)
     if kind == "linear":
         return gc.linear_family_graph(value)
     if kind == "star":
@@ -171,6 +190,14 @@ def _sync_report_json(
     payload: dict = {
         "model": {"alpha": params.alpha, "omega": params.omega, "lambda": params.coupling},
     }
+    if traj.stats is not None:
+        payload["solver"] = {
+            "method": args.method,
+            "dt": args.dt,
+            "rel_tol": args.rel_tol,
+            "abs_tol": args.abs_tol,
+            **dataclasses.asdict(traj.stats),
+        }
     try:
         report = dyn.asymptotic_sync_clusters(
             traj,
@@ -247,6 +274,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    n = _builtin_n(args.builtin) if args.builtin is not None else None
+    if n is not None:
+        ban._check_search_size(n, args.force)
     g, _ = _load_graph(args)
     report = ban.search_all_bipartitions(g, force=args.force, jobs=args.jobs)
     text = ban.format_search_report(report)

@@ -3,10 +3,12 @@
 The model couples each vertex to its neighbours through a sine with a fixed
 phase lag, so equal phases are not stationary in general; rigid rotations
 are.  Both the full vertex system and the block quotient system share one
-arc-list right-hand side, evaluated through the angle-sum identity from one
-complex exponential per vertex, and one integration core: classical
-fixed-step RK4 or an embedded Dormand-Prince 4(5) pair with proportional
-step control.  Each integration reports its step and evaluation counts.
+right-hand side, evaluated through the angle-sum identity from one complex
+exponential per vertex, with neighbour sums over the arcs or, on dense
+graphs, by one matrix product.  They also share one integration core:
+classical fixed-step RK4 or an embedded Dormand-Prince 4(5) pair with
+proportional step control.  Each integration reports its step and
+evaluation counts.
 """
 
 from __future__ import annotations
@@ -199,10 +201,30 @@ class LinearTrajectory:
         return Trajectory(ts, states, derivatives=derivs)
 
 
+# Neighbour sums run as one dense product once a graph has more than this
+# share of n^2 arcs, and as a gather plus bincount over the arcs below it.
+# Measured with one BLAS thread on a 2-vCPU x86 host with 2 MiB of L2 cache
+# per core (table in README): an arc costs about 10 ns and a matrix entry
+# about 0.3 ns while the n x n float64 matrix fits in 2 MiB, so the kernels
+# break even near n^2/25 arcs.  Past DENSE_CACHED_N the matrix no longer
+# fits, an entry costs about 1.3 ns, and the break-even share is three
+# times as large.
+DENSE_ARC_SHARE = 1 / 25
+DENSE_CACHED_N = 512
+
+
+def _dense_sums(n_arcs: int, n: int) -> bool:
+    """The kernel rule: True when n vertices with n_arcs arcs sum their
+    neighbours by one dense product rather than over the arcs."""
+    share = DENSE_ARC_SHARE if n <= DENSE_CACHED_N else 3 * DENSE_ARC_SHARE
+    return n_arcs > share * n * n
+
+
 def _coupling_rhs(
     src: np.ndarray,
     bins: np.ndarray,
     w: np.ndarray | None,
+    matrix: Callable[[], np.ndarray],
     n: int,
     alpha: float,
     omega: float = 0.0,
@@ -213,24 +235,34 @@ def _coupling_rhs(
     The one place the coupling sum is evaluated.  By the angle-sum identity
     the sum at vertex i is Im(e^{-i alpha} conj(z_i) S_i), where z = e^{iy}
     and S_i sums w z_src over the arcs into i.  A call costs n complex
-    exponentials, one gather of z over the arcs, and one bincount of the
-    gathered (re, im) parts into bins, the interleaved (2 dst, 2 dst + 1)
-    of _interleaved_bins; the rest is O(n).  Sums run in arc order, so
-    callers fix the summation order.  The lag enters as the constant
-    rotation coupling * e^{-i alpha}, never as y + alpha, which would round
-    at ulp(|y|).  w holds each arc's weight twice, matching bins, or is
-    None for unit weights.
+    exponentials, the neighbour sums S and O(n) more.  _dense_sums picks
+    how S is formed, once per right-hand side:
+
+    * dense: one float64 product W @ (re, im) of z, with W = matrix(), the
+      n x n weights W[dst, src]; O(n^2), summed in BLAS order;
+    * sparse: one gather of z over the arcs and one bincount of the
+      gathered (re, im) parts into bins, the interleaved (2 dst, 2 dst + 1)
+      of _interleaved_bins; O(arcs), summed in arc order.  w holds each
+      arc's weight twice, matching bins, or is None for unit weights.
+
+    Either order is fixed for a given graph, so results are deterministic.
+    The lag enters as the constant rotation coupling * e^{-i alpha}, never
+    as y + alpha, which would round at ulp(|y|).
     """
     rot = complex(coupling * math.cos(alpha), -coupling * math.sin(alpha))
+    dense = matrix() if _dense_sums(src.size, n) else None
 
     def f(y: np.ndarray) -> np.ndarray:
         z = np.empty(n, dtype=complex)
         np.cos(y, out=z.real)
         np.sin(y, out=z.imag)
-        parts = z[src].view(float)
-        if w is not None:
-            parts *= w
-        pull = np.bincount(bins, weights=parts, minlength=2 * n).view(complex)
+        if dense is not None:
+            pull = (dense @ z.view(float).reshape(n, 2)).view(complex).reshape(n)
+        else:
+            parts = z[src].view(float)
+            if w is not None:
+                parts *= w
+            pull = np.bincount(bins, weights=parts, minlength=2 * n).view(complex)
         np.conjugate(z, out=z)
         z *= rot
         z *= pull
@@ -241,9 +273,17 @@ def _coupling_rhs(
 
 def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
     # the graph's arcs and bins, built once with it: each vertex pulled by
-    # its sorted neighbours, unit weight
+    # its sorted neighbours, unit weight; its dense matrix is built and kept
+    # by the graph on first use
     return _coupling_rhs(
-        g._arcs[0], g._arc_bins, None, g.n, params.alpha, params.omega, params.coupling
+        g._arcs[0],
+        g._arc_bins,
+        None,
+        lambda: g._arc_matrix,
+        g.n,
+        params.alpha,
+        params.omega,
+        params.coupling,
     )
 
 
@@ -251,7 +291,9 @@ def _gamma_rhs(gamma: QuotientMatrix, alpha: float) -> Rhs:
     # block j pulls block i with weight gamma_ij; nonzero() yields (dst, src) order
     gm = gamma.as_array()
     dst, src = np.nonzero(gm)
-    return _coupling_rhs(src, _interleaved_bins(dst), np.repeat(gm[dst, src], 2), gamma.k, alpha)
+    return _coupling_rhs(
+        src, _interleaved_bins(dst), np.repeat(gm[dst, src], 2), lambda: gm, gamma.k, alpha
+    )
 
 
 def kuramoto_rhs(g: Graph, theta: Sequence[float], params: ModelParams) -> np.ndarray:

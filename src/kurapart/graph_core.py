@@ -7,6 +7,7 @@ so downstream dynamics never has to special-case isolated components.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -130,6 +131,17 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u] if 1 <= u <= self.n else False
+
+    @functools.cached_property
+    def _arc_matrix(self) -> np.ndarray:
+        """Read-only float64 n x n matrix W with W[dst, src] = 1 for every
+        arc, so W @ x sums x over each vertex's neighbours.  Built from _arcs
+        on first use and kept, so only dense neighbour sums pay its n^2."""
+        src, dst = self._arcs
+        w = np.zeros((self.n, self.n))
+        w[dst, src] = 1.0
+        w.flags.writeable = False
+        return w
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 matrix A with A[i-1, j-1] = 1 iff i ~ j."""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import json
 import math
@@ -385,7 +386,7 @@ class TestSearch:
 
         g = kp.cycle_graph(12)
         serial = kp.format_search_report(kp.search_all_bipartitions(g, jobs=1))
-        monkeypatch.setattr(ban, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         capped = kp.format_search_report(kp.search_all_bipartitions(g, jobs=10_000))
         assert seen == [2]

@@ -1,7 +1,10 @@
 import argparse
+import concurrent.futures
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -101,6 +104,30 @@ class TestSimulate:
         assert code == 0
         traj = kp.trajectory_from_csv(out.read_text())
         assert traj.n_recorded == 11
+
+    @pytest.mark.parametrize(
+        "method, extra, per_step",
+        [("rk45", [], 6), ("rk4", ["--dt", 0.1], 4)],
+        ids=["rk45", "rk4"],
+    )
+    def test_solver_block_counts_steps(self, tmp_path, method, extra, per_step):
+        out = tmp_path / "s.csv"
+        code = run(
+            "simulate", "--builtin", "complete:6",
+            "--alpha", 1.0, "--init-random", "--seed", 0,
+            "--method", method, *extra,
+            "--t-end", 5, "--out", out,
+        )
+        assert code == 0
+        solver = json.loads((tmp_path / "s.sync.json").read_text())["solver"]
+        steps = solver["accepted"] + solver["rejected"]
+        assert solver["rhs_calls"] == 1 + per_step * steps
+        # record_every 1 records every accepted step after the initial row
+        assert solver["accepted"] == kp.trajectory_from_csv(out.read_text()).n_recorded - 1
+        assert solver["method"] == method
+        assert (solver["rel_tol"], solver["abs_tol"]) == (1e-9, 1e-11)
+        assert solver["dt"] == (0.1 if method == "rk4" else None)
+        assert 0.0 < solver["h_min"] <= solver["h_max"]
 
     def test_existing_file_replaced(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -263,9 +290,44 @@ class TestSearch:
     def test_one_process_unless_jobs_given(self, monkeypatch, capsys):
         # a pool costs more than it saves on two cpus, so it is opt-in
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(ban, "ProcessPoolExecutor", _never)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _never)
         assert run("search", "--builtin", "linear:4") == 0
         assert capsys.readouterr().out.strip().splitlines()[-1].startswith("# total=255 ")
+
+    def test_cli_start_loads_no_process_pool(self):
+        src = os.path.dirname(os.path.dirname(kp.__file__))
+        probe = (
+            "import sys, kurapart.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("cycle:200000", []),
+            ("linear:20", []),
+            ("complete:23", []),
+            ("star:63", ["--force"]),
+            ("path:64", ["--force"]),
+        ],
+    )
+    def test_builtin_size_cap_checked_before_building(self, monkeypatch, name, flags):
+        for kind in ("cycle", "linear_family", "complete", "star", "path"):
+            monkeypatch.setattr(cli.gc, f"{kind}_graph", _never)
+        assert run("search", "--builtin", name, *flags) == 3
+
+    @pytest.mark.parametrize(
+        "name", ["linear:4", "star:6", "cycle:10", "complete:5", "path:5", "latoro", "petersen"]
+    )
+    def test_builtin_vertex_count_read_from_name(self, name):
+        n = cli._builtin_n(name)
+        assert n is None or n == cli._builtin(name)[0].n
 
     def test_zero_jobs_rejected(self):
         assert run("search", "--builtin", "linear:4", "--jobs", 0) == 3

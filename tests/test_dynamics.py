@@ -863,6 +863,92 @@ class TestRhsOracles:
         assert g._arcs[0] is src
 
 
+def _random_dense_graph(seed):
+    return random_connected_graph(np.random.default_rng(seed), 30, extra=0.6)
+
+
+def _discrete_quotient(g):
+    # every vertex its own block: gamma is the adjacency, so the quotient
+    # system has as many arcs, dense or sparse, as the graph itself
+    part = kp.VertexPartition.from_blocks([v] for v in range(1, g.n + 1))
+    return kp.is_equitable(g, part)
+
+
+class TestNeighbourSumKernels:
+    @pytest.mark.parametrize(
+        "g",
+        [kp.cycle_graph(200), kp.complete_graph(48)] + [_random_dense_graph(s) for s in (41, 42)],
+        ids=["cycle:200", "complete:48", "random-dense-41", "random-dense-42"],
+    )
+    @pytest.mark.parametrize("offset", [0.0, -4000.0], ids=["near-0", "near-minus-4000"])
+    def test_both_kernels_match_slow_forms(self, g, offset):
+        rng = np.random.default_rng(g.n + len(g.edges))
+        theta = offset + rng.uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=1.0, omega=0.3, coupling=1.7)
+        got = kp.kuramoto_rhs(g, theta, params)
+        assert np.allclose(got, rhs_slow(g, theta, 1.0, 0.3, 1.7), rtol=0, atol=1e-12)
+        gamma = _discrete_quotient(g)
+        got = kp.quotient_rhs(gamma, theta, 1.0)
+        assert np.allclose(got, quotient_rhs_slow(gamma, theta, 1.0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "g, dense",
+        [
+            (kp.cycle_graph(200), False),
+            (kp.cycle_graph(2000), False),
+            (kp.complete_graph(48), True),
+            (_random_dense_graph(41), True),
+            (_random_dense_graph(42), True),
+        ],
+        ids=["cycle:200", "cycle:2000", "complete:48", "random-dense-41", "random-dense-42"],
+    )
+    def test_rule_picks_the_kernel(self, g, dense):
+        assert dyn._dense_sums(g._arcs[0].size, g.n) is dense
+        params = kp.ModelParams(alpha=0.7)
+        kp.kuramoto_rhs(g, np.zeros(g.n), params)
+        # the graph builds its matrix only for the dense kernel, and once
+        assert ("_arc_matrix" in vars(g)) is dense
+        if dense:
+            first = vars(g)["_arc_matrix"]
+            assert first.shape == (g.n, g.n) and not first.flags.writeable
+            assert np.array_equal(first, g.adjacency_matrix())
+            kp.kuramoto_rhs(g, np.ones(g.n), params)
+            assert vars(g)["_arc_matrix"] is first
+
+    def test_dense_rhs_reuses_the_matrix(self):
+        g = kp.complete_graph(200)
+        theta = np.random.default_rng(4).uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=0.7)
+        kp.kuramoto_rhs(g, theta, params)  # builds W, 320 kB
+        tracemalloc.start()
+        try:
+            kp.kuramoto_rhs(g, theta, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * g.n * g.n // 4
+
+    def test_rule_asks_more_arcs_once_the_matrix_leaves_cache(self):
+        n = dyn.DENSE_CACHED_N
+        assert dyn._dense_sums(n * n // 20, n)
+        assert not dyn._dense_sums((n + 1) ** 2 // 20, n + 1)
+        assert dyn._dense_sums((n + 1) ** 2 // 8, n + 1)
+
+    def test_sparse_rhs_allocates_nothing_of_order_n_squared(self):
+        g = kp.cycle_graph(20_000)
+        theta = np.random.default_rng(3).uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=0.7)
+        tracemalloc.start()
+        try:
+            kp.kuramoto_rhs(g, theta, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # n^2 float64 would be 3.2 GB; the arc kernel peaks near 12 n float64
+        assert peak < 32 * 8 * g.n
+        assert "_arc_matrix" not in vars(g)
+
+
 class TestIntegratorOracles:
     def test_rk45_is_fsal_six_calls_per_attempt(self, monkeypatch):
         from kurapart import dynamics as dyn
