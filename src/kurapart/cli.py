@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
-from typing import NoReturn, Sequence
+from typing import Callable, NoReturn, Sequence
 
 import numpy as np
 
@@ -56,11 +56,19 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _load_graph(args: argparse.Namespace) -> tuple[gc.Graph, gc.VertexPartition | None]:
-    # the parser requires exactly one of --graph and --builtin
+def _load_graph(
+    args: argparse.Namespace, check_n: Callable[[int], None] | None = None
+) -> tuple[gc.Graph, gc.VertexPartition | None]:
+    """The graph of --graph or --builtin (the parser requires exactly one).
+    check_n, when given, sees the vertex count before anything is built:
+    a file's header or largest label, or a parametrised builtin's name."""
     if args.graph is not None:
         with open(args.graph, "r") as handle:
-            return gc.read_edge_list(handle.read()), None
+            return gc.read_edge_list(handle.read(), check_n), None
+    if check_n is not None:
+        n = _builtin_n(args.builtin)
+        if n is not None:
+            check_n(n)
     return _builtin(args.builtin)
 
 
@@ -274,10 +282,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    n = _builtin_n(args.builtin) if args.builtin is not None else None
-    if n is not None:
-        ban._check_search_size(n, args.force)
-    g, _ = _load_graph(args)
+    g, _ = _load_graph(args, lambda n: ban._check_search_size(n, args.force))
     report = ban.search_all_bipartitions(g, force=args.force, jobs=args.jobs)
     text = ban.format_search_report(report)
     if args.out:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -54,7 +54,11 @@ __all__ = [
 MIN_ADAPTIVE_STEP = 1e-12
 MAX_ADAPTIVE_STEPS = 10_000_000
 
-Rhs = Callable[[np.ndarray], np.ndarray]
+
+class Rhs(Protocol):
+    """A right-hand side: y -> dy/dt, written into out when it is given."""
+
+    def __call__(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -248,25 +252,36 @@ def _coupling_rhs(
     Either order is fixed for a given graph, so results are deterministic.
     The lag enters as the constant rotation coupling * e^{-i alpha}, never
     as y + alpha, which would round at ulp(|y|).
+
+    The returned f(y, out=None) writes its result into out, or into a fresh
+    array when out is None.  Its work arrays, z and, for the dense kernel,
+    S, are allocated here once and reused by every call, so one f must not
+    run twice at the same time.
     """
     rot = complex(coupling * math.cos(alpha), -coupling * math.sin(alpha))
     dense = matrix() if _dense_sums(src.size, n) else None
+    z = np.empty(n, dtype=complex)
+    z_re, z_im = z.real, z.imag
+    if dense is not None:
+        z_pairs = z.view(float).reshape(n, 2)
+        pull = np.empty(n, dtype=complex)
+        pull_pairs = pull.view(float).reshape(n, 2)
 
-    def f(y: np.ndarray) -> np.ndarray:
-        z = np.empty(n, dtype=complex)
-        np.cos(y, out=z.real)
-        np.sin(y, out=z.imag)
+    def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        np.cos(y, out=z_re)
+        np.sin(y, out=z_im)
         if dense is not None:
-            pull = (dense @ z.view(float).reshape(n, 2)).view(complex).reshape(n)
+            np.matmul(dense, z_pairs, out=pull_pairs)
+            sums = pull
         else:
             parts = z[src].view(float)
             if w is not None:
                 parts *= w
-            pull = np.bincount(bins, weights=parts, minlength=2 * n).view(complex)
+            sums = np.bincount(bins, weights=parts, minlength=2 * n).view(complex)
         np.conjugate(z, out=z)
-        z *= rot
-        z *= pull
-        return z.imag + omega
+        np.multiply(z, rot, out=z)
+        np.multiply(z, sums, out=z)
+        return np.add(z_im, omega, out=out)
 
     return f
 
@@ -313,7 +328,7 @@ def quotient_rhs(gamma: QuotientMatrix, f: Sequence[float], alpha: float) -> np.
 
 
 def _check_finite(y: np.ndarray, where: str) -> None:
-    if not np.all(np.isfinite(y)):
+    if not np.isfinite(y).all():
         raise NonFiniteStateError(f"non-finite state {where}")
 
 
@@ -358,21 +373,31 @@ _DP_E = _DP_A[6] - np.array(
 )
 
 
+_StagePlan = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _stage_plan(a: np.ndarray, k: np.ndarray) -> _StagePlan:
+    """Per stage i >= 1 of the tableau a: its row a[i, :i], the earlier
+    derivatives k[:i] and its own row k[i], sliced once per run."""
+    return [(a[i, :i], k[:i], k[i]) for i in range(1, a.shape[0])]
+
+
 def _rk_stages(
-    f: Rhs, y: np.ndarray, h: float, a: np.ndarray, k: np.ndarray, arg: np.ndarray
+    f: Rhs, y: np.ndarray, h: float, plan: _StagePlan, arg: np.ndarray
 ) -> np.ndarray:
     """Fill k[1:] for one step of size h from y, given k[0] = f(y); return the new state.
 
-    Inner stage arguments are formed in place in the scratch row arg; the
-    last one, the new state, is a fresh array.
+    plan is _stage_plan(a, k).  Inner stage arguments are formed in place in
+    the scratch row arg and each derivative is written straight into its row
+    of k; the last argument, the new state, is a fresh array.
     """
-    last = a.shape[0] - 1
-    for i in range(1, last + 1):
+    last = len(plan)
+    for i, (a_i, k_before, k_i) in enumerate(plan, start=1):
         y_i = arg if i < last else np.empty_like(y)
-        np.dot(a[i, :i], k[:i], out=y_i)
+        np.dot(a_i, k_before, out=y_i)
         y_i *= h
         y_i += y
-        k[i] = f(y_i)
+        f(y_i, k_i)
     return y_i
 
 
@@ -394,10 +419,11 @@ def _rk4_path(
     times, states = [0.0], [y0]
     y = y0
     k = np.empty((_RK4_A.shape[0], y.size))
+    plan = _stage_plan(_RK4_A, k)
     arg = np.empty(y.size)
-    k[0] = f(y)
+    f(y, k[0])
     for i in range(1, n_steps + 1):
-        y = _rk_stages(f, y, dt if i < n_steps else last, _RK4_A, k, arg)
+        y = _rk_stages(f, y, dt if i < n_steps else last, plan, arg)
         k[0] = k[-1]
         _check_finite(y, f"after step {i}")
         if i == n_steps or i % cfg.record_every == 0:
@@ -431,44 +457,46 @@ def _rk45_path(
     steps = 0
     h_min, h_max = math.inf, 0.0
     k = np.empty((_DP_A.shape[0], y.size))
+    plan = _stage_plan(_DP_A, k)
     arg, err_vec, scale = np.empty((3, y.size))
-    k[0] = f(y)
-    while t < t_goal:
-        steps += 1
-        if steps > MAX_ADAPTIVE_STEPS:
-            raise StepUnderflowError(f"step budget exhausted at t={t}")
-        if h < MIN_ADAPTIVE_STEP:
-            raise StepUnderflowError(f"adaptive step fell below {MIN_ADAPTIVE_STEP} at t={t}")
-        boundary = t_eval[eval_idx] if t_eval is not None else t_goal
-        clipped = t + h >= boundary
-        h_step = boundary - t if clipped else h
-        y_new = _rk_stages(f, y, h_step, _DP_A, k, arg)
-        abs_new = np.abs(y_new)
-        np.maximum(abs_y, abs_new, out=scale)
-        scale *= cfg.rel_tol
-        scale += cfg.abs_tol
-        np.dot(_DP_E, k, out=err_vec)
-        with np.errstate(over="ignore"):
+    f(y, k[0])
+    # the error norm may overflow to inf, which rejects the step
+    with np.errstate(over="ignore"):
+        while t < t_goal:
+            steps += 1
+            if steps > MAX_ADAPTIVE_STEPS:
+                raise StepUnderflowError(f"step budget exhausted at t={t}")
+            if h < MIN_ADAPTIVE_STEP:
+                raise StepUnderflowError(f"adaptive step fell below {MIN_ADAPTIVE_STEP} at t={t}")
+            boundary = t_eval[eval_idx] if t_eval is not None else t_goal
+            clipped = t + h >= boundary
+            h_step = boundary - t if clipped else h
+            y_new = _rk_stages(f, y, h_step, plan, arg)
+            abs_new = np.abs(y_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale *= cfg.rel_tol
+            scale += cfg.abs_tol
+            np.dot(_DP_E, k, out=err_vec)
             err_vec /= scale
             # RMS of h * (E @ k) / scale, with h taken out of the norm
             err = h_step * math.sqrt(float(err_vec @ err_vec) / y.size)
-        if err <= 1.0:
-            t = boundary if clipped else t + h_step
-            y, abs_y = y_new, abs_new
-            k[0] = k[-1]
-            _check_finite(y, f"at t={t}")
-            accepted += 1
-            h_min, h_max = min(h_min, h_step), max(h_max, h_step)
-            if t_eval is None:
-                keep = accepted % cfg.record_every == 0 or t >= t_goal
-            else:
-                keep, eval_idx = clipped, eval_idx + clipped
-            if keep and t > times[-1]:
-                times.append(float(t))
-                states.append(y)
-        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h = h_step * factor if (not clipped or err > 1.0) else h * factor
-        h = min(h, t_goal)
+            if err <= 1.0:
+                t = boundary if clipped else t + h_step
+                y, abs_y = y_new, abs_new
+                k[0] = k[-1]
+                _check_finite(y, f"at t={t}")
+                accepted += 1
+                h_min, h_max = min(h_min, h_step), max(h_max, h_step)
+                if t_eval is None:
+                    keep = accepted % cfg.record_every == 0 or t >= t_goal
+                else:
+                    keep, eval_idx = clipped, eval_idx + clipped
+                if keep and t > times[-1]:
+                    times.append(float(t))
+                    states.append(y)
+            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            h = h_step * factor if (not clipped or err > 1.0) else h * factor
+            h = min(h, t_goal)
     if stats is not None:
         h_range = (float(h_min), float(h_max)) if accepted else (None, None)
         stats.append(RunStats(accepted, steps - accepted, 1 + 6 * steps, *h_range))

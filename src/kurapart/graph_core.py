@@ -11,7 +11,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -134,21 +134,19 @@ class Graph:
 
     @functools.cached_property
     def _arc_matrix(self) -> np.ndarray:
-        """Read-only float64 n x n matrix W with W[dst, src] = 1 for every
-        arc, so W @ x sums x over each vertex's neighbours.  Built from _arcs
-        on first use and kept, so only dense neighbour sums pay its n^2."""
-        src, dst = self._arcs
-        w = np.zeros((self.n, self.n))
-        w[dst, src] = 1.0
+        """Read-only adjacency_matrix(), W[dst, src] = 1 for every arc, so
+        W @ x sums x over each vertex's neighbours.  Built on first use and
+        kept, so only dense neighbour sums pay its n^2."""
+        w = self.adjacency_matrix()
         w.flags.writeable = False
         return w
 
     def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix A with A[i-1, j-1] = 1 iff i ~ j."""
+        """Dense 0/1 matrix A with A[i-1, j-1] = 1 iff i ~ j; a fresh,
+        writable array filled from _arcs by one indexed assignment."""
+        src, dst = self._arcs
         a = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            a[u - 1, v - 1] = 1.0
-            a[v - 1, u - 1] = 1.0
+        a[dst, src] = 1.0
         return a
 
 
@@ -480,10 +478,15 @@ def petersen_graph() -> Graph:
 
 # Plain-text and JSON formats.
 
-def read_edge_list(text: str) -> Graph:
-    """Parse 'u v' lines; '#' starts a comment; optional 'n <count>' header."""
+def read_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> Graph:
+    """Parse 'u v' lines; '#' starts a comment; optional 'n <count>' header.
+
+    check_n, when given, sees the vertex count, the header or else the
+    largest label, before the graph is built, and may raise to refuse it.
+    """
     n: int | None = None
-    pairs: list[tuple[int, int]] = []
+    # flat u1 v1 u2 v2 ...: no tuple per edge while check_n may still refuse
+    labels: list[int] = []
     max_label = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -504,13 +507,15 @@ def read_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise FormatError(f"line {lineno}: non-integer label in {raw!r}") from None
-        pairs.append((u, v))
+        labels += (u, v)
         max_label = max(max_label, u, v)
     if n is None:
         n = max_label
     if n < 1:
         raise FormatError("no vertices")
-    return from_edge_list(n, pairs)
+    if check_n is not None:
+        check_n(n)
+    return from_edge_list(n, zip(labels[::2], labels[1::2]))
 
 
 def write_edge_list(g: Graph) -> str:

@@ -8,6 +8,7 @@ appearing on both sides of an assertion.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,11 @@ from kurapart import (
     BadParameterError,
     FamilySegment,
     Graph,
+    NonFiniteStateError,
+    RunStats,
     SearchRow,
     SolutionSet,
+    StepUnderflowError,
     SyncReport,
     TooShortError,
     Trajectory,
@@ -25,7 +29,8 @@ from kurapart import (
     alpha_from_mu,
     classify_bipartition,
 )
-from kurapart.graph_core import bipartition_from_mask
+from kurapart import dynamics as dyn
+from kurapart.graph_core import _interleaved_bins, bipartition_from_mask
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -34,6 +39,15 @@ def adjacency_sets(g: Graph) -> dict[int, set[int]]:
         nbrs[u].add(v)
         nbrs[v].add(u)
     return nbrs
+
+
+def adjacency_matrix_slow(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix, one edge at a time."""
+    a = np.zeros((g.n, g.n))
+    for u, v in g.edges:
+        a[u - 1, v - 1] = 1.0
+        a[v - 1, u - 1] = 1.0
+    return a
 
 
 def condition2_rows(g: Graph, blocks) -> list[tuple[int, int, int]]:
@@ -360,3 +374,155 @@ def trajectory_to_csv_slow(traj: Trajectory) -> str:
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join(f"{x:.17g}" for x in [t, *row]))
     return "\n".join(lines) + "\n"
+
+
+# The integrator as it stood before its right-hand sides kept their work
+# arrays: every call allocates its own, and every stage slices the tableau.
+# The arithmetic is the same, so results must agree bit for bit.
+
+
+def coupling_rhs_slow(src, bins, w, matrix, n, alpha, omega=0.0, coupling=1.0):
+    """The coupling right-hand side with fresh arrays on every call."""
+    rot = complex(coupling * math.cos(alpha), -coupling * math.sin(alpha))
+    dense = matrix() if dyn._dense_sums(src.size, n) else None
+
+    def f(y):
+        z = np.empty(n, dtype=complex)
+        np.cos(y, out=z.real)
+        np.sin(y, out=z.imag)
+        if dense is not None:
+            pull = (dense @ z.view(float).reshape(n, 2)).view(complex).reshape(n)
+        else:
+            parts = z[src].view(float)
+            if w is not None:
+                parts *= w
+            pull = np.bincount(bins, weights=parts, minlength=2 * n).view(complex)
+        np.conjugate(z, out=z)
+        z *= rot
+        z *= pull
+        return z.imag + omega
+
+    return f
+
+
+def graph_rhs_slow(g: Graph, params):
+    return coupling_rhs_slow(
+        g._arcs[0], g._arc_bins, None, lambda: g._arc_matrix, g.n,
+        params.alpha, params.omega, params.coupling,
+    )
+
+
+def gamma_rhs_slow(gamma, alpha: float):
+    gm = gamma.as_array()
+    dst, src = np.nonzero(gm)
+    return coupling_rhs_slow(
+        src, _interleaved_bins(dst), np.repeat(gm[dst, src], 2), lambda: gm, gamma.k, alpha
+    )
+
+
+def _check_finite_slow(y, where):
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteStateError(f"non-finite state {where}")
+
+
+def rk_stages_slow(f, y, h, a, k, arg):
+    """Fill k[1:] for one step of size h from y, given k[0] = f(y); return the new state."""
+    last = a.shape[0] - 1
+    for i in range(1, last + 1):
+        y_i = arg if i < last else np.empty_like(y)
+        np.dot(a[i, :i], k[:i], out=y_i)
+        y_i *= h
+        y_i += y
+        k[i] = f(y_i)
+    return y_i
+
+
+def rk4_path_slow(f, y0, cfg):
+    """Fixed-step classical RK4: recorded times, states and the run's RunStats."""
+    dt = float(cfg.dt)
+    t_end = cfg.t_end
+    n_steps, last = dyn._rk4_steps(t_end, dt)
+    times, states = [0.0], [y0]
+    y = y0
+    k = np.empty((dyn._RK4_A.shape[0], y.size))
+    arg = np.empty(y.size)
+    k[0] = f(y)
+    for i in range(1, n_steps + 1):
+        y = rk_stages_slow(f, y, dt if i < n_steps else last, dyn._RK4_A, k, arg)
+        k[0] = k[-1]
+        _check_finite_slow(y, f"after step {i}")
+        if i == n_steps or i % cfg.record_every == 0:
+            times.append(t_end if i == n_steps else i * dt)
+            states.append(y)
+    if times[-1] < t_end:
+        times.append(t_end)
+        states.append(y)
+    sizes = [dt] * (n_steps > 1) + [last] * (n_steps > 0)
+    h_min, h_max = min(sizes, default=None), max(sizes, default=None)
+    return times, states, RunStats(n_steps, 0, 1 + 4 * n_steps, h_min, h_max)
+
+
+def rk45_path_slow(f, y0, cfg, t_eval):
+    """Adaptive Dormand-Prince 4(5): recorded times, states and the run's RunStats."""
+    t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
+    times, states = [0.0], [y0]
+    y = y0
+    abs_y = np.abs(y)
+    t = 0.0
+    h = min(t_goal, max(t_goal / 100.0, 1e-6))
+    eval_idx = 1
+    accepted = 0
+    steps = 0
+    h_min, h_max = math.inf, 0.0
+    k = np.empty((dyn._DP_A.shape[0], y.size))
+    arg, err_vec, scale = np.empty((3, y.size))
+    k[0] = f(y)
+    while t < t_goal:
+        steps += 1
+        if steps > dyn.MAX_ADAPTIVE_STEPS:
+            raise StepUnderflowError(f"step budget exhausted at t={t}")
+        if h < dyn.MIN_ADAPTIVE_STEP:
+            raise StepUnderflowError(f"adaptive step fell below {dyn.MIN_ADAPTIVE_STEP} at t={t}")
+        boundary = t_eval[eval_idx] if t_eval is not None else t_goal
+        clipped = t + h >= boundary
+        h_step = boundary - t if clipped else h
+        y_new = rk_stages_slow(f, y, h_step, dyn._DP_A, k, arg)
+        abs_new = np.abs(y_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        scale *= cfg.rel_tol
+        scale += cfg.abs_tol
+        np.dot(dyn._DP_E, k, out=err_vec)
+        with np.errstate(over="ignore"):
+            err_vec /= scale
+            err = h_step * math.sqrt(float(err_vec @ err_vec) / y.size)
+        if err <= 1.0:
+            t = boundary if clipped else t + h_step
+            y, abs_y = y_new, abs_new
+            k[0] = k[-1]
+            _check_finite_slow(y, f"at t={t}")
+            accepted += 1
+            h_min, h_max = min(h_min, h_step), max(h_max, h_step)
+            if t_eval is None:
+                keep = accepted % cfg.record_every == 0 or t >= t_goal
+            else:
+                keep, eval_idx = clipped, eval_idx + clipped
+            if keep and t > times[-1]:
+                times.append(float(t))
+                states.append(y)
+        factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        h = h_step * factor if (not clipped or err > 1.0) else h * factor
+        h = min(h, t_goal)
+    h_range = (float(h_min), float(h_max)) if accepted else (None, None)
+    return times, states, RunStats(accepted, steps - accepted, 1 + 6 * steps, *h_range)
+
+
+def integrate_slow(f, init, cfg, t_eval=None) -> Trajectory:
+    """A whole run through the slow paths, with the run's stats attached."""
+    y0 = np.asarray(init, dtype=float).copy()
+    _check_finite_slow(y0, "in initial condition")
+    if cfg.method == "rk4":
+        times, states, stats = rk4_path_slow(f, y0, cfg)
+    else:
+        te = None if t_eval is None else np.asarray(t_eval, dtype=float)
+        times, states, stats = rk45_path_slow(f, y0, cfg, te)
+    return Trajectory(np.array(times), np.array(states), stats=stats)

@@ -322,6 +322,39 @@ class TestSearch:
             monkeypatch.setattr(cli.gc, f"{kind}_graph", _never)
         assert run("search", "--builtin", name, *flags) == 3
 
+    @pytest.mark.parametrize("header", [True, False], ids=["n-header", "largest-label"])
+    def test_graph_file_size_cap_checked_before_building(self, monkeypatch, tmp_path, header):
+        n = 200_000
+        lines = [f"n {n}"] * header + [f"{v} {v % n + 1}" for v in range(1, n + 1)]
+        path = tmp_path / "cycle.edges"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(cli.gc, "from_edge_list", _never)
+        assert run("search", "--graph", path) == 3
+
+    def test_graph_file_size_cap_keeps_the_child_small(self, tmp_path):
+        n = 200_000
+        path = tmp_path / "cycle.edges"
+        path.write_text("".join(f"{v} {v % n + 1}\n" for v in range(1, n + 1)))
+        # A child's peak RSS includes its parent's at the fork, so a small
+        # interpreter, not this test process, starts the CLI and measures it.
+        probe = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen([sys.executable, '-m', 'kurapart.cli', 'search', "
+            "'--graph', sys.argv[1]], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "child.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(child.returncode, usage.ru_maxrss / 1024)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kp.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", probe, str(path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, peak_mb = done.stdout.split()
+        assert code == "3"
+        # building the graph first peaked near 139 MB
+        assert float(peak_mb) < 70
+
     @pytest.mark.parametrize(
         "name", ["linear:4", "star:6", "cycle:10", "complete:5", "path:5", "latoro", "petersen"]
     )

@@ -8,6 +8,9 @@ import kurapart as kp
 from kurapart import dynamics as dyn
 from oracle_tools import (
     exact_sync_chains_slow,
+    gamma_rhs_slow,
+    graph_rhs_slow,
+    integrate_slow,
     random_connected_graph,
     sync_report_slow,
     trajectory_to_csv_slow,
@@ -281,9 +284,9 @@ class TestRunStats:
         rhs = dyn._graph_rhs(kp.cycle_graph(6), kp.ModelParams(alpha=0.7))
         calls = []
 
-        def f(y):
+        def f(y, out=None):
             calls.append(1)
-            return rhs(y)
+            return rhs(y, out)
 
         cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
         init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
@@ -949,6 +952,158 @@ class TestNeighbourSumKernels:
         assert "_arc_matrix" not in vars(g)
 
 
+def _random_sparse_graph(seed):
+    return random_connected_graph(np.random.default_rng(seed), 100, extra=0.01)
+
+
+def _weighted_ring_quotient(k):
+    # block i pulls i + 1 with weight 2 and i - 1 with weight 3: 2k arcs
+    # with unequal weights, few enough for the arc kernel
+    rows = [[0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][(i + 1) % k], rows[i][(i - 1) % k] = 2, 3
+    return kp.QuotientMatrix(tuple(map(tuple, rows)))
+
+
+def _init(n, seed):
+    return np.random.default_rng(seed).uniform(0.0, 2 * math.pi, n)
+
+
+# (graph or quotient, parameters or alpha, config, t_eval); each runs
+# through integrate or integrate_quotient and through the slow oracle
+_SLOW_ORACLE_CASES = {
+    "complete:48": (
+        kp.complete_graph(48), kp.ModelParams(alpha=1.0), kp.IntegratorConfig(t_end=100.0), None
+    ),
+    "cycle:200": (
+        kp.cycle_graph(200), kp.ModelParams(alpha=0.7), kp.IntegratorConfig(t_end=10.0), None
+    ),
+    "random-dense": (
+        _random_dense_graph(43), kp.ModelParams(alpha=0.9), kp.IntegratorConfig(t_end=5.0), None
+    ),
+    "random-sparse": (
+        _random_sparse_graph(44), kp.ModelParams(alpha=0.9), kp.IntegratorConfig(t_end=5.0), None
+    ),
+    "quotient-dense": (
+        kp.QuotientMatrix(((0, 6), (1, 0))), 0.7, kp.IntegratorConfig(t_end=3.0), None
+    ),
+    "quotient-sparse": (_weighted_ring_quotient(60), 0.8, kp.IntegratorConfig(t_end=3.0), None),
+    "t_eval": (
+        kp.petersen_graph(),
+        kp.ModelParams(alpha=0.9),
+        kp.IntegratorConfig(t_end=8.0),
+        np.linspace(0.0, 8.0, 17),
+    ),
+    "record_every=3": (
+        kp.complete_graph(48),
+        kp.ModelParams(alpha=1.0),
+        kp.IntegratorConfig(t_end=5.0, record_every=3),
+        None,
+    ),
+    "omega-coupling": (
+        _random_dense_graph(45),
+        kp.ModelParams(alpha=0.6, omega=0.3, coupling=1.7),
+        kp.IntegratorConfig(t_end=5.0),
+        None,
+    ),
+    "rk4": (
+        kp.complete_graph(48),
+        kp.ModelParams(alpha=1.0, omega=-0.2, coupling=0.8),
+        kp.IntegratorConfig(t_end=5.0, method="rk4", dt=0.05, record_every=2),
+        None,
+    ),
+    "rk4-quotient": (
+        _weighted_ring_quotient(60),
+        0.8,
+        kp.IntegratorConfig(t_end=2.0, method="rk4", dt=0.1),
+        None,
+    ),
+}
+
+
+class TestIntegratorMatchesSlowOracle:
+    @pytest.mark.parametrize("name", list(_SLOW_ORACLE_CASES))
+    def test_times_states_and_stats_bit_identical(self, name):
+        system, params, cfg, t_eval = _SLOW_ORACLE_CASES[name]
+        if isinstance(system, kp.QuotientMatrix):
+            init = _init(system.k, system.k)
+            got = kp.integrate_quotient(system, init, params, cfg, t_eval)
+            want = integrate_slow(gamma_rhs_slow(system, params), init, cfg, t_eval)
+        else:
+            init = _init(system.n, system.n)
+            got = kp.integrate(system, init, params, cfg, t_eval)
+            want = integrate_slow(graph_rhs_slow(system, params), init, cfg, t_eval)
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+        assert got.stats == want.stats
+        assert got.stats.accepted > 0
+
+    @pytest.mark.parametrize(
+        "name, dense",
+        [
+            ("complete:48", True),
+            ("cycle:200", False),
+            ("random-dense", True),
+            ("random-sparse", False),
+            ("quotient-dense", True),
+            ("quotient-sparse", False),
+        ],
+    )
+    def test_cases_cover_both_kernels(self, name, dense):
+        system = _SLOW_ORACLE_CASES[name][0]
+        if isinstance(system, kp.QuotientMatrix):
+            n_arcs, n = int(np.count_nonzero(system.as_array())), system.k
+        else:
+            n_arcs, n = system._arcs[0].size, system.n
+        assert dyn._dense_sums(n_arcs, n) is dense
+
+
+class TestRhsBuffers:
+    @pytest.mark.parametrize(
+        "g", [kp.complete_graph(48), kp.cycle_graph(200)], ids=["complete:48", "cycle:200"]
+    )
+    def test_fresh_result_per_call_without_out(self, g):
+        params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
+        rhs = dyn._graph_rhs(g, params)
+        theta_a, theta_b = _init(g.n, 1), _init(g.n, 2)
+        a = rhs(theta_a)
+        b = rhs(theta_b)
+        assert a is not b and not np.shares_memory(a, b)
+        # the second call left the first result alone
+        assert np.array_equal(a, kp.kuramoto_rhs(g, theta_a, params))
+        assert np.array_equal(b, kp.kuramoto_rhs(g, theta_b, params))
+        assert np.allclose(a, rhs_slow(g, theta_a, 0.7, 0.3, 1.7), rtol=0, atol=1e-12)
+
+    def test_out_receives_the_result(self):
+        g = kp.complete_graph(48)
+        params = kp.ModelParams(alpha=0.7)
+        rhs = dyn._graph_rhs(g, params)
+        theta = _init(g.n, 3)
+        out = np.full(g.n, np.nan)
+        assert rhs(theta, out) is out
+        assert np.array_equal(out, kp.kuramoto_rhs(g, theta, params))
+
+    def test_lifted_derivatives_are_the_quotient_rhs_of_each_state(self):
+        g, part = kp.star_graph(4)
+        gamma = kp.is_equitable(g, part)
+        qt = kp.integrate_quotient(gamma, [0.0, 1.0], 0.7, kp.IntegratorConfig(t_end=3.0))
+        lifted = kp.lift_quotient_trajectory(part, qt, gamma=gamma, alpha=0.7)
+        cols = [part.index_map()[v] for v in range(1, g.n + 1)]
+        assert qt.n_recorded > 2
+        for state, deriv in zip(qt.states, lifted.derivatives):
+            assert np.array_equal(deriv, kp.quotient_rhs(gamma, state, 0.7)[cols])
+
+    def test_step_underflow_restores_the_error_state(self):
+        g = kp.cycle_graph(4)
+        cfg = kp.IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-320)
+        init = np.array([0.0, 1.3, 2.1, 0.4])
+        with np.errstate(over="raise"):
+            before = np.geterr()
+            with pytest.raises(kp.StepUnderflowError):
+                kp.integrate(g, init, kp.ModelParams(alpha=0.5), cfg)
+            assert np.geterr() == before
+
+
 class TestIntegratorOracles:
     def test_rk45_is_fsal_six_calls_per_attempt(self, monkeypatch):
         from kurapart import dynamics as dyn
@@ -965,9 +1120,9 @@ class TestIntegratorOracles:
         rhs = dyn._graph_rhs(g, kp.ModelParams(alpha=0.7))
         calls = []
 
-        def f(y):
+        def f(y, out=None):
             calls.append(1)
-            return rhs(y)
+            return rhs(y, out)
 
         cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
         init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])

@@ -5,6 +5,7 @@ import pytest
 
 import kurapart as kp
 from oracle_tools import (
+    adjacency_matrix_slow,
     adjacency_sets,
     all_partitions,
     automorphisms_slow,
@@ -111,6 +112,21 @@ class TestGraphConstruction:
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
         assert a.sum() == 2 * len(g.edges)
+
+    @pytest.mark.parametrize("extra", [0.02, 0.6], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_adjacency_matrix_matches_edge_loop(self, extra, seed):
+        g = random_connected_graph(np.random.default_rng(seed), 40, extra=extra)
+        a = g.adjacency_matrix()
+        assert a.dtype == np.float64 and a.flags.writeable
+        assert np.array_equal(a, adjacency_matrix_slow(g))
+        # a fresh array each call, never the kept read-only matrix
+        w = g._arc_matrix
+        assert np.array_equal(w, a) and not w.flags.writeable
+        b = g.adjacency_matrix()
+        assert not np.shares_memory(a, w) and not np.shares_memory(a, b)
+        a[0, 1] = 7.0
+        assert w[0, 1] == b[0, 1] == adjacency_matrix_slow(g)[0, 1]
 
 
 class TestVertexPartition:
