@@ -25,12 +25,16 @@ degenerates the offset; both are reported as boundary flags.
 One solve serves every bipartition: _solve_rows takes a batch of
 bipartitions as int64 indicator rows with their neighbour counts and
 decides emptiness, r and each block's gain point in int64
-cross-multiplication alone.  The exhaustive search feeds it batches of
-SEARCH_BATCH_ROWS masks with counts from one product X @ A, and
-classify_bipartition feeds it one row with counts summed over the arcs.
-Both then pass each solved row through one tail, _classify_row, which
-builds exact Fractions only for the reported gains.  Masks are int64, so
-the search stops at n = 63.
+cross-multiplication alone.  classify_bipartition feeds it one row with
+counts summed over the arcs and passes the solved row through one tail,
+_classify_row, which builds exact Fractions only for the reported gains.
+The exhaustive search feeds it batches of SEARCH_BATCH_ROWS masks with
+counts from one product X @ A and keeps the result as arrays: the masks
+with a nonempty solution set and their solved rows.  Every other mask is
+Infeasible.  format_search_report renders the text from those arrays,
+one tail text per distinct solved row, and SearchReport.rows builds
+SearchRow objects through _classify_row only when asked.  Masks are int64,
+so the search stops at n = 63.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -384,17 +388,12 @@ class SearchRow:
     family: FamilySegment | None
 
 
-@dataclass
-class SearchReport:
-    n: int
-    rows: tuple[SearchRow, ...]
-
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {c.value: 0 for c in Classification}
-        for row in self.rows:
-            out[row.classification.value] += 1
-        return out
+def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
+    """(rows, n) int64 indicator of each mask's second block; bit v stands
+    for vertex v + 2, and vertex 1 always sits in the first block."""
+    x = np.zeros((masks.size, n), dtype=np.int64)
+    x[:, 1:] = masks[:, None] >> np.arange(n - 1) & 1
+    return x
 
 
 def _block_labels(member: np.ndarray) -> list[tuple[int, ...]]:
@@ -404,27 +403,98 @@ def _block_labels(member: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(labels[begin:end]) for begin, end in zip([0, *ends], ends)]
 
 
-def _classify_chunk(args: tuple[Graph, int, int]) -> list[SearchRow]:
-    """Rows for masks lo..hi-1, SEARCH_BATCH_ROWS at a time."""
+def _batches(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Masks lo..hi-1 as int64 arrays of at most SEARCH_BATCH_ROWS each."""
+    for start in range(lo, hi, SEARCH_BATCH_ROWS):
+        yield np.arange(start, min(start + SEARCH_BATCH_ROWS, hi), dtype=np.int64)
+
+
+@dataclass(eq=False)
+class SearchReport:
+    """Every bipartition of an n-vertex graph, kept as array data.
+
+    masks holds, in ascending order, the masks whose solution set is
+    nonempty, and solved their rows of _solve_rows without the nonempty
+    column: (line, r_num, r_den, c1, d1, c2, d2), the arguments of
+    _solution.  Every other mask in 1 .. total is Infeasible with an empty
+    set, so it is never stored.  rows builds the SearchRow tuples on first
+    use; counts and format_search_report never do.
+    """
+
+    n: int
+    masks: np.ndarray
+    solved: np.ndarray
+
+    @property
+    def total(self) -> int:
+        """Number of bipartitions, the largest mask."""
+        return (1 << (self.n - 1)) - 1
+
+    @functools.cached_property
+    def _distinct(self) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+        """The distinct solved rows, each stored row's index among them and
+        each distinct row's multiplicity."""
+        # one 56-byte key per row: far faster than np.unique(axis=0)
+        keys = np.ascontiguousarray(self.solved).view(np.dtype((np.void, 8 * 7))).ravel()
+        rows, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        return rows.view(np.int64).reshape(-1, 7).tolist(), inverse.reshape(-1), counts
+
+    @functools.cached_property
+    def _tails(self) -> list[str]:
+        """The line text after the s2 field for each distinct solved row."""
+        return [_tail_text(*row) for row in self._distinct[0]]
+
+    def _span(self, batch: np.ndarray) -> slice:
+        """Where masks and solved hold the nonempty rows of a contiguous batch."""
+        lo, hi = np.searchsorted(self.masks, [batch[0], batch[-1] + 1])
+        return slice(int(lo), int(hi))
+
+    @functools.cached_property
+    def rows(self) -> tuple[SearchRow, ...]:
+        """One SearchRow per mask, through _classify_row, the tail that
+        classify_bipartition uses."""
+        solution = functools.cache(_solution)
+        solved = iter(self.solved.tolist())
+        out: list[SearchRow] = []
+        for masks in _batches(1, self.total + 1):
+            x = _mask_bits(masks, self.n)
+            nonempty = np.zeros(masks.size, dtype=bool)
+            nonempty[self.masks[self._span(masks)] - masks[0]] = True
+            s1s = iter(_block_labels(x[nonempty] == 0))
+            for mask, keep, s2 in zip(masks.tolist(), nonempty.tolist(), _block_labels(x == 1)):
+                if keep:
+                    res = _classify_row([1, *next(solved)], next(s1s), s2, solution)
+                    out.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
+                else:
+                    out.append(SearchRow(mask, s2, Classification.INFEASIBLE, None, None))
+        return tuple(out)
+
+    @property
+    def counts(self) -> dict[str, int]:
+        out = {c.value: 0 for c in Classification}
+        out[Classification.INFEASIBLE.value] = self.total - self.masks.size
+        rows, _, counts = self._distinct
+        for row, count in zip(rows, counts.tolist()):
+            out[_solution(*row)[0].value] += count
+        return out
+
+
+def _solve_chunk(args: tuple[Graph, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Solve masks lo..hi-1 (lo < hi), SEARCH_BATCH_ROWS at a time; returns
+    the nonempty masks and their solved rows, as SearchReport stores them."""
     g, lo, hi = args
     src, dst = g._arcs
     adj = np.zeros((g.n, g.n), dtype=np.int64)
     adj[dst, src] = 1
     degree = adj.sum(axis=1)
-    solution = functools.cache(_solution)
-    rows: list[SearchRow] = []
-    for start in range(lo, hi, SEARCH_BATCH_ROWS):
-        masks = np.arange(start, min(start + SEARCH_BATCH_ROWS, hi), dtype=np.int64)
-        # indicator of the second block; vertex 1 always sits in the first
-        x = np.zeros((masks.size, g.n), dtype=np.int64)
-        x[:, 1:] = masks[:, None] >> np.arange(g.n - 1) & 1
+    masks_out, solved_out = [], []
+    for masks in _batches(lo, hi):
+        x = _mask_bits(masks, g.n)
         solved = _solve_rows(x, x @ adj, degree)
-        # the first blocks of nonempty rows only: the tail never reads the others
-        s1s = iter(_block_labels(x[solved[:, 0] == 1] == 0))
-        for mask, row, s2 in zip(masks.tolist(), solved.tolist(), _block_labels(x == 1)):
-            res = _classify_row(row, next(s1s) if row[0] else (), s2, solution)
-            rows.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
-    return rows
+        keep = solved[:, 0] == 1
+        masks_out.append(masks[keep])
+        solved_out.append(solved[keep, 1:])
+    return np.concatenate(masks_out), np.concatenate(solved_out)
 
 
 def _check_search_size(n: int, force: bool) -> None:
@@ -443,13 +513,15 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     vertices 2..n sit opposite vertex 1, SEARCH_BATCH_ROWS masks at a time.
     Each batch decodes to an int64 indicator matrix X, every neighbour
     count comes from one product X @ A, and _solve_rows solves every row
-    in int64: emptiness, r and the gains.  Each solved row then goes
-    through _classify_row, the tail classify_bipartition also uses, which
-    builds Fractions only for the printed gains.  n > SEARCH_MAX_N raises
-    TooLargeError unless force is set; masks are int64, so n >= 64 raises
-    it even with force.  With jobs > 1 the mask range is split into
-    contiguous chunks handled by at most os.cpu_count() worker processes
-    and merged back in range order, so the report is identical for any
+    in int64: emptiness, r and the gains.  The report keeps only the
+    nonempty masks and their solved rows as int64 arrays; no per-row
+    object is built here.  Its rows, built on first use, pass each solved
+    row through _classify_row, the tail classify_bipartition also uses.
+    n > SEARCH_MAX_N raises TooLargeError unless force is set; masks are
+    int64, so n >= 64 raises it even with force.  With jobs > 1 the mask
+    range is split into contiguous chunks handled by at most
+    os.cpu_count() worker processes, which return their arrays, and the
+    arrays are joined in range order, so the report is identical for any
     job count.
     """
     _check_search_size(g.n, force)
@@ -460,7 +532,7 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
         raise BadParameterError("bipartitions need n >= 2")
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or total < 4 * workers:
-        rows = _classify_chunk((g, 1, total + 1))
+        masks, solved = _solve_chunk((g, 1, total + 1))
     else:
         bounds = np.linspace(1, total + 1, workers + 1).astype(int)
         chunks = [(g, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
@@ -468,8 +540,10 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for chunk in pool.map(_classify_chunk, chunks) for row in chunk]
-    return SearchReport(n=g.n, rows=tuple(rows))
+            parts = list(pool.map(_solve_chunk, chunks))
+        masks = np.concatenate([m for m, _ in parts])
+        solved = np.concatenate([r for _, r in parts])
+    return SearchReport(g.n, masks, solved)
 
 
 def _frac_str(x: Fraction | None) -> str | None:
@@ -517,32 +591,59 @@ def classification_report(
     return report
 
 
+def _tail_text(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int) -> str:
+    """Report text after the s2 field for a nonempty solved row."""
+    label, _, gains, _, family = _solution(line, r_num, r_den, c1, d1, c2, d2)
+    parts = [label.value]
+    if gains is not None:
+        mu1, mu2, r, alpha, beta, offset, mu_equal, offset_at_limit, feasible = gains
+        parts.append(f"mu1={mu1} mu2={mu2} r={r}")
+        parts.append(f"alpha={alpha:.17g} beta={beta:.17g} offset={offset:.17g}")
+        if not feasible:
+            flags = [name for name, on in (("mu_equal", mu_equal), ("offset_at_limit", offset_at_limit)) if on]
+            parts.append("flags=" + ",".join(flags))
+    if family is not None:
+        parts.append(f"dim={family.dim} feasible={'yes' if family.feasible else 'no'}")
+    return " ".join(parts)
+
+
+def _s2_texts(masks: np.ndarray, n: int) -> list[str]:
+    """The comma-joined second block of each mask in a batch."""
+    member = _mask_bits(masks, n) == 1
+    names = [str(v) for v in range(1, n + 1)]
+    labels = [names[i] for i in np.nonzero(member)[1].tolist()]
+    ends = np.cumsum(member.sum(axis=1)).tolist()
+    return [",".join(labels[begin:end]) for begin, end in zip([0, *ends], ends)]
+
+
+def _tail_count(report: SearchReport) -> int:
+    """How many distinct tail texts the report's lines carry."""
+    tails = set(report._tails)
+    if report.masks.size < report.total:
+        tails.add(Classification.INFEASIBLE.value)
+    return len(tails)
+
+
 def format_search_report(report: SearchReport) -> str:
-    """Stable text rendering: one line per bipartition plus a summary."""
-    width = len(str((1 << (report.n - 1)) - 1))
-    lines = []
-    for row in report.rows:
-        parts = [
-            str(row.mask).rjust(width, "0"),
-            "s2=" + ",".join(map(str, row.s2)),
-            row.classification.value,
-        ]
-        cert = row.certificate
-        if cert is not None:
-            parts.append(f"mu1={cert.mu1} mu2={cert.mu2} r={cert.r}")
-            parts.append(
-                f"alpha={cert.alpha:.17g} beta={cert.beta:.17g} offset={cert.offset:.17g}"
-            )
-            if not cert.feasible:
-                flags = []
-                if cert.mu_equal:
-                    flags.append("mu_equal")
-                if cert.offset_at_limit:
-                    flags.append("offset_at_limit")
-                parts.append("flags=" + ",".join(flags))
-        if row.family is not None:
-            parts.append(f"dim={row.family.dim} feasible={'yes' if row.family.feasible else 'no'}")
-        lines.append(" ".join(parts))
+    """Stable text rendering: one line per bipartition plus a summary.
+
+    Each line is the zero-padded mask, the s2 field and a tail.  The tail
+    is rendered once per distinct solved row, and every mask with an empty
+    solution set shares the constant tail "Infeasible".  Lines are built
+    batch by batch straight from the report's arrays, with each batch of
+    masks decoded into s2 labels at once; no SearchRow is built.
+    """
+    total = report.total
+    line = f"{{:0{len(str(total))}d}} s2={{}} {{}}\n".format
+    # the last entry is the shared tail of the masks never stored
+    tails = np.array([*report._tails, Classification.INFEASIBLE.value], dtype=object)
+    inverse = report._distinct[1]
+    chunks = []
+    for masks in _batches(1, total + 1):
+        span = report._span(masks)
+        which = np.full(masks.size, tails.size - 1)
+        which[report.masks[span] - masks[0]] = inverse[span]
+        chunks.append("".join(map(line, masks.tolist(), _s2_texts(masks, report.n), tails[which].tolist())))
     summary = " ".join(f"{k}={v}" for k, v in report.counts.items())
-    lines.append(f"# total={len(report.rows)} {summary}")
-    return "\n".join(lines) + "\n"
+    chunks.append(f"# total={total} {summary}\n")
+    return "".join(chunks)

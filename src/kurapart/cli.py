@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from typing import Callable, NoReturn, Sequence
 
@@ -283,12 +284,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     g, _ = _load_graph(args, lambda n: ban._check_search_size(n, args.force))
+    clock = [time.perf_counter()]
     report = ban.search_all_bipartitions(g, force=args.force, jobs=args.jobs)
+    clock.append(time.perf_counter())
     text = ban.format_search_report(report)
+    clock.append(time.perf_counter())
     if args.out:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()  # so write_s covers the bytes reaching the pipe or file
+    clock.append(time.perf_counter())
+    if args.stats:
+        search_s, format_s, write_s = (b - a for a, b in zip(clock, clock[1:]))
+        stats = {
+            "rows": report.total,
+            "nonempty_rows": int(report.masks.size),
+            "distinct_tails": ban._tail_count(report),
+            "search_s": search_s,
+            "format_s": format_s,
+            "write_s": write_s,
+            "rows_per_s": report.total / (clock[-1] - clock[0]),
+        }
+        print(json.dumps(stats), file=sys.stderr)
     return EXIT_OK
 
 
@@ -456,6 +474,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sea.add_argument("--force", action="store_true", help="ignore the size cap")
     sea.add_argument("--out", help="write the text report here instead of stdout")
+    sea.add_argument(
+        "--stats",
+        action="store_true",
+        help="write row counts and per-phase times as one JSON object to stderr",
+    )
     sea.set_defaults(func=cmd_search)
 
     ver = subs.add_parser("verify", help="self-checks on the named constructions")

@@ -15,6 +15,7 @@ import numpy as np
 
 from kurapart import (
     BadParameterError,
+    Classification,
     FamilySegment,
     Graph,
     NonFiniteStateError,
@@ -145,6 +146,39 @@ def search_rows_slow(g: Graph) -> list[SearchRow]:
         res = classify_bipartition(g, bip)
         rows.append(SearchRow(mask, bip.blocks[1], res.classification, res.certificate, res.family))
     return rows
+
+
+def format_search_report_slow(n: int, rows: list[SearchRow]) -> str:
+    """The search report rendered one SearchRow object at a time."""
+    width = len(str((1 << (n - 1)) - 1))
+    lines = []
+    counts = {c.value: 0 for c in Classification}
+    for row in rows:
+        counts[row.classification.value] += 1
+        parts = [
+            str(row.mask).rjust(width, "0"),
+            "s2=" + ",".join(map(str, row.s2)),
+            row.classification.value,
+        ]
+        cert = row.certificate
+        if cert is not None:
+            parts.append(f"mu1={cert.mu1} mu2={cert.mu2} r={cert.r}")
+            parts.append(
+                f"alpha={cert.alpha:.17g} beta={cert.beta:.17g} offset={cert.offset:.17g}"
+            )
+            if not cert.feasible:
+                flags = []
+                if cert.mu_equal:
+                    flags.append("mu_equal")
+                if cert.offset_at_limit:
+                    flags.append("offset_at_limit")
+                parts.append("flags=" + ",".join(flags))
+        if row.family is not None:
+            parts.append(f"dim={row.family.dim} feasible={'yes' if row.family.feasible else 'no'}")
+        lines.append(" ".join(parts))
+    summary = " ".join(f"{k}={v}" for k, v in counts.items())
+    lines.append(f"# total={len(rows)} {summary}")
+    return "\n".join(lines) + "\n"
 
 
 def all_partitions(items: list[int]):

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from oracle_tools import (
     adjacency_sets,
     condition2_rows,
     condition2_solution_slow,
+    format_search_report_slow,
     is_equitable_slow,
     line_family_slow,
     random_connected_graph,
@@ -401,7 +403,7 @@ class TestSearch:
         def never(args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(ban, "_classify_chunk", never)
+        monkeypatch.setattr(ban, "_solve_chunk", never)
         with pytest.raises(kp.TooLargeError):
             kp.search_all_bipartitions(kp.path_graph(64), force=True)
 
@@ -424,6 +426,78 @@ def search_oracle_graphs():
     for n in [int(rng.integers(2, 11)) for _ in range(40)] + [11, 11, 12, 12]:
         graphs.append(random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0))))
     return graphs
+
+
+@pytest.fixture(scope="module")
+def oracle_searches():
+    """Each search oracle graph with its rows from the per-row oracle."""
+    return [(g, search_rows_slow(g)) for g in search_oracle_graphs()]
+
+
+def benchmark_relabellings(g, seed=1, count=8):
+    """g relabelled as the benchmark's search workloads do for one seed:
+    one PCG64 permutation per sub-seed of SeedSequence(seed)."""
+    graphs = []
+    for sub in np.random.SeedSequence(seed).generate_state(count).tolist():
+        perm = np.random.Generator(np.random.PCG64(sub)).permutation(g.n) + 1
+        graphs.append(kp.from_edge_list(g.n, [(int(perm[u - 1]), int(perm[v - 1])) for u, v in g.edges]))
+    return graphs
+
+
+# sha256 of the eight seed-1 relabelled reports per base graph, as version
+# 0.1.0 wrote them
+RELABELLED_DIGESTS = {
+    "linear:6": "28ba5058b0651502d387873d12f98abaecd97129d2f1dcdd67b29357b2ec97d2",
+    "C12(1,2)": "4b97d7711358e9dc07b6f820863f048d16fc252d77415bfadf6cfce8f39a5591",
+}
+
+
+class TestSearchText:
+    """The array-native report and renderer against the per-row oracles."""
+
+    def test_text_matches_slow_renderer(self, oracle_searches):
+        for g, want in oracle_searches:
+            report = kp.search_all_bipartitions(g)
+            assert kp.format_search_report(report) == format_search_report_slow(g.n, want)
+            # neither the text nor the counts built any row objects; the rows
+            # themselves are checked against want in TestBatchSearch
+            assert "rows" not in vars(report)
+            tally = {c.value: 0 for c in kp.Classification}
+            for row in report.rows:
+                tally[row.classification.value] += 1
+            assert report.counts == tally
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_benchmark_relabellings_match_slow_renderer(self, jobs):
+        # the rows come from the report: test_text_matches_slow_renderer ties
+        # them to the per-row oracle, which is too slow for all 16 graphs
+        bases = {"linear:6": kp.linear_family_graph(6)[0], "C12(1,2)": circulant_graph(12, (1, 2))}
+        for name, base in bases.items():
+            h = hashlib.sha256()
+            for g in benchmark_relabellings(base):
+                report = kp.search_all_bipartitions(g, jobs=jobs)
+                text = kp.format_search_report(report)
+                assert text == format_search_report_slow(g.n, list(report.rows))
+                h.update(text.encode())
+            assert h.hexdigest() == RELABELLED_DIGESTS[name]
+
+    def test_distinct_tails_shared(self):
+        # every row of C12(1,2) is nonempty, with 30 distinct solved rows but 3 texts
+        report = kp.search_all_bipartitions(circulant_graph(12, (1, 2)))
+        assert report.masks.tolist() == list(range(1, 2048))
+        assert len(report._tails) == 30
+        assert ban._tail_count(report) == 3
+        hub = kp.search_all_bipartitions(kp.linear_family_graph(6)[0])
+        assert (hub.masks.size, ban._tail_count(hub)) == (9, 5)
+
+    def test_report_without_nonempty_rows(self):
+        report = ban.SearchReport(5, np.zeros(0, dtype=np.int64), np.zeros((0, 7), dtype=np.int64))
+        text = kp.format_search_report(report)
+        assert report.counts["Infeasible"] == 15 == sum(report.counts.values())
+        assert ban._tail_count(report) == 1
+        assert [row.mask for row in report.rows] == list(range(1, 16))
+        assert text == format_search_report_slow(5, list(report.rows))
+        assert text.splitlines()[0] == "01 s2=2 Infeasible"
 
 
 class TestEquitableFamily:
@@ -461,10 +535,9 @@ class TestEquitableFamily:
 class TestBatchSearch:
     """The batched search and its int64 solve against the slow oracles."""
 
-    def test_rows_match_per_row_oracle(self):
+    def test_rows_match_per_row_oracle(self, oracle_searches):
         kinds = set()
-        for g in search_oracle_graphs():
-            want = search_rows_slow(g)
+        for g, want in oracle_searches:
             assert kp.search_all_bipartitions(g).rows == tuple(want)
             kinds.update(row.classification for row in want)
         assert kinds == {
@@ -529,7 +602,8 @@ class TestBatchSearch:
     def test_chunks_not_aligned_to_batches(self):
         assert ban.SEARCH_BATCH_ROWS == 1024
         g = circulant_graph(12, (1, 2))
-        whole = ban._classify_chunk((g, 1, 2048))
-        split = ban._classify_chunk((g, 1, 1000)) + ban._classify_chunk((g, 1000, 2048))
+        whole = ban.SearchReport(12, *ban._solve_chunk((g, 1, 2048))).rows
+        halves = ban._solve_chunk((g, 1, 1000)), ban._solve_chunk((g, 1000, 2048))
+        split = ban.SearchReport(12, *(np.concatenate(part) for part in zip(*halves))).rows
         assert [row.mask for row in whole] == list(range(1, 2048))
         assert split == whole

@@ -403,6 +403,27 @@ class TestSearch:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+    def test_stats_on_stderr_leave_the_report_unchanged(self, capsys, tmp_path):
+        digest = "ae17bf4a9aaec7991bd01c61dfc49295020395c1d539d65cf40f0a15b177c56d"  # linear:6, above
+        fields = {"rows", "nonempty_rows", "distinct_tails", "search_s", "format_s", "write_s", "rows_per_s"}
+        assert run("search", "--builtin", "linear:6", "--stats") == 0
+        out, err = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        stats = json.loads(err)
+        assert set(stats) == fields
+        assert stats["rows"] == 2**12 - 1
+        assert (stats["nonempty_rows"], stats["distinct_tails"]) == (9, 5)
+        assert min(stats[k] for k in ("search_s", "format_s", "write_s", "rows_per_s")) > 0
+        target = tmp_path / "report.txt"
+        assert run("search", "--builtin", "linear:6", "--stats", "--out", target) == 0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+        assert set(json.loads(err)) == fields
+        assert run("search", "--builtin", "linear:6") == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestVerify:
     def test_all_pass(self, capsys):
         assert run("verify", "--example", "all") == 0
