@@ -25,16 +25,16 @@ degenerates the offset; both are reported as boundary flags.
 One solve serves every bipartition: _solve_rows takes a batch of
 bipartitions as int64 indicator rows with their neighbour counts and
 decides emptiness, r and each block's gain point in int64
-cross-multiplication alone.  classify_bipartition feeds it one row with
-counts summed over the arcs and passes the solved row through one tail,
-_classify_row, which builds exact Fractions only for the reported gains.
-The exhaustive search feeds it batches of SEARCH_BATCH_ROWS masks with
-counts from one product X @ A and keeps the result as arrays: the masks
-with a nonempty solution set and their solved rows.  Every other mask is
-Infeasible.  format_search_report renders the text from those arrays,
-one tail text per distinct solved row, and SearchReport.rows builds
-SearchRow objects through _classify_row only when asked.  Masks are int64,
-so the search stops at n = 63.
+cross-multiplication alone.  _solution turns a solved row into the label,
+solution set and exact Fractions it fixes, and _classified adds the
+vertex sets; classify_bipartition feeds the solve one row with counts
+summed over the arcs and passes the result through both.  The exhaustive
+search feeds it batches of SEARCH_BATCH_ROWS masks with counts from one
+product X @ A and keeps the masks with a nonempty solution set and their
+solved rows; every other mask is Infeasible.  SearchReport._distinct runs
+_solution once per distinct solved row, and the counts, the rendered text
+and SearchReport.rows all read that list.  Masks are int64, so the search
+stops at n = 63.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class SolutionSet:
 _EMPTY = SolutionSet("empty", None, ())
 
 
-def _solve_rows(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> np.ndarray:
+def _solve_rows(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve mu_b * d_cross - r = d_in for every row of a batch, in int64.
 
     x is the (rows, n) indicator of the second block, to_s2 every vertex's
@@ -125,14 +125,15 @@ def _solve_rows(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> np.ndar
     points A and B of smallest and largest d_cross or, when all share one
     d_cross, coincide.  A block with two distinct d_cross values pins
     r = (d_B c_A - d_A c_B) / (c_B - c_A); when both blocks pin r the two
-    values must agree.  Returns one int64 row per mask,
+    values must agree.  Returns whether each row's solution set is nonempty
+    and one int64 row per mask,
 
-        (nonempty, line, r_num, r_den, c1, d1, c2, d2),
+        (line, r_num, r_den, c1, d1, c2, d2),
 
-    where line marks one point per block (r is free; r_num / r_den = 0 / 1
-    gives the line's base), r_num / r_den comes from the first block that
-    pins it, and (c_b, d_b) is block b's point B, so
-    mu_b = (d_b r_den + r_num) / (c_b r_den).  Connectivity makes c_b > 0.
+    meaningful where it is nonempty: line marks one point per block (r is
+    free; r_num / r_den = 0 / 1 gives the line's base), r_num / r_den comes
+    from the first block that pins it, and (c_b, d_b) is block b's point B,
+    so mu_b = (d_b r_den + r_num) / (c_b r_den).  Connectivity makes c_b > 0.
     Every product is bounded by Delta**3 for the maximum degree Delta, so
     the solve is exact while Delta < 2**21.
     """
@@ -154,7 +155,7 @@ def _solve_rows(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> np.ndar
     ok &= (den1 == 0) | (den2 == 0) | (num1 * den2 == num2 * den1)
     r_num = np.where(den1 > 0, num1, np.where(den2 > 0, num2, 0))
     r_den = np.where(den1 > 0, den1, np.where(den2 > 0, den2, 1))
-    return np.column_stack([ok, (den1 == 0) & (den2 == 0), r_num, r_den, c1, d1, c2, d2])
+    return ok, np.column_stack([(den1 == 0) & (den2 == 0), r_num, r_den, c1, d1, c2, d2])
 
 
 @dataclass(frozen=True)
@@ -244,16 +245,9 @@ class BipartitionClassification:
     family: FamilySegment | None = None
 
 
-_INFEASIBLE = BipartitionClassification(Classification.INFEASIBLE, _EMPTY)
-
-
-def _alpha_value(m1: Fraction, m2: Fraction) -> float:
-    return alpha_from_mu(m1, m2).value
-
-
 def _angles(m1: Fraction, m2: Fraction) -> tuple[float, float, float]:
     """(alpha, beta, offset) of a gain pair that alpha_from_mu accepts."""
-    alpha = _alpha_value(m1, m2)
+    alpha = alpha_from_mu(m1, m2).value
     offset = math.acos(float(-(m1 + m2) / 2))
     return alpha, offset - alpha, offset
 
@@ -275,7 +269,7 @@ def _equitable_family(c1: int, d1: int, c2: int, d2: int) -> FamilySegment:
         return FamilySegment(feasible=False, dim=1)
 
     def alpha_at(t: Fraction) -> float:
-        return _alpha_value((d1 + t) / c1, (d2 + t) / c2)
+        return alpha_from_mu((d1 + t) / c1, (d2 + t) / c2).value
 
     return FamilySegment(True, 1, lo, hi, alpha_at(lo), alpha_at(hi), alpha_at((lo + hi) / 2))
 
@@ -286,15 +280,15 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     The bipartition becomes a one-row batch: its second block's indicator
     and every vertex's neighbour count into that block, summed over the
     graph's arcs, so no n x n matrix is built.  The batch goes through
-    _solve_rows and _classify_row, the same solve and tail the exhaustive
-    search uses.  One count point per block is the equitable case: the
-    solution set is a line, reported as `Equitable` with its quotient and
-    family segment.  Otherwise the set is one point or empty: a strictly
-    feasible point certifies the bipartition, equality cases are boundary
-    hits, and everything else is infeasible.  `Condition2Family` is never
-    returned, because a connected graph never gives a non-equitable line.
-    The int64 solve is exact while the maximum degree is below 2**21;
-    larger degrees raise TooLargeError.
+    _solve_rows, _solution and _classified, the same solve and tail the
+    exhaustive search uses.  One count point per block is the equitable
+    case: the solution set is a line, reported as `Equitable` with its
+    quotient and family segment.  Otherwise the set is one point or empty:
+    a strictly feasible point certifies the bipartition, equality cases
+    are boundary hits, and everything else is infeasible.
+    `Condition2Family` is never returned, because a connected graph never
+    gives a non-equitable line.  The int64 solve is exact while the
+    maximum degree is below 2**21; larger degrees raise TooLargeError.
     """
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
@@ -304,15 +298,19 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     degree = np.bincount(dst, minlength=g.n)
     if degree.max() >= 1 << 21:
         raise TooLargeError(f"maximum degree {degree.max()} reaches 2**21, past exact int64 products")
-    s1, s2 = bip.blocks
     to_s2 = np.bincount(dst[x[0, src] == 1], minlength=g.n)
-    # tolist hands the tail Python ints, never numpy scalars
-    return _classify_row(_solve_rows(x, to_s2[None], degree)[0].tolist(), s1, s2)
+    nonempty, solved = _solve_rows(x, to_s2[None], degree)
+    # tolist hands _solution Python ints, never numpy scalars
+    return _classified(_solution(*solved[0].tolist()) if nonempty[0] else _NO_SOLUTION, *bip.blocks)
 
 
-def _solution(
-    line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int
-) -> tuple[Classification, SolutionSet, tuple | None, QuotientMatrix | None, FamilySegment | None]:
+_Solution = tuple[Classification, SolutionSet, tuple | None, QuotientMatrix | None, FamilySegment | None]
+
+# what an empty solution set fixes
+_NO_SOLUTION: _Solution = (Classification.INFEASIBLE, _EMPTY, None, None, None)
+
+
+def _solution(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int) -> _Solution:
     """What a nonempty solved row fixes apart from its vertex sets: the
     label, the solution set, the certificate's fields before (s1, s2), the
     quotient and the family.  Fractions are built only for what is printed."""
@@ -334,16 +332,9 @@ def _solution(
     return label, sol, gains, None, None
 
 
-def _classify_row(
-    row: list[int], s1: tuple[int, ...], s2: tuple[int, ...], solution=_solution
-) -> BipartitionClassification:
-    """The one tail from a row of _solve_rows to a classification.
-
-    solution may be a memoised _solution; the search shares one per chunk.
-    """
-    if not row[0]:
-        return _INFEASIBLE
-    label, sol, gains, quotient, family = solution(*row[1:])
+def _classified(solution: _Solution, s1: tuple[int, ...], s2: tuple[int, ...]) -> BipartitionClassification:
+    """The classification a solution gives the bipartition (s1, s2)."""
+    label, sol, gains, quotient, family = solution
     cert = None if gains is None else Condition2Certificate(*gains, s1=s1, s2=s2)
     return BipartitionClassification(label, sol, cert, quotient, family)
 
@@ -396,11 +387,12 @@ def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _block_labels(member: np.ndarray) -> list[tuple[int, ...]]:
-    """Per row of a boolean batch, the 1-based labels of its set entries."""
-    labels = (np.nonzero(member)[1] + 1).tolist()
+def _labels(member: np.ndarray, names: Sequence) -> tuple[list, Iterator[tuple[int, int]]]:
+    """The names of a boolean batch's set entries, row after row, and each
+    row's (begin, end) span in that flat list."""
+    flat = [names[i] for i in np.nonzero(member)[1].tolist()]
     ends = np.cumsum(member.sum(axis=1)).tolist()
-    return [tuple(labels[begin:end]) for begin, end in zip([0, *ends], ends)]
+    return flat, zip([0, *ends], ends)
 
 
 def _batches(lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -414,11 +406,11 @@ class SearchReport:
     """Every bipartition of an n-vertex graph, kept as array data.
 
     masks holds, in ascending order, the masks whose solution set is
-    nonempty, and solved their rows of _solve_rows without the nonempty
-    column: (line, r_num, r_den, c1, d1, c2, d2), the arguments of
-    _solution.  Every other mask in 1 .. total is Infeasible with an empty
-    set, so it is never stored.  rows builds the SearchRow tuples on first
-    use; counts and format_search_report never do.
+    nonempty, and solved their rows of _solve_rows: (line, r_num, r_den,
+    c1, d1, c2, d2), the arguments of _solution.  Every other mask in
+    1 .. total is Infeasible with an empty set, so it is never stored.
+    rows builds the SearchRow tuples on first use; counts and
+    format_search_report never do.
     """
 
     n: int
@@ -431,51 +423,46 @@ class SearchReport:
         return (1 << (self.n - 1)) - 1
 
     @functools.cached_property
-    def _distinct(self) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
-        """The distinct solved rows, each stored row's index among them and
-        each distinct row's multiplicity."""
+    def _distinct(self) -> tuple[list[_Solution], np.ndarray]:
+        """The _solution of each distinct solved row, and each stored row's
+        index into that list; the only place a search calls _solution."""
         # one 56-byte key per row: far faster than np.unique(axis=0)
         keys = np.ascontiguousarray(self.solved).view(np.dtype((np.void, 8 * 7))).ravel()
-        rows, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        return rows.view(np.int64).reshape(-1, 7).tolist(), inverse.reshape(-1), counts
+        rows, inverse = np.unique(keys, return_inverse=True)
+        return [_solution(*row) for row in rows.view(np.int64).reshape(-1, 7).tolist()], inverse.reshape(-1)
 
-    @functools.cached_property
-    def _tails(self) -> list[str]:
-        """The line text after the s2 field for each distinct solved row."""
-        return [_tail_text(*row) for row in self._distinct[0]]
-
-    def _span(self, batch: np.ndarray) -> slice:
-        """Where masks and solved hold the nonempty rows of a contiguous batch."""
+    def _which(self, batch: np.ndarray) -> np.ndarray:
+        """Each mask of a contiguous batch's index into _distinct's
+        solutions, or their count for an Infeasible mask never stored."""
+        solutions, inverse = self._distinct
         lo, hi = np.searchsorted(self.masks, [batch[0], batch[-1] + 1])
-        return slice(int(lo), int(hi))
+        which = np.full(batch.size, len(solutions))
+        which[self.masks[lo:hi] - batch[0]] = inverse[lo:hi]
+        return which
 
     @functools.cached_property
     def rows(self) -> tuple[SearchRow, ...]:
-        """One SearchRow per mask, through _classify_row, the tail that
+        """One SearchRow per mask, through _classified, the tail that
         classify_bipartition uses."""
-        solution = functools.cache(_solution)
-        solved = iter(self.solved.tolist())
+        solutions = [*self._distinct[0], _NO_SOLUTION]
+        names = range(1, self.n + 1)
         out: list[SearchRow] = []
         for masks in _batches(1, self.total + 1):
             x = _mask_bits(masks, self.n)
-            nonempty = np.zeros(masks.size, dtype=bool)
-            nonempty[self.masks[self._span(masks)] - masks[0]] = True
-            s1s = iter(_block_labels(x[nonempty] == 0))
-            for mask, keep, s2 in zip(masks.tolist(), nonempty.tolist(), _block_labels(x == 1)):
-                if keep:
-                    res = _classify_row([1, *next(solved)], next(s1s), s2, solution)
-                    out.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
-                else:
-                    out.append(SearchRow(mask, s2, Classification.INFEASIBLE, None, None))
+            (s1s, spans1), (s2s, spans2) = _labels(x == 0, names), _labels(x == 1, names)
+            for mask, i, (a, b), (c, d) in zip(masks.tolist(), self._which(masks).tolist(), spans1, spans2):
+                s2 = tuple(s2s[c:d])
+                res = _classified(solutions[i], tuple(s1s[a:b]), s2)
+                out.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
         return tuple(out)
 
     @property
     def counts(self) -> dict[str, int]:
         out = {c.value: 0 for c in Classification}
         out[Classification.INFEASIBLE.value] = self.total - self.masks.size
-        rows, _, counts = self._distinct
-        for row, count in zip(rows, counts.tolist()):
-            out[_solution(*row)[0].value] += count
+        solutions, inverse = self._distinct
+        for solution, count in zip(solutions, np.bincount(inverse, minlength=len(solutions)).tolist()):
+            out[solution[0].value] += count
         return out
 
 
@@ -483,17 +470,14 @@ def _solve_chunk(args: tuple[Graph, int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Solve masks lo..hi-1 (lo < hi), SEARCH_BATCH_ROWS at a time; returns
     the nonempty masks and their solved rows, as SearchReport stores them."""
     g, lo, hi = args
-    src, dst = g._arcs
-    adj = np.zeros((g.n, g.n), dtype=np.int64)
-    adj[dst, src] = 1
+    adj = g.adjacency_matrix().astype(np.int64)
     degree = adj.sum(axis=1)
     masks_out, solved_out = [], []
     for masks in _batches(lo, hi):
         x = _mask_bits(masks, g.n)
-        solved = _solve_rows(x, x @ adj, degree)
-        keep = solved[:, 0] == 1
-        masks_out.append(masks[keep])
-        solved_out.append(solved[keep, 1:])
+        nonempty, solved = _solve_rows(x, x @ adj, degree)
+        masks_out.append(masks[nonempty])
+        solved_out.append(solved[nonempty])
     return np.concatenate(masks_out), np.concatenate(solved_out)
 
 
@@ -515,8 +499,9 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     count comes from one product X @ A, and _solve_rows solves every row
     in int64: emptiness, r and the gains.  The report keeps only the
     nonempty masks and their solved rows as int64 arrays; no per-row
-    object is built here.  Its rows, built on first use, pass each solved
-    row through _classify_row, the tail classify_bipartition also uses.
+    object is built here.  Its rows, built on first use, pass each
+    distinct solved row's solution through _classified, the tail
+    classify_bipartition also uses.
     n > SEARCH_MAX_N raises TooLargeError unless force is set; masks are
     int64, so n >= 64 raises it even with force.  With jobs > 1 the mask
     range is split into contiguous chunks handled by at most
@@ -591,9 +576,9 @@ def classification_report(
     return report
 
 
-def _tail_text(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int) -> str:
-    """Report text after the s2 field for a nonempty solved row."""
-    label, _, gains, _, family = _solution(line, r_num, r_den, c1, d1, c2, d2)
+def _tail_text(solution: _Solution) -> str:
+    """Report text after the s2 field for a solution."""
+    label, _, gains, _, family = solution
     parts = [label.value]
     if gains is not None:
         mu1, mu2, r, alpha, beta, offset, mu_equal, offset_at_limit, feasible = gains
@@ -607,20 +592,11 @@ def _tail_text(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2:
     return " ".join(parts)
 
 
-def _s2_texts(masks: np.ndarray, n: int) -> list[str]:
-    """The comma-joined second block of each mask in a batch."""
-    member = _mask_bits(masks, n) == 1
-    names = [str(v) for v in range(1, n + 1)]
-    labels = [names[i] for i in np.nonzero(member)[1].tolist()]
-    ends = np.cumsum(member.sum(axis=1)).tolist()
-    return [",".join(labels[begin:end]) for begin, end in zip([0, *ends], ends)]
-
-
 def _tail_count(report: SearchReport) -> int:
     """How many distinct tail texts the report's lines carry."""
-    tails = set(report._tails)
+    tails = set(map(_tail_text, report._distinct[0]))
     if report.masks.size < report.total:
-        tails.add(Classification.INFEASIBLE.value)
+        tails.add(_tail_text(_NO_SOLUTION))
     return len(tails)
 
 
@@ -628,22 +604,24 @@ def format_search_report(report: SearchReport) -> str:
     """Stable text rendering: one line per bipartition plus a summary.
 
     Each line is the zero-padded mask, the s2 field and a tail.  The tail
-    is rendered once per distinct solved row, and every mask with an empty
-    solution set shares the constant tail "Infeasible".  Lines are built
-    batch by batch straight from the report's arrays, with each batch of
-    masks decoded into s2 labels at once; no SearchRow is built.
+    is rendered once per distinct solution, and every mask with an empty
+    solution set shares the tail "Infeasible".  Lines are built batch by
+    batch straight from the report's arrays, with each batch of masks
+    decoded into s2 labels at once; no SearchRow is built.
     """
     total = report.total
     line = f"{{:0{len(str(total))}d}} s2={{}} {{}}\n".format
-    # the last entry is the shared tail of the masks never stored
-    tails = np.array([*report._tails, Classification.INFEASIBLE.value], dtype=object)
-    inverse = report._distinct[1]
+    # _which gives the masks never stored the index past the solutions
+    tails = np.array([_tail_text(s) for s in [*report._distinct[0], _NO_SOLUTION]], dtype=object)
+    names = [str(v) for v in range(1, report.n + 1)]
     chunks = []
     for masks in _batches(1, total + 1):
-        span = report._span(masks)
-        which = np.full(masks.size, tails.size - 1)
-        which[report.masks[span] - masks[0]] = inverse[span]
-        chunks.append("".join(map(line, masks.tolist(), _s2_texts(masks, report.n), tails[which].tolist())))
+        flat, spans = _labels(_mask_bits(masks, report.n) == 1, names)
+        s2 = [",".join(flat[a:b]) for a, b in spans]
+        # freed before the join: a live label list between two chunk strings
+        # fragments the heap, about 3 MB more peak RSS on linear:10
+        del flat
+        chunks.append("".join(map(line, masks.tolist(), s2, tails[report._which(masks)].tolist())))
     summary = " ".join(f"{k}={v}" for k, v in report.counts.items())
     chunks.append(f"# total={total} {summary}\n")
     return "".join(chunks)

@@ -49,7 +49,9 @@ def _atomic_write(path: str, data: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(data)
+            # 1 MiB slices, so no encoded copy of a whole report exists at once
+            for start in range(0, len(data), 1 << 20):
+                handle.write(data[start : start + (1 << 20)])
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -66,56 +68,46 @@ def _load_graph(
     if args.graph is not None:
         with open(args.graph, "r") as handle:
             return gc.read_edge_list(handle.read(), check_n), None
-    if check_n is not None:
-        n = _builtin_n(args.builtin)
-        if n is not None:
-            check_n(n)
-    return _builtin(args.builtin)
+    return _builtin(args.builtin, check_n)
 
 
-def _builtin_arg(name: str) -> tuple[str, int]:
+_FIXED_BUILTINS = {
+    "latoro": gc.latoro_profile_graph,
+    "kura-eg": gc.right_angle_profile_graph,
+    "petersen": lambda: (gc.petersen_graph(), None),
+}
+# kind of each kind:<int> builtin -> (its vertex count, its builder); the
+# builders look gc up when called, so tests can stand in for them
+_SIZED_BUILTINS = {
+    "linear": (lambda p: 2 * p + 1, lambda p: gc.linear_family_graph(p)),
+    "star": (lambda k: k + 1, lambda k: gc.star_graph(k)),
+    "cycle": (lambda n: n, lambda n: (gc.cycle_graph(n), None)),
+    "complete": (lambda n: n, lambda n: (gc.complete_graph(n), None)),
+    "path": (lambda n: n, lambda n: (gc.path_graph(n), None)),
+}
+
+
+def _builtin(
+    name: str, check_n: Callable[[int], None] | None = None
+) -> tuple[gc.Graph, gc.VertexPartition | None]:
+    """The named graph and its partition, if it has one.  check_n, when
+    given, sees a kind:<int> builtin's vertex count, read from the name
+    alone, before the graph is built; the fixed builtins have at most 10."""
+    if name in _FIXED_BUILTINS:
+        return _FIXED_BUILTINS[name]()
     kind, sep, arg = name.partition(":")
     if not sep:
         raise BadParameterError(f"unknown builtin {name!r}")
     try:
-        return kind, int(arg)
+        value = int(arg)
     except ValueError:
         raise BadParameterError(f"builtin {name!r} needs an integer argument") from None
-
-
-def _builtin_n(name: str) -> int | None:
-    """Vertex count a parametrised builtin asks for, read from its name alone
-    so a size cap can refuse it before anything is built; None for the
-    fixed builtins, which have at most 10 vertices, and for unknown kinds."""
-    if ":" not in name:
-        return None
-    kind, value = _builtin_arg(name)
-    if kind == "linear":
-        return 2 * value + 1
-    if kind == "star":
-        return value + 1
-    return value if kind in ("cycle", "complete", "path") else None
-
-
-def _builtin(name: str) -> tuple[gc.Graph, gc.VertexPartition | None]:
-    if name == "latoro":
-        return gc.latoro_profile_graph()
-    if name == "kura-eg":
-        return gc.right_angle_profile_graph()
-    if name == "petersen":
-        return gc.petersen_graph(), None
-    kind, value = _builtin_arg(name)
-    if kind == "linear":
-        return gc.linear_family_graph(value)
-    if kind == "star":
-        return gc.star_graph(value)
-    if kind == "cycle":
-        return gc.cycle_graph(value), None
-    if kind == "complete":
-        return gc.complete_graph(value), None
-    if kind == "path":
-        return gc.path_graph(value), None
-    raise BadParameterError(f"unknown builtin {name!r}")
+    if kind not in _SIZED_BUILTINS:
+        raise BadParameterError(f"unknown builtin {name!r}")
+    count, build = _SIZED_BUILTINS[kind]
+    if check_n is not None:
+        check_n(count(value))
+    return build(value)
 
 
 def _load_partition(

@@ -485,10 +485,24 @@ class TestSearchText:
         # every row of C12(1,2) is nonempty, with 30 distinct solved rows but 3 texts
         report = kp.search_all_bipartitions(circulant_graph(12, (1, 2)))
         assert report.masks.tolist() == list(range(1, 2048))
-        assert len(report._tails) == 30
+        assert len(report._distinct[0]) == 30
         assert ban._tail_count(report) == 3
         hub = kp.search_all_bipartitions(kp.linear_family_graph(6)[0])
         assert (hub.masks.size, ban._tail_count(hub)) == (9, 5)
+
+    def test_solution_once_per_distinct_row(self, monkeypatch):
+        calls = []
+        solution = ban._solution
+
+        def counted(*row):
+            calls.append(row)
+            return solution(*row)
+
+        monkeypatch.setattr(ban, "_solution", counted)
+        report = kp.search_all_bipartitions(circulant_graph(12, (1, 2)))
+        kp.format_search_report(report)
+        assert (report.counts["Equitable"], ban._tail_count(report), len(report.rows)) == (9, 3, 2047)
+        assert len(calls) == len(set(calls)) == 30
 
     def test_report_without_nonempty_rows(self):
         report = ban.SearchReport(5, np.zeros(0, dtype=np.int64), np.zeros((0, 7), dtype=np.int64))
@@ -559,8 +573,9 @@ class TestBatchSearch:
                 dtype=np.int64,
             )
             degree = np.array([len(nbrs[v]) for v in range(1, g.n + 1)], dtype=np.int64)
-            for bip, row in zip(bips, ban._solve_rows(x, to_s2, degree).tolist()):
-                nonempty, line, r_num, r_den, c1, d1, c2, d2 = row
+            nonempty, solved = ban._solve_rows(x, to_s2, degree)
+            for bip, nonempty, row in zip(bips, nonempty.tolist(), solved.tolist()):
+                line, r_num, r_den, c1, d1, c2, d2 = row
                 want = condition2_solution_slow(g, bip.blocks)
                 kinds[want.kind] += 1
                 assert bool(nonempty) == (want.kind != "empty")

@@ -269,6 +269,20 @@ class TestAnalyze:
     def test_needs_partition(self):
         assert run("analyze", "--builtin", "cycle:4") == 3
 
+    def test_boundary_with_zero_lag_has_no_residual(self, tmp_path, capsys):
+        # mu1 + mu2 = -2 collapses the lag to 0, outside the model range
+        graph = tmp_path / "g.edges"
+        graph.write_text("1 2\n1 4\n2 3\n2 4\n")
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps({"blocks": [[1, 2, 4], [3]]}))
+        assert run("analyze", "--graph", graph, "--partition", part) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["classification"] == "Boundary"
+        assert (payload["mu1"], payload["mu2"]) == ("0", "-2")
+        assert payload["alpha"] == 0.0
+        assert payload["flags"]["offset_at_limit"]
+        assert payload["residual"] is None
+
 
 class TestSearch:
     def test_stdout(self, capsys):
@@ -359,8 +373,9 @@ class TestSearch:
         "name", ["linear:4", "star:6", "cycle:10", "complete:5", "path:5", "latoro", "petersen"]
     )
     def test_builtin_vertex_count_read_from_name(self, name):
-        n = cli._builtin_n(name)
-        assert n is None or n == cli._builtin(name)[0].n
+        seen = []
+        g, _ = cli._builtin(name, seen.append)
+        assert seen == ([g.n] if ":" in name else [])
 
     def test_zero_jobs_rejected(self):
         assert run("search", "--builtin", "linear:4", "--jobs", 0) == 3
@@ -371,6 +386,22 @@ class TestSearch:
     def test_builtin_names(self, capsys, name, graph):
         assert run("search", "--builtin", name) == 0
         assert capsys.readouterr().out == kp.format_search_report(kp.search_all_bipartitions(graph))
+
+    @pytest.mark.parametrize("length", [0, 2**20 - 1, 2**20, 2**20 + 1])
+    def test_atomic_write_in_slices(self, tmp_path, length):
+        # consecutive numbers, so a lost, doubled or reordered slice shows
+        text = "".join(f"{i}\n" for i in range(200_000))[:length]
+        assert len(text) == length
+        target = tmp_path / "out.txt"
+        cli._atomic_write(str(target), text)
+        assert target.read_text() == text
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_single_vertex_file_has_no_bipartitions(self, tmp_path, capsys):
+        graph = tmp_path / "one.edges"
+        graph.write_text("n 1\n")
+        assert run("search", "--graph", graph) == 3
+        assert "bipartitions need n >= 2" in capsys.readouterr().err
 
     def test_failed_write_keeps_target_and_leaves_no_temp_file(self, monkeypatch, tmp_path):
         target = tmp_path / "report.txt"
@@ -505,6 +536,15 @@ class TestExitCodes:
             "--rel-tol", 1e-300, "--abs-tol", 1e-320,
             "--out", tmp_path / "x.csv",
         ) == 4
+
+    def test_step_budget_exhausted(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(kp.dynamics, "MAX_ADAPTIVE_STEPS", 5)
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-random", "--out", tmp_path / "x.csv",
+        ) == 4
+        assert "step budget exhausted" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_infinite_rk4_step(self, tmp_path):
         out = tmp_path / "x.csv"

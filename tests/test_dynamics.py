@@ -268,6 +268,12 @@ class TestIntegration:
         with pytest.raises(kp.StepUnderflowError):
             kp.integrate(g, init, kp.ModelParams(alpha=0.5), cfg)
 
+    def test_step_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(dyn, "MAX_ADAPTIVE_STEPS", 5)
+        init = np.array([0.0, 1.3, 2.1, 0.4])
+        with pytest.raises(kp.StepUnderflowError, match="step budget exhausted"):
+            kp.integrate(kp.cycle_graph(4), init, kp.ModelParams(alpha=0.5), kp.IntegratorConfig(t_end=1.0))
+
 
 class TestRunStats:
     def test_rk45_counts_every_attempt_and_rhs_call(self, monkeypatch):
