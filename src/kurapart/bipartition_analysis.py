@@ -45,7 +45,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -56,13 +56,17 @@ from .errors import (
     PartitionMismatchError,
     TooLargeError,
 )
-from .dynamics import LinearTrajectory, ModelParams, residual_max
 from .graph_core import (
     Graph,
     QuotientMatrix,
     VertexPartition,
     _block_index,
 )
+
+# the integrator is imported by the two functions that run the dynamics,
+# so a search never loads it
+if TYPE_CHECKING:
+    from .dynamics import LinearTrajectory
 
 __all__ = [
     "Classification",
@@ -342,6 +346,8 @@ def _classified(solution: _Solution, s1: tuple[int, ...], s2: tuple[int, ...]) -
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
     """Closed-form motion the certificate promises: phase c + r sin(alpha) t on
     the first block and the same plus the cross-block offset on the second."""
+    from .dynamics import LinearTrajectory
+
     side = _block_index(VertexPartition((cert.s1, cert.s2)), max(cert.s1 + cert.s2))
     # blocks are ordered by smallest vertex, so s2 is whichever side holds s2[0]
     start = np.where(side == side[cert.s2[0] - 1], float(c) + cert.offset, float(c))
@@ -362,6 +368,8 @@ def verify_certificate(
     certified gains, so this is an end-to-end consistency check of the
     gains, the lag, and the offset against the graph itself.
     """
+    from .dynamics import ModelParams, residual_max
+
     if bip.blocks != (cert.s1, cert.s2):
         raise PartitionMismatchError("certificate was issued for a different bipartition")
     ts = np.linspace(0.0, 10.0, 101) if grid is None else np.asarray(grid, dtype=float)

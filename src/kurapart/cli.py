@@ -6,6 +6,10 @@ consistency checks).  Exit codes: 0 success, 1 failed verification, 2 I/O
 trouble, 3 invalid input, 4 integration failure.  Data files are written
 atomically: content lands in a temp file that is renamed into place, so a
 failed run leaves no partial output.
+
+Only graph_core is imported up front.  Each subcommand imports the layers
+it uses when it runs, so `search` never loads the integrator and
+`simulate` loads the bipartition layer only for a certificate.
 """
 
 from __future__ import annotations
@@ -18,13 +22,10 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
-from typing import Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 import numpy as np
 
-from . import bipartition_analysis as ban
-from . import dynamics as dyn
 from . import graph_core as gc
 from .errors import (
     BadParameterError,
@@ -34,6 +35,10 @@ from .errors import (
     StepUnderflowError,
     TooShortError,
 )
+
+if TYPE_CHECKING:
+    from . import bipartition_analysis as ban
+    from . import dynamics as dyn
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -119,20 +124,11 @@ def _load_partition(
     return builtin_part
 
 
-def _integrator_config(args: argparse.Namespace) -> dyn.IntegratorConfig:
-    return dyn.IntegratorConfig(
-        t_end=args.t_end,
-        method=args.method,
-        dt=args.dt,
-        rel_tol=args.rel_tol,
-        abs_tol=args.abs_tol,
-        record_every=args.record_every,
-    )
-
-
 def _certificate_for(
     g: gc.Graph, part: gc.VertexPartition | None
 ) -> ban.Condition2Certificate:
+    from . import bipartition_analysis as ban
+
     if part is None:
         raise BadParameterError("a 2-block partition is required to derive a certificate")
     result = ban.classify_bipartition(g, part)
@@ -169,9 +165,13 @@ def _initial_state(
             )
         return np.array(values)[gc._block_index(part, g.n)]
     if args.init_random:
+        if args.seed < 0:
+            raise BadParameterError(f"--seed must be >= 0, got {args.seed}")
         rng = np.random.Generator(np.random.PCG64(args.seed))
         return rng.uniform(0.0, 2.0 * math.pi, size=g.n)
     assert cert is not None
+    from . import bipartition_analysis as ban
+
     return ban.certificate_to_solution(cert, c=0.0).start
 
 
@@ -188,6 +188,8 @@ def _exact_json(
 def _sync_report_json(
     traj: dyn.Trajectory, args: argparse.Namespace, params: dyn.ModelParams
 ) -> str:
+    from . import dynamics as dyn
+
     payload: dict = {
         "model": {"alpha": params.alpha, "omega": params.omega, "lambda": params.coupling},
     }
@@ -224,6 +226,11 @@ def _sync_report_json(
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import dynamics as dyn
+
+    report_path = args.report or os.path.splitext(args.out)[0] + ".sync.json"
+    if os.path.realpath(report_path) == os.path.realpath(args.out):
+        raise BadParameterError(f"--report and --out name the same file {args.out!r}")
     g, builtin_part = _load_graph(args)
     part = _load_partition(args, builtin_part)
     cert = None
@@ -236,16 +243,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         raise BadParameterError("--alpha is required (or --alpha-from-cert)")
     params = dyn.ModelParams(alpha=alpha, omega=args.omega, coupling=args.coupling)
-    cfg = _integrator_config(args)
+    cfg = dyn.IntegratorConfig(
+        t_end=args.t_end,
+        method=args.method,
+        dt=args.dt,
+        rel_tol=args.rel_tol,
+        abs_tol=args.abs_tol,
+        record_every=args.record_every,
+    )
     init = _initial_state(args, g, part, cert)
     traj = dyn.integrate(g, init, params, cfg)
     _atomic_write(args.out, dyn.trajectory_to_csv(traj))
-    report_path = args.report or os.path.splitext(args.out)[0] + ".sync.json"
     _atomic_write(report_path, _sync_report_json(traj, args, params) + "\n")
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import bipartition_analysis as ban
+
     g, builtin_part = _load_graph(args)
     part = _load_partition(args, builtin_part)
     if part is None:
@@ -275,6 +290,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    from . import bipartition_analysis as ban
+
     g, _ = _load_graph(args, lambda n: ban._check_search_size(n, args.force))
     clock = [time.perf_counter()]
     report = ban.search_all_bipartitions(g, force=args.force, jobs=args.jobs)
@@ -312,20 +329,25 @@ def _verify_certified(
     name: str,
     g: gc.Graph,
     part: gc.VertexPartition,
-    label: ban.Classification,
-    gains: tuple[Fraction, Fraction, Fraction],
+    label: str,
+    gains: tuple[str, str, str],
     alpha_ref: float,
     offset_ref: float,
     failures: list[str],
 ) -> ban.Condition2Certificate | None:
-    """Check one certified example: its label and exact gains (mu1, mu2, r),
-    its closed-form lag and offset, and the residual of the certified motion."""
+    """Check one certified example: its label (a Classification value) and
+    exact gains (mu1, mu2, r, as fraction strings), its closed-form lag and
+    offset, and the residual of the certified motion."""
+    from fractions import Fraction
+
+    from . import bipartition_analysis as ban
+
     result = ban.classify_bipartition(g, part)
     cert = result.certificate
     ok = (
-        result.classification is label
+        result.classification is ban.Classification(label)
         and cert is not None
-        and (cert.mu1, cert.mu2, cert.r) == gains
+        and (cert.mu1, cert.mu2, cert.r) == tuple(map(Fraction, gains))
     )
     detail = f"mu1={cert.mu1} mu2={cert.mu2} r={cert.r}" if cert else "no certificate"
     _check(f"{name} gains", ok, f"{result.classification.value} {detail}", failures)
@@ -345,8 +367,7 @@ def _verify_certified(
 def _verify_linear(p: int, failures: list[str]) -> None:
     g, part = gc.linear_family_graph(p)
     cert = _verify_certified(
-        f"linear p={p}", g, part, ban.Classification.CONDITION2_UNIQUE,
-        (Fraction(-2, p), Fraction(-1), Fraction(-2)),
+        f"linear p={p}", g, part, "Condition2Unique", (f"-2/{p}", "-1", "-2"),
         math.atan(math.sqrt(3 * p * p - 4 * p - 4) / (p - 2)), math.acos((p + 2) / (2.0 * p)),
         failures,
     )
@@ -356,6 +377,8 @@ def _verify_linear(p: int, failures: list[str]) -> None:
 
 
 def _verify_regular(d: int, alpha: float, failures: list[str]) -> None:
+    from . import dynamics as dyn
+
     g = gc.complete_graph(d + 1)
     grid = np.linspace(0.0, 10.0, 101)
     params = dyn.ModelParams(alpha=alpha)
@@ -374,16 +397,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _verify_linear(args.p, failures)
     if args.example in ("latoro", "all"):
         _verify_certified(
-            "latoro", *gc.latoro_profile_graph(), ban.Classification.CONDITION2_UNIQUE,
-            (Fraction(-1, 2), Fraction(-1), Fraction(-2)), math.atan(math.sqrt(7.0)), math.acos(0.75),
+            "latoro", *gc.latoro_profile_graph(), "Condition2Unique",
+            ("-1/2", "-1", "-2"), math.atan(math.sqrt(7.0)), math.acos(0.75),
             failures,
         )
     if args.example in ("regular", "all"):
         _verify_regular(args.d, args.alpha if args.alpha is not None else 0.5, failures)
     if args.example in ("kura-eg", "all"):
         _verify_certified(
-            "kura-eg", *gc.right_angle_profile_graph(), ban.Classification.BOUNDARY,
-            (Fraction(1, 2), Fraction(1, 2), Fraction(0)), math.pi / 2, 2 * math.pi / 3,
+            "kura-eg", *gc.right_angle_profile_graph(), "Boundary",
+            ("1/2", "1/2", "0"), math.pi / 2, 2 * math.pi / 3,
             failures,
         )
     if failures:

@@ -24,6 +24,17 @@ def _never(*args, **kwargs):
     raise AssertionError("this path must not be reached")
 
 
+def _fresh_python(code, *args):
+    """Standard output of code run with args in a new interpreter that
+    imports kurapart from this tree."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kp.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
 class TestSimulate:
     def test_writes_csv_and_report(self, tmp_path):
         out = tmp_path / "traj.csv"
@@ -308,19 +319,6 @@ class TestSearch:
         assert run("search", "--builtin", "linear:4") == 0
         assert capsys.readouterr().out.strip().splitlines()[-1].startswith("# total=255 ")
 
-    def test_cli_start_loads_no_process_pool(self):
-        src = os.path.dirname(os.path.dirname(kp.__file__))
-        probe = (
-            "import sys, kurapart.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
-        )
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "[]"
-
     @pytest.mark.parametrize(
         "name, flags",
         [
@@ -359,12 +357,7 @@ class TestSearch:
             "child.returncode = os.waitstatus_to_exitcode(status)\n"
             "print(child.returncode, usage.ru_maxrss / 1024)\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kp.__file__))}
-        done = subprocess.run(
-            [sys.executable, "-c", probe, str(path)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        code, peak_mb = done.stdout.split()
+        code, peak_mb = _fresh_python(probe, path).split()
         assert code == "3"
         # building the graph first peaked near 139 MB
         assert float(peak_mb) < 70
@@ -479,6 +472,51 @@ class TestVerify:
         assert "linear p=4 slope identity" in labels
 
 
+# the process pool's packages; a search loads them only for --jobs > 1
+POOL = ["concurrent", "multiprocessing"]
+
+
+class TestStartUp:
+    """Each run imports only the layers its subcommand uses: the integrator,
+    the bipartition layer, the exact rationals and the process pool each
+    cost milliseconds."""
+
+    @pytest.mark.parametrize(
+        "argv, unloaded",
+        [
+            ([], ["kurapart.dynamics", "kurapart.bipartition_analysis", "fractions", *POOL]),
+            (
+                ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
+                 "--seed", "1", "--t-end", "1", "--out", "x.csv"],
+                ["kurapart.bipartition_analysis", "fractions"],
+            ),
+            (["search", "--builtin", "cycle:8", "--out", "x.txt"], ["kurapart.dynamics", *POOL]),
+        ],
+        ids=["import-cli", "simulate-random", "search"],
+    )
+    def test_run_leaves_other_layers_unloaded(self, tmp_path, argv, unloaded):
+        probe = (
+            "import os, sys\n"
+            "from kurapart import cli\n"
+            "os.chdir(sys.argv[1])\n"
+            "code = cli.main(sys.argv[2:]) if sys.argv[2:] else 0\n"
+            "print(code, *sorted(sys.modules))\n"
+        )
+        code, *loaded = _fresh_python(probe, tmp_path, *argv).split()
+        assert code == "0"
+        assert [m for m in unloaded if m in loaded] == []
+
+    def test_star_import_binds_every_public_name(self):
+        probe = (
+            "from kurapart import *\n"
+            "import kurapart\n"
+            "print(len(kurapart.__all__), *[n for n in kurapart.__all__ if n not in globals()])\n"
+        )
+        count, *missing = _fresh_python(probe).split()
+        assert missing == []
+        assert int(count) == len(kp.__all__) > 0
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
@@ -591,6 +629,33 @@ class TestExitCodes:
             "--partition", part, "--init-blocks", "0,1", "--out", out,
         ) == 3
         assert not out.exists()
+
+    def test_negative_seed_rejected_before_integrating(self, monkeypatch, tmp_path, capsys):
+        # numpy's ValueError would escape as a traceback with exit code 1,
+        # which means failed verification
+        monkeypatch.setattr(kp.dynamics, "integrate", _never)
+        out = tmp_path / "x.csv"
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-random", "--seed", -1, "--out", out,
+        ) == 3
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot", "symlink"])
+    def test_report_over_trajectory_rejected(self, monkeypatch, tmp_path, spelling):
+        # the sync report would replace the trajectory CSV it was computed from
+        monkeypatch.setattr(kp.dynamics, "integrate", _never)
+        out = tmp_path / "x.csv"
+        out.write_text("old content")
+        link = tmp_path / "link.csv"
+        link.symlink_to(out)
+        report = {"same": out, "dotdot": tmp_path / "sub" / ".." / "x.csv", "symlink": link}[spelling]
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-equal", 0.0, "--out", out, "--report", report,
+        ) == 3
+        assert out.read_text() == "old content"
 
     def test_search_rejects_vertex_count_without_edges(self, tmp_path):
         graph = tmp_path / "huge.edges"
