@@ -175,16 +175,6 @@ def _initial_state(
     return ban.certificate_to_solution(cert, c=0.0).start
 
 
-def _exact_json(
-    partition: gc.VertexPartition, chained: tuple[tuple[int, int, float], ...], tol: float
-) -> dict:
-    return {
-        "tol": tol,
-        "blocks": [list(b) for b in partition.blocks],
-        "chained_pairs": [[i, j, d] for i, j, d in chained],
-    }
-
-
 def _sync_report_json(
     traj: dyn.Trajectory, args: argparse.Namespace, params: dyn.ModelParams
 ) -> str:
@@ -209,18 +199,23 @@ def _sync_report_json(
             exact_tol=args.sync_tol,
         )
     except TooShortError as exc:
-        payload["exact"] = _exact_json(*dyn.exact_sync_chains(traj, tol=args.sync_tol), args.sync_tol)
+        exact, chained = dyn.exact_sync_chains(traj, tol=args.sync_tol)
         payload["tail"] = None
         payload["tail_skipped"] = str(exc)
-        return json.dumps(payload, indent=2, sort_keys=True)
-    payload["exact"] = _exact_json(report.exact_partition, report.chained_pairs, args.sync_tol)
-    payload["tail"] = {
-        "fraction": report.tail_fraction,
-        "tol": report.tail_tol,
-        "start": report.tail_start,
-        "clusters": [list(b) for b in report.clusters.blocks],
-        "max_deviation": list(report.tail_max_deviation),
-        "pairs": [[i, j, label, dev] for i, j, label, dev in report.pair_classes],
+    else:
+        exact, chained = report.exact_partition, report.chained_pairs
+        payload["tail"] = {
+            "fraction": report.tail_fraction,
+            "tol": report.tail_tol,
+            "start": report.tail_start,
+            "clusters": [list(b) for b in report.clusters.blocks],
+            "max_deviation": list(report.tail_max_deviation),
+            "pairs": [[i, j, label, dev] for i, j, label, dev in report.pair_classes],
+        }
+    payload["exact"] = {
+        "tol": args.sync_tol,
+        "blocks": [list(b) for b in exact.blocks],
+        "chained_pairs": [[i, j, d] for i, j, d in chained],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -228,6 +223,8 @@ def _sync_report_json(
 def cmd_simulate(args: argparse.Namespace) -> int:
     from . import dynamics as dyn
 
+    # a bad threshold must not cost an integration nor leave a trajectory behind
+    dyn._check_sync_thresholds(args.sync_tol, args.tail_tol, args.tail_fraction)
     report_path = args.report or os.path.splitext(args.out)[0] + ".sync.json"
     if os.path.realpath(report_path) == os.path.realpath(args.out):
         raise BadParameterError(f"--report and --out name the same file {args.out!r}")

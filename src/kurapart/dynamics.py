@@ -411,8 +411,8 @@ def _rk4_steps(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def _rk4_path(
-    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, stats: list[RunStats] | None = None
-) -> tuple[list[float], list[np.ndarray]]:
+    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig
+) -> tuple[list[float], list[np.ndarray], RunStats]:
     dt = float(cfg.dt)  # validated > 0
     t_end = cfg.t_end
     n_steps, last = _rk4_steps(t_end, dt)  # validated <= MAX_ADAPTIVE_STEPS
@@ -432,20 +432,14 @@ def _rk4_path(
     if times[-1] < t_end:  # horizon shorter than the step tolerance: no step taken
         times.append(t_end)
         states.append(y)
-    if stats is not None:
-        sizes = [dt] * (n_steps > 1) + [last] * (n_steps > 0)  # only the last may differ
-        h_min, h_max = min(sizes, default=None), max(sizes, default=None)
-        stats.append(RunStats(n_steps, 0, 1 + 4 * n_steps, h_min, h_max))
-    return times, states
+    sizes = [dt] * (n_steps > 1) + [last] * (n_steps > 0)  # only the last may differ
+    h_min, h_max = min(sizes, default=None), max(sizes, default=None)
+    return times, states, RunStats(n_steps, 0, 1 + 4 * n_steps, h_min, h_max)
 
 
 def _rk45_path(
-    f: Rhs,
-    y0: np.ndarray,
-    cfg: IntegratorConfig,
-    t_eval: np.ndarray | None,
-    stats: list[RunStats] | None = None,
-) -> tuple[list[float], list[np.ndarray]]:
+    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, t_eval: np.ndarray | None
+) -> tuple[list[float], list[np.ndarray], RunStats]:
     t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
     times, states = [0.0], [y0]
     y = y0
@@ -497,10 +491,8 @@ def _rk45_path(
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h = h_step * factor if (not clipped or err > 1.0) else h * factor
             h = min(h, t_goal)
-    if stats is not None:
-        h_range = (float(h_min), float(h_max)) if accepted else (None, None)
-        stats.append(RunStats(accepted, steps - accepted, 1 + 6 * steps, *h_range))
-    return times, states
+    h_range = (float(h_min), float(h_max)) if accepted else (None, None)
+    return times, states, RunStats(accepted, steps - accepted, 1 + 6 * steps, *h_range)
 
 
 def _integrate_core(
@@ -509,14 +501,13 @@ def _integrate_core(
     y0 = np.asarray(init, dtype=float).copy()
     _check_finite(y0, "in initial condition")
     te = _validate_t_eval(t_eval, cfg.t_end)
-    stats: list[RunStats] = []  # each path appends its run's counts
     if cfg.method == "rk4":
         if te is not None:
             raise BadParameterError("t_eval is supported by rk45 only")
-        times, states = _rk4_path(f, y0, cfg, stats)
+        times, states, stats = _rk4_path(f, y0, cfg)
     else:
-        times, states = _rk45_path(f, y0, cfg, te, stats)
-    return Trajectory(np.array(times), np.array(states), stats=stats[0])
+        times, states, stats = _rk45_path(f, y0, cfg, te)
+    return Trajectory(np.array(times), np.array(states), stats=stats)
 
 
 def integrate(
@@ -641,6 +632,20 @@ def _with_singletons(n: int, blocks: list[list[int]]) -> VertexPartition:
     return VertexPartition.from_blocks(blocks + [[v] for v in range(1, n + 1) if v not in placed])
 
 
+def _check_sync_thresholds(
+    exact_tol: float, tol: float | None = None, tail_fraction: float | None = None
+) -> None:
+    """The one rule for the sync thresholds: exact_tol and the tail tol
+    positive, tail_fraction in (0, 0.5], each tail threshold when given.
+    NaN fails every comparison, so it is refused."""
+    if not exact_tol > 0.0:
+        raise BadParameterError(f"exact tol must be positive, got {exact_tol}")
+    if tol is not None and not tol > 0.0:
+        raise BadParameterError(f"tail tol must be positive, got {tol}")
+    if tail_fraction is not None and not 0.0 < tail_fraction <= 0.5:
+        raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
+
+
 def exact_sync_partition(traj: Trajectory, tol: float = 1e-8) -> VertexPartition:
     """Group vertices whose phases agree within tol at every recorded time.
 
@@ -655,10 +660,7 @@ def exact_sync_chains(
 ) -> tuple[VertexPartition, tuple[tuple[int, int, float], ...]]:
     """exact_sync_partition plus its chained pairs (i, j, gap): members of
     one block whose own largest phase gap reached tol."""
-    if traj.n_recorded == 0:
-        raise EmptyTrajectoryError("no recorded states")
-    if not tol > 0.0:
-        raise BadParameterError(f"tol must be positive, got {tol}")
+    _check_sync_thresholds(tol)
     return _exact_sync(traj.dimension, _sync_runs(traj.states, tol, [slice(None)]), tol)
 
 
@@ -723,10 +725,7 @@ def asymptotic_sync_clusters(
     are desynchronised and are left out of pair_classes.  For n vertices and
     m rows the cost is O(n m + n log n), plus O(r^2 m) for each run of r.
     """
-    if not 0.0 < tail_fraction <= 0.5:
-        raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
-    if not (tol > 0.0 and exact_tol > 0.0):
-        raise BadParameterError("tolerances must be positive")
+    _check_sync_thresholds(exact_tol, tol, tail_fraction)
     times, states = traj.times, traj.states
     span = float(times[-1] - times[0])
     tail_lo = times[-1] - tail_fraction * span

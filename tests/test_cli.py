@@ -462,6 +462,14 @@ class TestVerify:
     def test_regular_custom_alpha(self):
         assert run("verify", "--example", "regular", "--d", 2, "--alpha", 1.2) == 0
 
+    def test_failed_check_exits_1(self, monkeypatch, capsys):
+        # a star stands in for the latoro graph: its bipartition is equitable
+        # and carries no certificate, so the gains check fails and no other runs
+        monkeypatch.setattr(cli.gc, "latoro_profile_graph", lambda: kp.star_graph(6))
+        assert run("verify", "--example", "latoro") == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["latoro gains: Equitable no certificate FAIL", "verify: FAIL (1 check(s))"]
+
     def test_certified_examples_share_check_labels(self, capsys):
         for example in ("linear", "latoro", "kura-eg"):
             assert run("verify", "--example", example) == 0
@@ -505,6 +513,9 @@ class TestStartUp:
         code, *loaded = _fresh_python(probe, tmp_path, *argv).split()
         assert code == "0"
         assert [m for m in unloaded if m in loaded] == []
+
+    def test_dir_lists_every_public_name(self):
+        assert set(kp.__all__) <= set(dir(kp))
 
     def test_star_import_binds_every_public_name(self):
         probe = (
@@ -593,13 +604,29 @@ class TestExitCodes:
         ) == 3
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--sync-tol", "--tail-tol"])
-    def test_nan_sync_tolerance(self, tmp_path, flag):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--sync-tol", "nan"),
+            ("--tail-tol", "nan"),
+            ("--tail-tol", "-1"),
+            ("--tail-fraction", "0"),
+            ("--tail-fraction", "2"),
+        ],
+        ids=["--sync-tol", "--tail-tol", "--tail-tol-negative", "--tail-fraction-0",
+             "--tail-fraction-2"],
+    )
+    def test_nan_sync_tolerance(self, monkeypatch, tmp_path, flag, value):
+        # a bad sync threshold is refused before integrating, so neither the
+        # trajectory nor its report is written
+        monkeypatch.setattr(kp.dynamics, "integrate", _never)
         assert run(
             "simulate", "--builtin", "cycle:4",
             "--alpha", 0.5, "--init-random", "--t-end", 1,
-            flag, "nan", "--out", tmp_path / "x.csv",
+            flag, value, "--out", tmp_path / "x.csv",
         ) == 3
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.sync.json").exists()
 
     def test_non_finite_init_equal(self, tmp_path):
         out = tmp_path / "x.csv"
@@ -617,6 +644,37 @@ class TestExitCodes:
             "--alpha", 0.5, "--init-blocks", values, "--t-end", 1, "--out", out,
         ) == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["--builtin", "foo", "--init-equal", 0], "unknown builtin 'foo'"),
+            (["--builtin", "foo:3", "--init-equal", 0], "unknown builtin 'foo:3'"),
+            (["--builtin", "cycle:x", "--init-equal", 0], "needs an integer argument"),
+            (["--builtin", "cycle:2", "--init-equal", 0], "cycle needs n >= 3"),
+            (["--builtin", "complete:1", "--init-equal", 0], "complete graph needs n >= 2"),
+            (["--builtin", "path:1", "--init-equal", 0], "path needs n >= 2"),
+            (["--builtin", "star:0", "--init-equal", 0], "star needs >= 1 leaf"),
+            (["--builtin", "cycle:4", "--init-blocks", "0,1"], "--init-blocks needs a partition"),
+            (["--builtin", "linear:4", "--init-blocks", "a,1"], "bad --init-blocks value"),
+            (["--builtin", "linear:4", "--init-blocks", "0,1,2"], "gave 3 values for 2 blocks"),
+            (["--builtin", "cycle:4", "--init-cert"], "a 2-block partition is required"),
+            (["--builtin", "star:3", "--alpha-from-cert", "--init-equal", 0],
+             "carries no certificate"),
+            (["--builtin", "cycle:4", "--partition", "p.json", "--alpha-from-cert",
+              "--init-equal", 0], "carries no certificate"),
+        ],
+        ids=["foo", "foo:3", "cycle:x", "cycle:2", "complete:1", "path:1", "star:0",
+             "init-blocks-no-partition", "init-blocks-non-numeric", "init-blocks-count",
+             "init-cert-no-partition", "star-no-certificate", "cycle-no-certificate"],
+    )
+    def test_refused_before_integrating(self, monkeypatch, tmp_path, capsys, argv, error):
+        monkeypatch.setattr(kp.dynamics, "integrate", _never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps({"blocks": [[1, 2], [3, 4]]}))
+        assert run("simulate", *argv, "--alpha", 0.5, "--out", "x.csv") == 3
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("blocks", [[[1], [2]], [[1], [2, 3, 4, 5]]])
     def test_init_blocks_partition_must_cover(self, tmp_path, blocks):

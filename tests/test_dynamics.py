@@ -1132,7 +1132,7 @@ class TestIntegratorOracles:
 
         cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
         init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
-        times, _ = dyn._rk45_path(f, init, cfg, None)
+        times, _, _ = dyn._rk45_path(f, init, cfg, None)
         assert len(attempts) > len(times) - 1  # at least one step was rejected
         assert len(calls) == 1 + 6 * len(attempts)
 
