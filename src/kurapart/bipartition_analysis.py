@@ -25,16 +25,17 @@ degenerates the offset; both are reported as boundary flags.
 One solve serves every bipartition: _solve_rows takes a batch of
 bipartitions as int64 indicator rows with their neighbour counts and
 decides emptiness, r and each block's gain point in int64
-cross-multiplication alone.  _solution turns a solved row into the label,
-solution set and exact Fractions it fixes, and _classified adds the
-vertex sets; classify_bipartition feeds the solve one row with counts
-summed over the arcs and passes the result through both.  The exhaustive
-search feeds it batches of SEARCH_BATCH_ROWS masks with counts from one
-product X @ A and keeps the masks with a nonempty solution set and their
-solved rows; every other mask is Infeasible.  SearchReport._distinct runs
-_solution once per distinct solved row, and the counts, the rendered text
-and SearchReport.rows all read that list.  Masks are int64, so the search
-stops at n = 63.
+cross-multiplication alone.  _solution turns a solved row into the one
+result record, a BipartitionClassification whose certificate leaves s1
+and s2 empty, and _classified fills in the vertex sets.
+classify_bipartition feeds the solve one row of graph_core's count table
+and passes the result through both.  The search feeds it batches of
+SEARCH_BATCH_ROWS masks with counts from one product X @ A, faster than
+arc sums for 1024 rows of at most 63 vertices, and keeps the masks with a
+nonempty solution set and their solved rows; every other mask is
+Infeasible.  SearchReport._distinct runs _solution once per distinct
+solved row, and the counts, the rendered text and SearchReport.rows all
+read that list.  Masks are int64, so the search stops at n = 63.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .graph_core import (
     Graph,
     QuotientMatrix,
     VertexPartition,
+    _block_counts,
     _block_index,
 )
 
@@ -282,14 +284,15 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     """Decide what kind of rigid two-block structure the bipartition admits.
 
     The bipartition becomes a one-row batch: its second block's indicator
-    and every vertex's neighbour count into that block, summed over the
-    graph's arcs, so no n x n matrix is built.  The batch goes through
-    _solve_rows, _solution and _classified, the same solve and tail the
-    exhaustive search uses.  One count point per block is the equitable
-    case: the solution set is a line, reported as `Equitable` with its
-    quotient and family segment.  Otherwise the set is one point or empty:
-    a strictly feasible point certifies the bipartition, equality cases
-    are boundary hits, and everything else is infeasible.
+    and every vertex's neighbour count into that block, read with the
+    degrees off graph_core's count table, so no n x n matrix is built.
+    The batch goes through _solve_rows, _solution and _classified, the
+    same solve and tail the exhaustive search uses.  One count point per
+    block is the equitable case: the solution set is a line, reported as
+    `Equitable` with its quotient and family segment.  Otherwise the set
+    is one point or empty: a strictly feasible point certifies the
+    bipartition, equality cases are boundary hits, and everything else is
+    infeasible.
     `Condition2Family` is never returned, because a connected graph never
     gives a non-equitable line.  The int64 solve is exact while the
     maximum degree is below 2**21; larger degrees raise TooLargeError.
@@ -297,50 +300,58 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
     # block positions are 0 / 1, so the index is the second block's indicator
-    x = _block_index(bip, g.n).astype(np.int64)[None]
-    src, dst = g._arcs
-    degree = np.bincount(dst, minlength=g.n)
+    counts, index = _block_counts(g, bip)
+    to_s1, to_s2 = counts.T
+    # two columns add far faster than counts.sum(axis=1) reduces short rows
+    degree = to_s1 + to_s2
     if degree.max() >= 1 << 21:
         raise TooLargeError(f"maximum degree {degree.max()} reaches 2**21, past exact int64 products")
-    to_s2 = np.bincount(dst[x[0, src] == 1], minlength=g.n)
-    nonempty, solved = _solve_rows(x, to_s2[None], degree)
+    nonempty, solved = _solve_rows(index.astype(np.int64)[None], to_s2[None], degree)
     # tolist hands _solution Python ints, never numpy scalars
     return _classified(_solution(*solved[0].tolist()) if nonempty[0] else _NO_SOLUTION, *bip.blocks)
 
 
-_Solution = tuple[Classification, SolutionSet, tuple | None, QuotientMatrix | None, FamilySegment | None]
-
 # what an empty solution set fixes
-_NO_SOLUTION: _Solution = (Classification.INFEASIBLE, _EMPTY, None, None, None)
+_NO_SOLUTION = BipartitionClassification(Classification.INFEASIBLE, _EMPTY)
 
 
-def _solution(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int) -> _Solution:
-    """What a nonempty solved row fixes apart from its vertex sets: the
-    label, the solution set, the certificate's fields before (s1, s2), the
-    quotient and the family.  Fractions are built only for what is printed."""
+def _solution(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int) -> BipartitionClassification:
+    """The classification a nonempty solved row fixes apart from its vertex
+    sets: a certificate leaves s1 and s2 empty for _classified to fill.
+    Fractions are built only for what is printed."""
     if line:
         base = (Fraction(d1, c1), Fraction(d2, c2), Fraction(0))
         sol = SolutionSet("line", base, ((Fraction(1, c1), Fraction(1, c2), Fraction(1)),))
         gamma = QuotientMatrix(((d1, c1), (c2, d2)))
-        return Classification.EQUITABLE, sol, None, gamma, _equitable_family(c1, d1, c2, d2)
+        family = _equitable_family(c1, d1, c2, d2)
+        return BipartitionClassification(Classification.EQUITABLE, sol, quotient=gamma, family=family)
     m1 = Fraction(d1 * r_den + r_num, c1 * r_den)
     m2 = Fraction(d2 * r_den + r_num, c2 * r_den)
     r = Fraction(r_num, r_den)
     sol = SolutionSet("point", (m1, m2, r), ())
     total = m1 + m2
     if m1 < m2 or abs(total) > 2:
-        return Classification.INFEASIBLE, sol, None, None, None
+        return BipartitionClassification(Classification.INFEASIBLE, sol)
     feasible = abs(total) < 2 and m1 > m2
     label = Classification.CONDITION2_UNIQUE if feasible else Classification.BOUNDARY
-    gains = (m1, m2, r, *_angles(m1, m2), m1 == m2, abs(total) == 2, feasible)
-    return label, sol, gains, None, None
+    alpha, beta, offset = _angles(m1, m2)
+    cert = Condition2Certificate(
+        mu1=m1, mu2=m2, r=r, alpha=alpha, beta=beta, offset=offset,
+        mu_equal=m1 == m2, offset_at_limit=abs(total) == 2, feasible=feasible, s1=(), s2=(),
+    )
+    return BipartitionClassification(label, sol, cert)
 
 
-def _classified(solution: _Solution, s1: tuple[int, ...], s2: tuple[int, ...]) -> BipartitionClassification:
-    """The classification a solution gives the bipartition (s1, s2)."""
-    label, sol, gains, quotient, family = solution
-    cert = None if gains is None else Condition2Certificate(*gains, s1=s1, s2=s2)
-    return BipartitionClassification(label, sol, cert, quotient, family)
+def _classified(
+    solution: BipartitionClassification, s1: tuple[int, ...], s2: tuple[int, ...]
+) -> BipartitionClassification:
+    """The classification a solution gives the bipartition (s1, s2): its
+    certificate, if it has one, gains the vertex sets."""
+    cert = solution.certificate
+    if cert is None:
+        return solution
+    cert = Condition2Certificate(**{**vars(cert), "s1": s1, "s2": s2})
+    return BipartitionClassification(solution.classification, solution.solution_set, cert)
 
 
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
@@ -431,7 +442,7 @@ class SearchReport:
         return (1 << (self.n - 1)) - 1
 
     @functools.cached_property
-    def _distinct(self) -> tuple[list[_Solution], np.ndarray]:
+    def _distinct(self) -> tuple[list[BipartitionClassification], np.ndarray]:
         """The _solution of each distinct solved row, and each stored row's
         index into that list; the only place a search calls _solution."""
         # one 56-byte key per row: far faster than np.unique(axis=0)
@@ -470,7 +481,7 @@ class SearchReport:
         out[Classification.INFEASIBLE.value] = self.total - self.masks.size
         solutions, inverse = self._distinct
         for solution, count in zip(solutions, np.bincount(inverse, minlength=len(solutions)).tolist()):
-            out[solution[0].value] += count
+            out[solution.classification.value] += count
         return out
 
 
@@ -539,10 +550,6 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     return SearchReport(g.n, masks, solved)
 
 
-def _frac_str(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
-
-
 def classification_report(
     bip: VertexPartition,
     result: BipartitionClassification,
@@ -550,50 +557,35 @@ def classification_report(
 ) -> dict:
     """JSON-ready view of one classification; exact gains stay as strings."""
     cert = result.certificate
+    family = vars(result.family) if result.family else None
     report = {
         "bipartition": {"s1": list(bip.blocks[0]), "s2": list(bip.blocks[1]) if bip.k == 2 else None},
         "classification": result.classification.value,
         "solution_kind": result.solution_set.kind,
-        "mu1": _frac_str(cert.mu1) if cert else None,
-        "mu2": _frac_str(cert.mu2) if cert else None,
-        "r": _frac_str(cert.r) if cert else None,
+        "mu1": str(cert.mu1) if cert else None,
+        "mu2": str(cert.mu2) if cert else None,
+        "r": str(cert.r) if cert else None,
         "alpha": cert.alpha if cert else None,
         "beta": cert.beta if cert else None,
         "offset": cert.offset if cert else None,
         "residual": residual,
-        "flags": {
-            "mu_equal": cert.mu_equal,
-            "offset_at_limit": cert.offset_at_limit,
-            "feasible": cert.feasible,
-        }
-        if cert
-        else None,
+        "flags": {k: getattr(cert, k) for k in ("mu_equal", "offset_at_limit", "feasible")} if cert else None,
         "gamma": [list(row) for row in result.quotient.gamma] if result.quotient else None,
-        "family": {
-            "feasible": result.family.feasible,
-            "dim": result.family.dim,
-            "param_lo": _frac_str(result.family.param_lo),
-            "param_hi": _frac_str(result.family.param_hi),
-            "alpha_at_lo": result.family.alpha_at_lo,
-            "alpha_at_hi": result.family.alpha_at_hi,
-            "alpha_at_interior": result.family.alpha_at_interior,
-        }
-        if result.family
-        else None,
+        # FamilySegment's own fields, exact Fractions as strings
+        "family": {k: str(v) if isinstance(v, Fraction) else v for k, v in family.items()} if family else None,
     }
     return report
 
 
-def _tail_text(solution: _Solution) -> str:
+def _tail_text(solution: BipartitionClassification) -> str:
     """Report text after the s2 field for a solution."""
-    label, _, gains, _, family = solution
-    parts = [label.value]
-    if gains is not None:
-        mu1, mu2, r, alpha, beta, offset, mu_equal, offset_at_limit, feasible = gains
-        parts.append(f"mu1={mu1} mu2={mu2} r={r}")
-        parts.append(f"alpha={alpha:.17g} beta={beta:.17g} offset={offset:.17g}")
-        if not feasible:
-            flags = [name for name, on in (("mu_equal", mu_equal), ("offset_at_limit", offset_at_limit)) if on]
+    cert, family = solution.certificate, solution.family
+    parts = [solution.classification.value]
+    if cert is not None:
+        parts.append(f"mu1={cert.mu1} mu2={cert.mu2} r={cert.r}")
+        parts.append(f"alpha={cert.alpha:.17g} beta={cert.beta:.17g} offset={cert.offset:.17g}")
+        if not cert.feasible:
+            flags = [name for name in ("mu_equal", "offset_at_limit") if getattr(cert, name)]
             parts.append("flags=" + ",".join(flags))
     if family is not None:
         parts.append(f"dim={family.dim} feasible={'yes' if family.feasible else 'no'}")

@@ -5,7 +5,9 @@ one partition), search (classify every bipartition), verify (built-in
 consistency checks).  Exit codes: 0 success, 1 failed verification, 2 I/O
 trouble, 3 invalid input, 4 integration failure.  Data files are written
 atomically: content lands in a temp file that is renamed into place, so a
-failed run leaves no partial output.
+failed run leaves no partial output.  The temp files are created before
+any integration, so an unwritable output fails at once, and a written file
+gets the mode a plain open would give it (0o666 less the umask).
 
 Only graph_core is imported up front.  Each subcommand imports the layers
 it uses when it runs, so `search` never loads the integrator and
@@ -15,6 +17,7 @@ it uses when it runs, so `search` never loads the integrator and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -22,7 +25,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 
@@ -49,19 +52,44 @@ EXIT_INTEGRATION = 4
 RANDOM_INIT_ALGORITHM = "numpy PCG64, uniform [0, 2*pi)"
 
 
-def _atomic_write(path: str, data: str) -> None:
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.", suffix=".part")
+@contextlib.contextmanager
+def _atomic_files(*paths: str) -> Iterator[list[TextIO]]:
+    """One text handle per path, on a temp file created beside it at once,
+    so an output directory that is missing or unwritable fails before any
+    work.  When the block ends, every temp file is closed, given the mode a
+    plain open would give (0o666 less the umask) and renamed into place; if
+    it raises, every temp file is removed and no path is touched."""
+    temps: list[tuple[TextIO, str, str]] = []
     try:
-        with os.fdopen(fd, "w") as handle:
-            # 1 MiB slices, so no encoded copy of a whole report exists at once
-            for start in range(0, len(data), 1 << 20):
-                handle.write(data[start : start + (1 << 20)])
-        os.replace(tmp, target)
+        for path in paths:
+            target = os.path.abspath(path)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.", suffix=".part")
+            temps.append((os.fdopen(fd, "w"), tmp, target))
+        yield [handle for handle, _, _ in temps]
+        umask = os.umask(0)
+        os.umask(umask)
+        for handle, tmp, _ in temps:
+            handle.close()
+            os.chmod(tmp, 0o666 & ~umask)
+        for _, tmp, target in temps:
+            os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for handle, tmp, _ in temps:
+            handle.close()
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+
+
+def _write_text(handle: TextIO, data: str) -> None:
+    # 1 MiB slices, so no encoded copy of a whole report exists at once
+    for start in range(0, len(data), 1 << 20):
+        handle.write(data[start : start + (1 << 20)])
+
+
+def _atomic_write(path: str, data: str) -> None:
+    with _atomic_files(path) as (handle,):
+        _write_text(handle, data)
 
 
 def _load_graph(
@@ -249,9 +277,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         record_every=args.record_every,
     )
     init = _initial_state(args, g, part, cert)
-    traj = dyn.integrate(g, init, params, cfg)
-    _atomic_write(args.out, dyn.trajectory_to_csv(traj))
-    _atomic_write(report_path, _sync_report_json(traj, args, params) + "\n")
+    # both temp files exist before integrating, so an output that cannot be
+    # written costs no integration; each text is written, then freed, before
+    # the next is built, and neither file lands unless both are complete
+    with _atomic_files(args.out, report_path) as (csv_file, report_file):
+        traj = dyn.integrate(g, init, params, cfg)
+        _write_text(csv_file, dyn.trajectory_to_csv(traj))
+        _write_text(report_file, _sync_report_json(traj, args, params) + "\n")
     return EXIT_OK
 
 

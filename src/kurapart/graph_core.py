@@ -261,24 +261,27 @@ class QuotientMatrix:
         return np.array(self.gamma, dtype=float)
 
 
+def _block_counts(g: Graph, p: VertexPartition) -> tuple[np.ndarray, np.ndarray]:
+    """(n, k) int64 counts of each vertex's neighbours (row v - 1) in each
+    block of p, from one bincount over the arcs, and _block_index(p, g.n)."""
+    index = _block_index(p, g.n)
+    src, dst = g._arcs
+    return np.bincount(dst * p.k + index[src], minlength=g.n * p.k).reshape(g.n, p.k), index
+
+
 def degree_profile(g: Graph, p: VertexPartition) -> DegreeProfile:
     """Count each vertex's neighbours per block of p."""
-    src, dst = g._arcs
-    counts = np.bincount(dst * p.k + _block_index(p, g.n)[src], minlength=g.n * p.k)
-    return DegreeProfile(tuple(map(tuple, counts.reshape(g.n, p.k).tolist())))
+    return DegreeProfile(tuple(map(tuple, _block_counts(g, p)[0].tolist())))
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> QuotientMatrix | None:
-    """Return the quotient matrix when every block sees constant counts, else None."""
-    prof = degree_profile(g, p)
-    gamma = []
-    for b in p.blocks:
-        first = prof.row(b[0])
-        for v in b[1:]:
-            if prof.row(v) != first:
-                return None
-        gamma.append(first)
-    return QuotientMatrix(tuple(gamma))
+    """Return the quotient matrix when every block sees constant counts, else
+    None: each vertex's counts must equal its block's first vertex's."""
+    counts, index = _block_counts(g, p)
+    gamma = counts[[b[0] - 1 for b in p.blocks]]
+    if (counts != gamma[index]).any():
+        return None
+    return QuotientMatrix(tuple(map(tuple, gamma.tolist())))
 
 
 def coarsest_equitable_refinement(g: Graph, seed: VertexPartition) -> VertexPartition:

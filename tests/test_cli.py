@@ -3,6 +3,7 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -293,6 +294,42 @@ class TestAnalyze:
         assert payload["alpha"] == 0.0
         assert payload["flags"]["offset_at_limit"]
         assert payload["residual"] is None
+
+
+    @pytest.mark.parametrize(
+        "graph, blocks, digest",
+        [
+            ("latoro", None, "f4920693b3cc42ca082022904043100d7a4b358516b7e956a5e050ff10a25947"),
+            ("kura-eg", None, "1f6e306fae1cbba195805157a24e3182288145e070d8d7dc87347c5819fa8528"),
+            ("linear:6", None, "13a4fda853186a0cc86c5af075bf7672f026d3188885d25990e513c155e67c23"),
+            ("star:3", None, "8d7d6d10d4507a8336e1ceb6c1d60e288a629100a00e472b629954b40b5b1390"),
+            ("cycle:4", [[1, 2], [3, 4]],
+             "5a973c56fc4b5d99d2a78df8c3fe5b165d89cdc86bc7a4488ce53a4d1392b02d"),
+            ("complete:6", [[1, 2], [3, 4, 5, 6]],
+             "dca5f4374239bc73ae0fee004516600c76a25fde243c0c0da4f17d884f00ca77"),
+            ("cycle:4", [[1], [2, 4], [3]],
+             "4e1b621448c0f4c96f976e012df536e3af197277328fd5f6d5a1e353f5beee0d"),
+            ("cycle:4", [[1], [2, 3], [4]],
+             "8ffaf98b3375eb801447b04260f157ccb7ab4a0fcd30e79536e763f580b24cb2"),
+            ("1 2\n1 4\n2 3\n2 4\n", [[1, 2, 4], [3]],
+             "ac3a7e55c7fd0464ad1c925b6ffd497d8789fe65fdd1c94ac337cbf2fae38a24"),
+        ],
+        ids=["latoro", "kura-eg", "linear:6", "star:3", "cycle:4-halves", "complete:6-2+4",
+             "cycle:4-equitable-3", "cycle:4-not-equitable", "zero-lag"],
+    )
+    def test_bytes_pinned(self, tmp_path, capsys, graph, blocks, digest):
+        # the stdout of analyze before its count table and result record were
+        # shared with the search; certificates, families and quotients alike
+        if "\n" in graph:
+            (tmp_path / "g.edges").write_text(graph)
+            argv = ["--graph", tmp_path / "g.edges"]
+        else:
+            argv = ["--builtin", graph]
+        if blocks is not None:
+            (tmp_path / "p.json").write_text(json.dumps({"blocks": blocks}))
+            argv += ["--partition", tmp_path / "p.json"]
+        assert run("analyze", *argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestSearch:
@@ -628,6 +665,38 @@ class TestExitCodes:
         assert not (tmp_path / "x.csv").exists()
         assert not (tmp_path / "x.sync.json").exists()
 
+    @pytest.mark.parametrize(
+        "out, report",
+        [("nodir/x.csv", None), ("nodir/x.csv", "r.json"), ("x.csv", "nodir/r.json")],
+        ids=["out", "out-with-report", "report"],
+    )
+    def test_unwritable_output_refused_before_integrating(self, monkeypatch, tmp_path, out, report):
+        # both temp files are made first: a missing directory costs no
+        # integration and leaves neither output behind
+        monkeypatch.setattr(kp.dynamics, "integrate", _never)
+        monkeypatch.chdir(tmp_path)
+        extra = [] if report is None else ["--report", report]
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-equal", 0.0, "--out", out, *extra,
+        ) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_report_leaves_no_trajectory(self, monkeypatch, tmp_path):
+        # the CSV is complete before the report fails, but lands only with it
+        def refuse(*args):
+            raise OSError("report refused")
+
+        monkeypatch.setattr(cli, "_sync_report_json", refuse)
+        out = tmp_path / "x.csv"
+        out.write_text("old content")
+        assert run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-equal", 0.0, "--t-end", 1, "--out", out,
+        ) == 2
+        assert out.read_text() == "old content"
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
     def test_non_finite_init_equal(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run(
@@ -727,3 +796,32 @@ class TestExitCodes:
             "simulate", "--graph", graph, "--builtin", "cycle:4",
             "--alpha", 0.5, "--init-equal", 0.0, "--out", tmp_path / "x.csv",
         ) == 3
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+def umask(request):
+    old = os.umask(request.param)
+    yield request.param
+    os.umask(old)
+
+
+class TestOutputMode:
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["search", "--builtin", "cycle:4", "--out", "s.txt"], ["s.txt"]),
+            (["analyze", "--builtin", "latoro", "--report", "a.json"], ["a.json"]),
+            (["simulate", "--builtin", "cycle:4", "--alpha", 0.5, "--init-equal", 0.0,
+              "--t-end", 1, "--out", "x.csv"], ["x.csv", "x.sync.json"]),
+        ],
+        ids=["search", "analyze", "simulate"],
+    )
+    def test_outputs_get_the_mode_of_a_plain_open(self, monkeypatch, tmp_path, umask, argv, files):
+        # a temp file is made private; the written file must not stay so
+        monkeypatch.chdir(tmp_path)
+        with open("plain", "w"):
+            pass
+        plain = stat.S_IMODE(os.stat("plain").st_mode)
+        assert plain == 0o666 & ~umask
+        assert run(*argv) == 0
+        assert [stat.S_IMODE(os.stat(f).st_mode) for f in files] == [plain] * len(files)

@@ -117,12 +117,44 @@ class TestTrajectory:
             kp.Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)))
         with pytest.raises(kp.DimensionMismatchError):
             kp.Trajectory(np.array([0.0, 1.0]), np.zeros((3, 2)))
+        with pytest.raises(kp.DimensionMismatchError, match="derivatives shape"):
+            kp.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 2)), derivatives=np.zeros((2, 3)))
 
     def test_accessors(self):
         t = kp.Trajectory(np.array([0.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert t.dimension == 2 and t.n_recorded == 2
         assert np.array_equal(t.initial_state(), [1.0, 2.0])
         assert np.array_equal(t.final_state(), [3.0, 4.0])
+
+
+class TestShapeRefusals:
+    """Inputs of the wrong shape or range, each refused with its own error."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: kp.LinearTrajectory([0.0, 1.0], [1.0, 2.0, 3.0]),
+             kp.DimensionMismatchError, "rate shape"),
+            (lambda: kp.kuramoto_rhs(kp.cycle_graph(4), np.zeros(3), kp.ModelParams(alpha=0.5)),
+             kp.DimensionMismatchError, "does not match n=4"),
+            (lambda: kp.quotient_rhs(kp.QuotientMatrix(((0, 6), (1, 0))), np.zeros(3), 0.5),
+             kp.DimensionMismatchError, "does not match k=2"),
+            (lambda: kp.analytic_regular_solution(-1, 0.5, 4, [0.0, 1.0]),
+             kp.BadParameterError, "d=-1"),
+            (lambda: kp.analytic_regular_solution(2, 0.5, 0, [0.0, 1.0]),
+             kp.BadParameterError, "n=0"),
+            (lambda: kp.residual_max(
+                kp.cycle_graph(4), kp.Trajectory([0.0, 1.0, 2.0], np.zeros((3, 3))), kp.ModelParams(alpha=0.5)),
+             kp.DimensionMismatchError, "trajectory width 3"),
+        ],
+        ids=[
+            "linear-trajectory-rate", "kuramoto-rhs-state", "quotient-rhs-state",
+            "regular-negative-degree", "regular-no-vertices", "residual-width",
+        ],
+    )
+    def test_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestLinearTrajectory:
@@ -254,6 +286,10 @@ class TestIntegration:
         g = kp.cycle_graph(4)
         with pytest.raises(kp.DimensionMismatchError):
             kp.integrate(g, np.zeros(3), kp.ModelParams(alpha=0.5), kp.IntegratorConfig(t_end=1.0))
+        with pytest.raises(kp.DimensionMismatchError, match="does not match k=2"):
+            kp.integrate_quotient(
+                kp.QuotientMatrix(((0, 2), (2, 0))), np.zeros(3), 0.5, kp.IntegratorConfig(t_end=1.0)
+            )
 
     def test_nonfinite_init_rejected(self):
         g = kp.cycle_graph(4)
@@ -543,6 +579,8 @@ class TestResiduals:
         g = kp.cycle_graph(4)
         with pytest.raises(kp.BadParameterError):
             kp.residual_max(g, traj, kp.ModelParams(alpha=0.7), sample_grid=np.array([0.123]))
+        with pytest.raises(kp.BadParameterError, match="past the trajectory span"):
+            kp.residual_max(g, traj, kp.ModelParams(alpha=0.7), sample_grid=np.array([5.0, 10.5]))
 
 
 class TestTrajectoryCsv:
@@ -565,6 +603,14 @@ class TestTrajectoryCsv:
             kp.trajectory_from_csv("t,theta_1\n0,not_a_number\n")
         with pytest.raises(kp.FormatError):
             kp.trajectory_from_csv("wrong,header\n0,1\n")
+        for text, message in [
+            ("", "empty trajectory file"),
+            ("\n  \n", "empty trajectory file"),
+            ("t,theta_1\n0,1,2\n", "row width 3"),
+            ("t,theta_1,theta_2\n", "no data rows"),
+        ]:
+            with pytest.raises(kp.FormatError, match=message):
+                kp.trajectory_from_csv(text)
 
 
     def test_bytes_match_per_value_writer(self):

@@ -104,6 +104,9 @@ class TestGraphConstruction:
         assert g.degree(2) == 2
         assert g.has_edge(3, 4) and g.has_edge(4, 3)
         assert not g.has_edge(1, 3)
+        for v in (0, 5):
+            with pytest.raises(kp.VertexOutOfRangeError, match=f"vertex {v} outside"):
+                g.neighbors(v)
 
     def test_adjacency_matrix(self):
         g = kp.cycle_graph(4)
@@ -141,6 +144,8 @@ class TestVertexPartition:
     def test_empty_block_rejected(self):
         with pytest.raises(kp.KurapartError):
             kp.VertexPartition.from_blocks([[1, 2], []])
+        with pytest.raises(kp.PartitionMismatchError, match="no blocks"):
+            kp.VertexPartition(())
 
     def test_bool_label_rejected(self):
         # True == 1 as an int, but it is not a vertex label
@@ -169,6 +174,15 @@ class TestDegreeProfile:
             assert prof.row(v) == (1, 1)
         for v in (6, 7, 8, 9):
             assert prof.row(v) == (0, 2)
+
+    def test_k_and_array(self):
+        g, bip = kp.linear_family_graph(4)
+        prof = kp.degree_profile(g, bip)
+        assert prof.k == 2
+        table = prof.as_array()
+        assert table.shape == (9, 2) and table.dtype.kind == "i"
+        assert table.tolist() == [list(row) for row in prof.delta]
+        assert kp.DegreeProfile(()).k == 0
 
     def test_rows_partition_degrees(self):
         rng = np.random.default_rng(11)
@@ -244,10 +258,19 @@ class TestEquitable:
         rng = np.random.default_rng(23)
         for _ in range(40):
             g = random_connected_graph(rng, int(rng.integers(2, 7)))
+            nbrs = adjacency_sets(g)
             for blocks in all_partitions(list(range(1, g.n + 1))):
                 p = kp.VertexPartition.from_blocks(blocks)
-                got = kp.is_equitable(g, p) is not None
+                q = kp.is_equitable(g, p)
+                got = q is not None
                 assert got == is_equitable_slow(g, blocks)
+                if got:
+                    # every vertex of a block has its block's row of counts, as
+                    # plain ints so the quotient serialises to JSON
+                    for row, block in zip(q.gamma, p.blocks):
+                        assert all(type(c) is int for c in row)
+                        for v in block:
+                            assert row == tuple(len(nbrs[v] & set(b)) for b in p.blocks)
 
 
 class TestCoarsestRefinement:
@@ -463,7 +486,9 @@ class TestSerialization:
         assert g.n == 3
 
     def test_read_edge_list_bad_tokens(self):
-        for text in ("1 two\n", "1\n", "1 2 3\n", "n x\n1 2\n"):
+        # a second n header, and a file of comments only, name no graph either
+        bad = ("1 two\n", "1\n", "1 2 3\n", "n x\n1 2\n", "n 3\n1 2\nn 3\n2 3\n", "# only\n\n  # comments\n")
+        for text in bad:
             with pytest.raises(kp.FormatError):
                 kp.read_edge_list(text)
 
