@@ -202,9 +202,16 @@ def alpha_from_mu(mu1: RationalLike, mu2: RationalLike) -> AlphaResult:
     return AlphaResult(value=value, mu_equal=m1 == m2, sum_at_limit=abs(s) == 2)
 
 
+def _offset(m1: Fraction, m2: Fraction) -> float:
+    """Cross-block offset acos(-(mu1+mu2)/2) of a gain pair that alpha_from_mu accepts."""
+    return math.acos(float(-(m1 + m2) / 2))
+
+
 def beta_from_mu(mu1: RationalLike, mu2: RationalLike) -> float:
     """Cross-block offset minus lag: acos(-(mu1+mu2)/2) - alpha, principal branch."""
-    return _angles(_as_fraction(mu1), _as_fraction(mu2))[1]
+    m1, m2 = _as_fraction(mu1), _as_fraction(mu2)
+    alpha = alpha_from_mu(m1, m2).value
+    return _offset(m1, m2) - alpha
 
 
 @dataclass(frozen=True)
@@ -249,13 +256,6 @@ class BipartitionClassification:
     certificate: Condition2Certificate | None = None
     quotient: QuotientMatrix | None = None
     family: FamilySegment | None = None
-
-
-def _angles(m1: Fraction, m2: Fraction) -> tuple[float, float, float]:
-    """(alpha, beta, offset) of a gain pair that alpha_from_mu accepts."""
-    alpha = alpha_from_mu(m1, m2).value
-    offset = math.acos(float(-(m1 + m2) / 2))
-    return alpha, offset - alpha, offset
 
 
 def _equitable_family(c1: int, d1: int, c2: int, d2: int) -> FamilySegment:
@@ -318,7 +318,9 @@ _NO_SOLUTION = BipartitionClassification(Classification.INFEASIBLE, _EMPTY)
 def _solution(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: int) -> BipartitionClassification:
     """The classification a nonempty solved row fixes apart from its vertex
     sets: a certificate leaves s1 and s2 empty for _classified to fill.
-    Fractions are built only for what is printed."""
+    alpha_from_mu alone judges a point: a pair it refuses is Infeasible, a
+    boundary flag makes a Boundary certificate.  Fractions are built only
+    for what is printed."""
     if line:
         base = (Fraction(d1, c1), Fraction(d2, c2), Fraction(0))
         sol = SolutionSet("line", base, ((Fraction(1, c1), Fraction(1, c2), Fraction(1)),))
@@ -329,15 +331,16 @@ def _solution(line: int, r_num: int, r_den: int, c1: int, d1: int, c2: int, d2: 
     m2 = Fraction(d2 * r_den + r_num, c2 * r_den)
     r = Fraction(r_num, r_den)
     sol = SolutionSet("point", (m1, m2, r), ())
-    total = m1 + m2
-    if m1 < m2 or abs(total) > 2:
+    try:
+        lag = alpha_from_mu(m1, m2)
+    except InfeasibleMuError:
         return BipartitionClassification(Classification.INFEASIBLE, sol)
-    feasible = abs(total) < 2 and m1 > m2
+    feasible = not (lag.mu_equal or lag.sum_at_limit)
     label = Classification.CONDITION2_UNIQUE if feasible else Classification.BOUNDARY
-    alpha, beta, offset = _angles(m1, m2)
+    offset = _offset(m1, m2)
     cert = Condition2Certificate(
-        mu1=m1, mu2=m2, r=r, alpha=alpha, beta=beta, offset=offset,
-        mu_equal=m1 == m2, offset_at_limit=abs(total) == 2, feasible=feasible, s1=(), s2=(),
+        mu1=m1, mu2=m2, r=r, alpha=lag.value, beta=offset - lag.value, offset=offset,
+        mu_equal=lag.mu_equal, offset_at_limit=lag.sum_at_limit, feasible=feasible, s1=(), s2=(),
     )
     return BipartitionClassification(label, sol, cert)
 
@@ -356,12 +359,14 @@ def _classified(
 
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
     """Closed-form motion the certificate promises: phase c + r sin(alpha) t on
-    the first block and the same plus the cross-block offset on the second."""
+    s1 and the same plus the cross-block offset on s2.  The start vector is c
+    everywhere with the offset added on s2; s1 and s2 must split 1..n."""
     from .dynamics import LinearTrajectory
 
-    side = _block_index(VertexPartition((cert.s1, cert.s2)), max(cert.s1 + cert.s2))
-    # blocks are ordered by smallest vertex, so s2 is whichever side holds s2[0]
-    start = np.where(side == side[cert.s2[0] - 1], float(c) + cert.offset, float(c))
+    n = max(cert.s1 + cert.s2)
+    _block_index(VertexPartition((cert.s1, cert.s2)), n)
+    start = np.full(n, float(c))
+    start[np.array(cert.s2) - 1] += cert.offset
     rate = float(cert.r) * math.sin(cert.alpha)
     return LinearTrajectory(start, rate)
 
@@ -562,12 +567,8 @@ def classification_report(
         "bipartition": {"s1": list(bip.blocks[0]), "s2": list(bip.blocks[1]) if bip.k == 2 else None},
         "classification": result.classification.value,
         "solution_kind": result.solution_set.kind,
-        "mu1": str(cert.mu1) if cert else None,
-        "mu2": str(cert.mu2) if cert else None,
-        "r": str(cert.r) if cert else None,
-        "alpha": cert.alpha if cert else None,
-        "beta": cert.beta if cert else None,
-        "offset": cert.offset if cert else None,
+        **{k: str(getattr(cert, k)) if cert else None for k in ("mu1", "mu2", "r")},
+        **{k: getattr(cert, k) if cert else None for k in ("alpha", "beta", "offset")},
         "residual": residual,
         "flags": {k: getattr(cert, k) for k in ("mu_equal", "offset_at_limit", "feasible")} if cert else None,
         "gamma": [list(row) for row in result.quotient.gamma] if result.quotient else None,

@@ -55,14 +55,19 @@ RANDOM_INIT_ALGORITHM = "numpy PCG64, uniform [0, 2*pi)"
 @contextlib.contextmanager
 def _atomic_files(*paths: str) -> Iterator[list[TextIO]]:
     """One text handle per path, on a temp file created beside it at once,
-    so an output directory that is missing or unwritable fails before any
-    work.  When the block ends, every temp file is closed, given the mode a
-    plain open would give (0o666 less the umask) and renamed into place; if
-    it raises, every temp file is removed and no path is touched."""
+    so an output directory that is missing or unwritable, or a path that
+    is itself a directory, fails before any work.  When the block ends,
+    every temp file is closed, given the mode a plain open would give
+    (0o666 less the umask) and renamed into place.  If anything raises,
+    every temp file is removed, and so is every target already renamed,
+    so no run leaves one new file of the set without the others."""
     temps: list[tuple[TextIO, str, str]] = []
+    renamed: list[str] = []
     try:
         for path in paths:
             target = os.path.abspath(path)
+            if os.path.isdir(target):
+                raise IsADirectoryError(f"output path {path} is a directory")
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.", suffix=".part")
             temps.append((os.fdopen(fd, "w"), tmp, target))
         yield [handle for handle, _, _ in temps]
@@ -73,11 +78,14 @@ def _atomic_files(*paths: str) -> Iterator[list[TextIO]]:
             os.chmod(tmp, 0o666 & ~umask)
         for _, tmp, target in temps:
             os.replace(tmp, target)
+            renamed.append(target)
     except BaseException:
         for handle, tmp, _ in temps:
             handle.close()
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for target in renamed:
+            os.unlink(target)
         raise
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -793,46 +793,37 @@ def analytic_regular_solution(
     return LinearTrajectory(np.zeros(n), rate).sample(t_grid)
 
 
-def residual_max(
-    g: Graph,
-    traj: Trajectory,
-    params: ModelParams,
-    sample_grid: Sequence[float] | None = None,
-) -> float:
+def residual_max(g: Graph, traj: Trajectory, params: ModelParams) -> float:
     """Worst-case gap between recorded phase velocity and the model velocity.
 
-    Closed-form derivatives are used when the trajectory carries them;
-    otherwise interior derivatives come from three-point differences on the
-    recorded grid, a coarse but solver-independent estimate.
+    The derivatives come from the closed form at every recorded time when
+    the trajectory carries one, else from three-point differences at every
+    interior time, a coarse but solver-independent estimate.  Each
+    difference row is formed from three weight arrays only when it is
+    checked, so no second (m, n) array is built.
     """
     if traj.dimension != g.n:
         raise DimensionMismatchError(f"trajectory width {traj.dimension} vs n={g.n}")
     times, states = traj.times, traj.states
-    rows = np.arange(times.size)
-    if sample_grid is not None:
-        wanted = np.asarray(sample_grid, dtype=float)
-        if wanted.size and (wanted.min() < times[0] - 1e-12 or wanted.max() > times[-1] + 1e-12):
-            raise BadParameterError("sample grid extends past the trajectory span")
-        rows = np.clip(np.searchsorted(times, wanted), 0, times.size - 1)
-        if not np.all(np.abs(times[rows] - wanted) <= 1e-9):
-            raise BadParameterError("sample grid must consist of recorded times")
-    if traj.derivatives is None:
+    if traj.derivatives is not None:
+        derivs: Iterable[np.ndarray] = traj.derivatives
+        rows = states
+    else:
         if times.size < 3:
             raise TooShortError("numeric residual needs at least three recorded times")
-        rows = [r for r in rows if 1 <= r <= times.size - 2]
+        h1, h2 = times[1:-1] - times[:-2], times[2:] - times[1:-1]
+        w0 = -h2 / (h1 * (h1 + h2))
+        w1 = (h2 - h1) / (h1 * h2)
+        w2 = h1 / (h2 * (h1 + h2))
+        derivs = (
+            w0[i] * states[i] + w1[i] * states[i + 1] + w2[i] * states[i + 2]
+            for i in range(times.size - 2)
+        )
+        rows = states[1:-1]
     f = _graph_rhs(g, params)
     worst = 0.0
-    for r in rows:
-        if traj.derivatives is not None:
-            deriv = traj.derivatives[r]
-        else:
-            h1 = times[r] - times[r - 1]
-            h2 = times[r + 1] - times[r]
-            w0 = -h2 / (h1 * (h1 + h2))
-            w1 = (h2 - h1) / (h1 * h2)
-            w2 = h1 / (h2 * (h1 + h2))
-            deriv = w0 * states[r - 1] + w1 * states[r] + w2 * states[r + 1]
-        worst = max(worst, float(np.abs(deriv - f(states[r])).max()))
+    for deriv, y in zip(derivs, rows):
+        worst = max(worst, float(np.abs(deriv - f(y)).max()))
     return worst
 
 

@@ -31,7 +31,7 @@ from kurapart import (
     classify_bipartition,
 )
 from kurapart import dynamics as dyn
-from kurapart.graph_core import _interleaved_bins, bipartition_from_mask
+from kurapart.graph_core import bipartition_from_mask
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -439,9 +439,20 @@ def coupling_rhs_slow(src, bins, w, matrix, n, alpha, omega=0.0, coupling=1.0):
     return f
 
 
+def interleaved_bins_slow(dst: np.ndarray) -> np.ndarray:
+    """Scatter bins 2 d, 2 d + 1 for each arc destination d, in arc order."""
+    return np.array([b for d in dst.tolist() for b in (2 * d, 2 * d + 1)], dtype=np.intp)
+
+
 def graph_rhs_slow(g: Graph, params):
+    """The graph's right-hand side from its edge list: both directions of
+    every edge as 0-based arcs sorted by (dst, src), their interleaved
+    bins, and the dense weights W[dst, src] = 1."""
+    arcs = sorted((v - 1, u - 1) for a, b in g.edges for u, v in ((a, b), (b, a)))
+    dst = np.array([d for d, _ in arcs], dtype=np.intp)
+    src = np.array([s for _, s in arcs], dtype=np.intp)
     return coupling_rhs_slow(
-        g._arcs[0], g._arc_bins, None, lambda: g._arc_matrix, g.n,
+        src, interleaved_bins_slow(dst), None, lambda: adjacency_matrix_slow(g), g.n,
         params.alpha, params.omega, params.coupling,
     )
 
@@ -450,13 +461,66 @@ def gamma_rhs_slow(gamma, alpha: float):
     gm = gamma.as_array()
     dst, src = np.nonzero(gm)
     return coupling_rhs_slow(
-        src, _interleaved_bins(dst), np.repeat(gm[dst, src], 2), lambda: gm, gamma.k, alpha
+        src, interleaved_bins_slow(dst), np.repeat(gm[dst, src], 2), lambda: gm, gamma.k, alpha
     )
+
+
+def residual_max_slow(g: Graph, traj: Trajectory, params) -> float:
+    """Largest gap between recorded and model phase velocity, one row at a
+    time: closed-form derivatives at every row when the trajectory carries
+    them, else three-point differences at every interior row."""
+    times, states = traj.times, traj.states
+    if traj.derivatives is None:
+        if times.size < 3:
+            raise TooShortError("numeric residual needs at least three recorded times")
+        rows = range(1, times.size - 1)
+    else:
+        rows = range(times.size)
+    f = graph_rhs_slow(g, params)
+    worst = 0.0
+    for r in rows:
+        if traj.derivatives is not None:
+            deriv = traj.derivatives[r]
+        else:
+            h1 = times[r] - times[r - 1]
+            h2 = times[r + 1] - times[r]
+            w0 = -h2 / (h1 * (h1 + h2))
+            w1 = (h2 - h1) / (h1 * h2)
+            w2 = h1 / (h2 * (h1 + h2))
+            deriv = w0 * states[r - 1] + w1 * states[r] + w2 * states[r + 1]
+        worst = max(worst, float(np.abs(deriv - f(states[r])).max()))
+    return worst
 
 
 def _check_finite_slow(y, where):
     if not np.all(np.isfinite(y)):
         raise NonFiniteStateError(f"non-finite state {where}")
+
+
+def tableau_slow(rows):
+    """Square strictly lower-triangular Runge-Kutta matrix from its rows
+    below the first; its last row holds the propagating weights."""
+    a = np.zeros((len(rows) + 1, len(rows) + 1))
+    for i, row in enumerate(rows, start=1):
+        a[i, :i] = row
+    return a
+
+
+# classical RK4, and Dormand-Prince 4(5) with its 5th- minus 4th-order weights
+RK4_A_SLOW = tableau_slow([[1 / 2], [0, 1 / 2], [0, 0, 1], [1 / 6, 1 / 3, 1 / 3, 1 / 6]])
+DP_A_SLOW = tableau_slow(
+    [
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+)
+DP_E_SLOW = DP_A_SLOW[6] - np.array(
+    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+)
 
 
 def rk_stages_slow(f, y, h, a, k, arg):
@@ -478,11 +542,11 @@ def rk4_path_slow(f, y0, cfg):
     n_steps, last = dyn._rk4_steps(t_end, dt)
     times, states = [0.0], [y0]
     y = y0
-    k = np.empty((dyn._RK4_A.shape[0], y.size))
+    k = np.empty((RK4_A_SLOW.shape[0], y.size))
     arg = np.empty(y.size)
     k[0] = f(y)
     for i in range(1, n_steps + 1):
-        y = rk_stages_slow(f, y, dt if i < n_steps else last, dyn._RK4_A, k, arg)
+        y = rk_stages_slow(f, y, dt if i < n_steps else last, RK4_A_SLOW, k, arg)
         k[0] = k[-1]
         _check_finite_slow(y, f"after step {i}")
         if i == n_steps or i % cfg.record_every == 0:
@@ -508,7 +572,7 @@ def rk45_path_slow(f, y0, cfg, t_eval):
     accepted = 0
     steps = 0
     h_min, h_max = math.inf, 0.0
-    k = np.empty((dyn._DP_A.shape[0], y.size))
+    k = np.empty((DP_A_SLOW.shape[0], y.size))
     arg, err_vec, scale = np.empty((3, y.size))
     k[0] = f(y)
     while t < t_goal:
@@ -520,12 +584,12 @@ def rk45_path_slow(f, y0, cfg, t_eval):
         boundary = t_eval[eval_idx] if t_eval is not None else t_goal
         clipped = t + h >= boundary
         h_step = boundary - t if clipped else h
-        y_new = rk_stages_slow(f, y, h_step, dyn._DP_A, k, arg)
+        y_new = rk_stages_slow(f, y, h_step, DP_A_SLOW, k, arg)
         abs_new = np.abs(y_new)
         np.maximum(abs_y, abs_new, out=scale)
         scale *= cfg.rel_tol
         scale += cfg.abs_tol
-        np.dot(dyn._DP_E, k, out=err_vec)
+        np.dot(DP_E_SLOW, k, out=err_vec)
         with np.errstate(over="ignore"):
             err_vec /= scale
             err = h_step * math.sqrt(float(err_vec @ err_vec) / y.size)

@@ -20,6 +20,7 @@ from oracle_tools import (
     is_equitable_slow,
     line_family_slow,
     random_connected_graph,
+    residual_max_slow,
     search_rows_slow,
 )
 
@@ -309,6 +310,25 @@ class TestCertificates:
             rhs = kp.kuramoto_rhs(g, traj.states[k], params)
             worst = max(worst, float(np.abs(traj.derivatives[k] - rhs).max()))
         assert r == pytest.approx(worst, abs=1e-15)
+
+    def test_every_certificate_verifies_as_the_oracle_does(self):
+        # the start vector is c on s1 and c + offset on s2, built here by
+        # hand; the residual must equal the per-row oracle bit for bit
+        grid = np.linspace(0.0, 10.0, 101)
+        seen = 0
+        for g in [*named_graphs()[:4], kp.cycle_graph(6), kp.complete_graph(5)]:
+            for row in search_rows_slow(g):
+                cert = row.certificate
+                if cert is None:
+                    continue
+                bip = kp.VertexPartition((cert.s1, cert.s2))
+                start = [0.4 + cert.offset if v in cert.s2 else 0.4 for v in range(1, g.n + 1)]
+                motion = kp.LinearTrajectory(start, float(cert.r) * math.sin(cert.alpha))
+                assert np.array_equal(kp.certificate_to_solution(cert, c=0.4).start, motion.start)
+                want = residual_max_slow(g, motion.sample(grid), kp.ModelParams(alpha=cert.alpha))
+                assert kp.verify_certificate(g, bip, cert, c=0.4) == want
+                seen += 1
+        assert seen >= 8
 
     def test_verify_rejects_mismatched_partition(self):
         g, bip = kp.linear_family_graph(4)

@@ -784,6 +784,35 @@ class TestExitCodes:
         ) == 3
         assert out.read_text() == "old content"
 
+    def test_report_path_that_is_a_directory_refused_before_integrating(self, monkeypatch, tmp_path):
+        # the CSV rename would succeed and the report's fail, leaving x.csv alone
+        monkeypatch.setattr(kp.dynamics, "integrate", _never)
+        (tmp_path / "rep.json").mkdir()
+        assert run(
+            "simulate", "--builtin", "cycle:4", "--alpha", 0.5, "--init-equal", 0.0,
+            "--t-end", 1, "--out", tmp_path / "x.csv", "--report", tmp_path / "rep.json",
+        ) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+        assert list((tmp_path / "rep.json").iterdir()) == []
+
+    def test_failed_second_rename_removes_the_first(self, monkeypatch, tmp_path):
+        real_replace, calls = os.replace, []
+
+        def second_fails(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        out = tmp_path / "x.csv"
+        assert run(
+            "simulate", "--builtin", "cycle:4", "--alpha", 0.5, "--init-equal", 0.0,
+            "--t-end", 1, "--out", out,
+        ) == 2
+        assert calls == [str(out), str(tmp_path / "x.sync.json")]
+        assert list(tmp_path.iterdir()) == []
+
     def test_search_rejects_vertex_count_without_edges(self, tmp_path):
         graph = tmp_path / "huge.edges"
         graph.write_text("n 3000000\n1 2\n")

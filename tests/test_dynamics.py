@@ -12,6 +12,7 @@ from oracle_tools import (
     graph_rhs_slow,
     integrate_slow,
     random_connected_graph,
+    residual_max_slow,
     sync_report_slow,
     trajectory_to_csv_slow,
 )
@@ -573,14 +574,52 @@ class TestResiduals:
         with pytest.raises(kp.TooShortError):
             kp.residual_max(g, traj, kp.ModelParams(alpha=0.5))
 
-    def test_sample_grid_must_be_recorded(self):
-        grid = np.linspace(0.0, 10.0, 101)
-        traj = kp.analytic_regular_solution(2, 0.7, 4, grid)
-        g = kp.cycle_graph(4)
-        with pytest.raises(kp.BadParameterError):
-            kp.residual_max(g, traj, kp.ModelParams(alpha=0.7), sample_grid=np.array([0.123]))
-        with pytest.raises(kp.BadParameterError, match="past the trajectory span"):
-            kp.residual_max(g, traj, kp.ModelParams(alpha=0.7), sample_grid=np.array([5.0, 10.5]))
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_matches_slow_oracle_on_runs(self, method):
+        # rk45 steps vary and rk4 ends on a short step, so both grids are
+        # non-uniform; the three-point weights must match bit for bit
+        rng = np.random.default_rng(19)
+        dt = 0.01 if method == "rk4" else None
+        cfg = kp.IntegratorConfig(t_end=2.05, method=method, dt=dt, record_every=3)
+        for g in (kp.cycle_graph(7), kp.complete_graph(9), random_connected_graph(rng, 11)):
+            params = kp.ModelParams(alpha=float(rng.uniform(0.1, 1.5)), omega=0.2)
+            traj = kp.integrate(g, rng.uniform(0.0, 2 * math.pi, g.n), params, cfg)
+            assert np.unique(np.diff(traj.times)).size > 1
+            assert kp.residual_max(g, traj, params) == residual_max_slow(g, traj, params)
+
+    def test_matches_slow_oracle_on_closed_forms(self):
+        g = kp.cycle_graph(6)
+        params = kp.ModelParams(alpha=0.9)
+        grid = np.cumsum(np.random.default_rng(5).uniform(0.01, 0.3, 40)) - 0.01
+        grid[0] = 0.0
+        motion = kp.LinearTrajectory(np.linspace(0.0, 1.0, 6), [0.3, -0.1, 0.2, 0.0, 0.5, -0.4])
+        closed = motion.sample(grid)
+        numeric = kp.Trajectory(closed.times, closed.states)
+        for traj in (closed, numeric):
+            assert kp.residual_max(g, traj, params) == residual_max_slow(g, traj, params)
+        # a lifted quotient carries the block system's derivatives
+        g, part = kp.star_graph(5)
+        gamma = kp.is_equitable(g, part)
+        qt = kp.integrate_quotient(gamma, np.array([0.0, 1.0]), 0.7, kp.IntegratorConfig(t_end=3.0))
+        lifted = kp.lift_quotient_trajectory(part, qt, gamma=gamma, alpha=0.7)
+        params = kp.ModelParams(alpha=0.7)
+        assert kp.residual_max(g, lifted, params) == residual_max_slow(g, lifted, params)
+
+    def test_numeric_residual_builds_no_derivative_array(self):
+        # an (m, n) derivative array would be 8 MB here
+        g = kp.cycle_graph(50)
+        params = kp.ModelParams(alpha=0.7)
+        cfg = kp.IntegratorConfig(t_end=10.0, method="rk4", dt=5e-4)
+        traj = kp.integrate(g, np.linspace(0.0, 3.0, 50), params, cfg)
+        assert traj.states.shape == (20_001, 50)
+        tracemalloc.start()
+        try:
+            kp.residual_max(g, traj, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
 
 
 class TestTrajectoryCsv:
