@@ -59,9 +59,12 @@ def _atomic_files(*paths: str) -> Iterator[list[TextIO]]:
     is itself a directory, fails before any work.  When the block ends,
     every temp file is closed, given the mode a plain open would give
     (0o666 less the umask) and renamed into place.  If anything raises,
-    every temp file is removed, and so is every target already renamed,
-    so no run leaves one new file of the set without the others."""
+    every temp file is removed, every target already renamed gets back the
+    file it held before (kept as a hard link where the filesystem allows
+    one) or is removed, and the original error propagates: a run never
+    leaves one new file of the set without the others."""
     temps: list[tuple[TextIO, str, str]] = []
+    kept: dict[str, str] = {}  # target -> hard link to the file it held
     renamed: list[str] = []
     try:
         for path in paths:
@@ -76,17 +79,34 @@ def _atomic_files(*paths: str) -> Iterator[list[TextIO]]:
         for handle, tmp, _ in temps:
             handle.close()
             os.chmod(tmp, 0o666 & ~umask)
+        # the last rename needs no copy: if it fails, its target is untouched
+        for _, tmp, target in temps[:-1]:
+            if os.path.lexists(target):
+                try:
+                    os.link(target, tmp + ".old", follow_symlinks=False)
+                    kept[target] = tmp + ".old"
+                except OSError:
+                    pass  # no hard links here: a failed pair is removed, not restored
         for _, tmp, target in temps:
             os.replace(tmp, target)
             renamed.append(target)
     except BaseException:
         for handle, tmp, _ in temps:
-            handle.close()
-            if os.path.exists(tmp):
+            with contextlib.suppress(OSError):
+                handle.close()
+            with contextlib.suppress(OSError):
                 os.unlink(tmp)
         for target in renamed:
-            os.unlink(target)
+            with contextlib.suppress(OSError):
+                if target in kept:
+                    os.replace(kept.pop(target), target)
+                else:
+                    os.unlink(target)
         raise
+    finally:
+        for backup in kept.values():
+            with contextlib.suppress(OSError):
+                os.unlink(backup)
 
 
 def _write_text(handle: TextIO, data: str) -> None:

@@ -813,6 +813,47 @@ class TestExitCodes:
         assert calls == [str(out), str(tmp_path / "x.sync.json")]
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_second_rename_restores_the_earlier_pair(self, monkeypatch, tmp_path):
+        out, report = tmp_path / "x.csv", tmp_path / "x.sync.json"
+        out.write_text("old trajectory")
+        report.write_text("old report")
+        out.chmod(0o640)
+        real_replace = os.replace
+
+        def report_fails(src, dst):
+            if dst == str(report):
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        args = ("simulate", "--builtin", "cycle:4", "--alpha", 0.5, "--init-equal", 0.0,
+                "--t-end", 1, "--out", out)
+        monkeypatch.setattr(os, "replace", report_fails)
+        assert run(*args) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.sync.json"]
+        assert out.read_text() == "old trajectory"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert report.read_text() == "old report"
+        # a run that succeeds over the same pair leaves no kept copy behind
+        monkeypatch.setattr(os, "replace", real_replace)
+        assert run(*args) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.sync.json"]
+        assert out.read_text().startswith("t,")
+
+    def test_pair_replaced_where_hard_links_are_refused(self, monkeypatch, tmp_path):
+        # a filesystem without hard links still takes the new pair
+        def refused(*args, **kwargs):
+            raise PermissionError("hard links not supported")
+
+        out = tmp_path / "x.csv"
+        out.write_text("old trajectory")
+        monkeypatch.setattr(os, "link", refused)
+        assert run(
+            "simulate", "--builtin", "cycle:4", "--alpha", 0.5, "--init-equal", 0.0,
+            "--t-end", 1, "--out", out,
+        ) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv", "x.sync.json"]
+        assert out.read_text().startswith("t,")
+
     def test_search_rejects_vertex_count_without_edges(self, tmp_path):
         graph = tmp_path / "huge.edges"
         graph.write_text("n 3000000\n1 2\n")
