@@ -7,8 +7,11 @@ two-block classifier and its search).  Each module is imported the first
 time it, or one of its names, is looked up on the package (PEP 562), so
 `import kurapart` loads no module: `import kurapart.cli` loads
 `graph_core` and `errors`, and each subcommand imports the rest it uses.
-`__all__` is the union of the modules' own `__all__` lists, built on first
-access, so `from kurapart import *` imports all four.
+A name is found in one table, `_EXPORTS`, so looking it up imports only the
+module that defines it (and what that module imports), and a name not in
+the table imports nothing.  Each module's `__all__` is its row of the table,
+and the package's `__all__` is all of them, so `from kurapart import *`
+imports all four.
 """
 
 import importlib
@@ -16,10 +19,93 @@ from typing import TYPE_CHECKING
 
 __version__ = "0.1.0"
 
-# the modules whose names the package exports, in import-cost order: a name
-# is looked for in each in turn, so a graph_core name loads neither the
-# integrator nor the bipartition layer (a bipartition_analysis name loads both)
-_MODULES = ("errors", "graph_core", "dynamics", "bipartition_analysis")
+# every exported name, once, under the module that defines it
+_EXPORTS = {
+    "errors": (
+        "KurapartError",
+        "EmptyGraphError",
+        "SelfLoopError",
+        "VertexOutOfRangeError",
+        "DisconnectedError",
+        "PartitionMismatchError",
+        "NotBipartitionError",
+        "TooLargeError",
+        "BadParameterError",
+        "DimensionMismatchError",
+        "StepUnderflowError",
+        "NonFiniteStateError",
+        "EmptyTrajectoryError",
+        "TooShortError",
+        "InfeasibleMuError",
+        "NoCertificateError",
+        "FormatError",
+    ),
+    "graph_core": (
+        "Graph",
+        "VertexPartition",
+        "DegreeProfile",
+        "QuotientMatrix",
+        "from_edge_list",
+        "degree_profile",
+        "is_equitable",
+        "coarsest_equitable_refinement",
+        "automorphisms_brute_force",
+        "orbit_partition_brute_force",
+        "enumerate_bipartitions",
+        "bipartition_from_mask",
+        "linear_family_graph",
+        "latoro_profile_graph",
+        "right_angle_profile_graph",
+        "star_graph",
+        "cycle_graph",
+        "complete_graph",
+        "path_graph",
+        "petersen_graph",
+        "read_edge_list",
+        "write_edge_list",
+        "partition_from_json",
+        "partition_to_json",
+    ),
+    "dynamics": (
+        "ModelParams",
+        "IntegratorConfig",
+        "RunStats",
+        "Trajectory",
+        "LinearTrajectory",
+        "SyncReport",
+        "kuramoto_rhs",
+        "quotient_rhs",
+        "integrate",
+        "integrate_quotient",
+        "lift_quotient_trajectory",
+        "exact_sync_partition",
+        "exact_sync_chains",
+        "asymptotic_sync_clusters",
+        "analytic_regular_solution",
+        "residual_max",
+        "trajectory_to_csv",
+        "trajectory_from_csv",
+    ),
+    "bipartition_analysis": (
+        "Classification",
+        "SolutionSet",
+        "AlphaResult",
+        "Condition2Certificate",
+        "FamilySegment",
+        "BipartitionClassification",
+        "SearchRow",
+        "SearchReport",
+        "alpha_from_mu",
+        "beta_from_mu",
+        "classify_bipartition",
+        "certificate_to_solution",
+        "verify_certificate",
+        "search_all_bipartitions",
+        "classification_report",
+        "format_search_report",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 if TYPE_CHECKING:
     from .bipartition_analysis import *  # noqa: F401,F403
@@ -29,22 +115,18 @@ if TYPE_CHECKING:
 
 
 def __getattr__(name: str):
-    # `from kurapart import cli` asks for cli here before importing it, and
-    # the search below would load every layer before failing
-    if name in (*_MODULES, "cli"):
+    # `from kurapart import cli` asks for cli here before importing it
+    if name in (*_EXPORTS, "cli"):
         return importlib.import_module(f"{__name__}.{name}")
     if name == "__all__":
-        value = [n for m in _MODULES for n in __getattr__(m).__all__]
+        value = list(_MODULE_OF)
+    elif name in _MODULE_OF:
+        value = getattr(__getattr__(_MODULE_OF[name]), name)
     else:
-        for module in map(__getattr__, _MODULES):
-            if name in module.__all__:
-                value = getattr(module, name)
-                break
-        else:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__getattr__("__all__")})
+    return sorted({*globals(), *_MODULE_OF})

@@ -50,6 +50,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     BadParameterError,
     InfeasibleMuError,
@@ -70,24 +71,7 @@ from .graph_core import (
 if TYPE_CHECKING:
     from .dynamics import LinearTrajectory
 
-__all__ = [
-    "Classification",
-    "SolutionSet",
-    "AlphaResult",
-    "Condition2Certificate",
-    "FamilySegment",
-    "BipartitionClassification",
-    "SearchRow",
-    "SearchReport",
-    "alpha_from_mu",
-    "beta_from_mu",
-    "classify_bipartition",
-    "certificate_to_solution",
-    "verify_certificate",
-    "search_all_bipartitions",
-    "classification_report",
-    "format_search_report",
-]
+__all__ = list(_EXPORTS["bipartition_analysis"])
 
 RationalLike = Fraction | int | str
 

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     BadParameterError,
     DimensionMismatchError,
@@ -30,26 +31,7 @@ from .errors import (
 )
 from .graph_core import Graph, QuotientMatrix, VertexPartition, _block_index, _interleaved_bins
 
-__all__ = [
-    "ModelParams",
-    "IntegratorConfig",
-    "RunStats",
-    "Trajectory",
-    "LinearTrajectory",
-    "SyncReport",
-    "kuramoto_rhs",
-    "quotient_rhs",
-    "integrate",
-    "integrate_quotient",
-    "lift_quotient_trajectory",
-    "exact_sync_partition",
-    "exact_sync_chains",
-    "asymptotic_sync_clusters",
-    "analytic_regular_solution",
-    "residual_max",
-    "trajectory_to_csv",
-    "trajectory_from_csv",
-]
+__all__ = list(_EXPORTS["dynamics"])
 
 MIN_ADAPTIVE_STEP = 1e-12
 MAX_ADAPTIVE_STEPS = 10_000_000

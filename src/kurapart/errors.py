@@ -1,24 +1,8 @@
 """Exception types shared across the package."""
 
-__all__ = [
-    "KurapartError",
-    "EmptyGraphError",
-    "SelfLoopError",
-    "VertexOutOfRangeError",
-    "DisconnectedError",
-    "PartitionMismatchError",
-    "NotBipartitionError",
-    "TooLargeError",
-    "BadParameterError",
-    "DimensionMismatchError",
-    "StepUnderflowError",
-    "NonFiniteStateError",
-    "EmptyTrajectoryError",
-    "TooShortError",
-    "InfeasibleMuError",
-    "NoCertificateError",
-    "FormatError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class KurapartError(Exception):

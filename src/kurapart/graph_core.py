@@ -15,6 +15,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     BadParameterError,
     DisconnectedError,
@@ -26,32 +27,7 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
-__all__ = [
-    "Graph",
-    "VertexPartition",
-    "DegreeProfile",
-    "QuotientMatrix",
-    "from_edge_list",
-    "degree_profile",
-    "is_equitable",
-    "coarsest_equitable_refinement",
-    "automorphisms_brute_force",
-    "orbit_partition_brute_force",
-    "enumerate_bipartitions",
-    "bipartition_from_mask",
-    "linear_family_graph",
-    "latoro_profile_graph",
-    "right_angle_profile_graph",
-    "star_graph",
-    "cycle_graph",
-    "complete_graph",
-    "path_graph",
-    "petersen_graph",
-    "read_edge_list",
-    "write_edge_list",
-    "partition_from_json",
-    "partition_to_json",
-]
+__all__ = list(_EXPORTS["graph_core"])
 
 
 def _interleaved_bins(dst: np.ndarray) -> np.ndarray:

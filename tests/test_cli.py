@@ -1,8 +1,10 @@
 import argparse
 import concurrent.futures
+import errno
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -25,14 +27,20 @@ def _never(*args, **kwargs):
     raise AssertionError("this path must not be reached")
 
 
+def _child(*args, **kwargs):
+    """A new interpreter run with args, importing kurapart from this tree.
+    Its stdout is block-buffered, as it is for a user: under
+    PYTHONUNBUFFERED a failed write raises inside main, not at the flush
+    before the exit."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(kp.__file__))
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *map(str, args)], env=env, timeout=120, **streams)
+
+
 def _fresh_python(code, *args):
-    """Standard output of code run with args in a new interpreter that
-    imports kurapart from this tree."""
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kp.__file__))}
-    done = subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
-        env=env, capture_output=True, text=True, check=True,
-    )
+    """Standard output of code run with args in a new interpreter."""
+    done = _child("-c", code, *args, text=True, check=True)
     return done.stdout
 
 
@@ -551,6 +559,28 @@ class TestStartUp:
         assert code == "0"
         assert [m for m in unloaded if m in loaded] == []
 
+    @pytest.mark.parametrize(
+        "name, loaded",
+        [
+            (
+                "classify_bipartition",
+                ["kurapart.bipartition_analysis", "kurapart.errors", "kurapart.graph_core"],
+            ),
+            ("clasify_bipartition", []),
+        ],
+    )
+    def test_name_imports_only_its_module(self, name, loaded):
+        probe = (
+            "import sys, kurapart\n"
+            "before = set(sys.modules)\n"
+            "getattr(kurapart, sys.argv[1], None)\n"
+            "print(*sorted(set(sys.modules) - before))\n"
+        )
+        new = _fresh_python(probe, name).split()
+        assert [m for m in new if m.startswith("kurapart.")] == loaded
+        if not loaded:
+            assert new == []  # a misspelt name imports nothing at all
+
     def test_dir_lists_every_public_name(self):
         assert set(kp.__all__) <= set(dir(kp))
 
@@ -563,6 +593,103 @@ class TestStartUp:
         count, *missing = _fresh_python(probe).split()
         assert missing == []
         assert int(count) == len(kp.__all__) > 0
+
+
+def _pop_files(directory):
+    """The bytes of every file in directory, which is left empty."""
+    files = {}
+    for path in sorted(directory.iterdir()):
+        files[path.name] = path.read_bytes()
+        path.unlink()
+    return files
+
+
+def _unnamed_temps(text):
+    return re.sub(r"\.tmp\.\w+\.part", ".tmp.*.part", text)
+
+
+class TestProcessEntry:
+    """`python -m kurapart.cli` and the `kurapart` script end through
+    cli.run, which flushes stdout and stderr and exits without the
+    interpreter's teardown: a child must write and exit as main does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--builtin", "linear:4"],
+            ["search", "--builtin", "linear:4", "--jobs", "2"],
+            ["search", "--builtin", "linear:4", "--out", "r.txt"],
+            ["search", "--builtin", "linear:4", "--jobs", "2", "--out", "r.txt"],
+            ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
+             "--seed", "1", "--t-end", "1", "--out", "x.csv"],
+            ["analyze", "--builtin", "latoro"],
+            ["verify"],
+            ["search", "--builtin", "linear:4", "--no-such-option"],
+            ["search", "--builtin", "linear:4", "--out", "missing/r.txt"],
+        ],
+        ids=["search", "search-jobs2", "search-out", "search-jobs2-out", "simulate",
+             "analyze", "verify", "exit3-bad-option", "exit2-missing-dir"],
+    )
+    def test_child_writes_and_exits_as_main_does(self, tmp_path, monkeypatch, capsys, argv):
+        # _child's timeout also shows that no --jobs worker outlives the run:
+        # one would hold the stdout pipe open and communicate() would wait
+        child = _child("-m", "kurapart.cli", *argv, cwd=tmp_path)
+        child_files = _pop_files(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert child.returncode == code
+        assert child.stdout == out.encode()
+        # a temp file's random name shows in the error of a missing directory
+        assert _unnamed_temps(child.stderr.decode()) == _unnamed_temps(err)
+        assert child_files == _pop_files(tmp_path)
+
+    @pytest.mark.parametrize("sink", ["dev-full", "closed-pipe"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--example", "latoro"],
+            ["analyze", "--builtin", "latoro"],
+            ["search", "--builtin", "path:3"],  # fits the buffer: fails at main's flush
+            ["search", "--builtin", "linear:6"],  # outgrows it: fails in the write
+        ],
+        ids=["verify", "analyze", "search-small", "search-large"],
+    )
+    def test_failed_write_to_stdout_exits_2(self, argv, sink):
+        if sink == "dev-full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full here")
+            stdout, errno_ = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            errno_ = errno.EPIPE
+        try:
+            child = _child("-m", "kurapart.cli", *argv, stdout=stdout)
+        finally:
+            os.close(stdout)
+        assert child.returncode == 2
+        assert child.stderr.decode() == f"error: [Errno {errno_}] {os.strerror(errno_)}\n"
+
+    def test_profiled_run_prints_its_table(self):
+        child = _child("-m", "cProfile", "-m", "kurapart.cli", "verify", "--example", "latoro")
+        out = child.stdout.decode()
+        assert child.returncode == 0
+        assert "verify: PASS" in out
+        assert "function calls" in out and "Ordered by" in out
+
+    def test_exception_in_main_propagates(self):
+        probe = (
+            "from kurapart import cli\n"
+            "def fail(argv=None):\n"
+            "    raise RuntimeError('raised in main')\n"
+            "cli.main = fail\n"
+            "cli.run()\n"
+        )
+        child = _child("-c", probe)
+        err = child.stderr.decode()
+        assert child.returncode == 1
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: raised in main\n")
 
 
 class TestExitCodes:
