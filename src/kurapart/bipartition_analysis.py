@@ -22,33 +22,41 @@ defined when |mu1 + mu2| <= 2 and mu1 >= mu2, strict on the interior.
 Equality mu1 = mu2 pins alpha to a right angle and |mu1 + mu2| = 2
 degenerates the offset; both are reported as boundary flags.
 
-One solve serves every bipartition: _solve_rows takes a batch of
-bipartitions as int64 indicator rows with their neighbour counts and
-decides emptiness, r and each block's gain point in int64
-cross-multiplication alone.  _solution turns a solved row into the one
-result record, a BipartitionClassification whose certificate leaves s1
-and s2 empty, and _classified fills in the vertex sets.
-classify_bipartition feeds the solve one row of graph_core's count table
-and passes the result through both.  The search feeds it batches of
-SEARCH_BATCH_ROWS masks with counts from one product X @ A, faster than
-arc sums for 1024 rows of at most 63 vertices, and keeps the masks with a
-nonempty solution set and their solved rows; every other mask is
-Infeasible.  SearchReport._distinct runs _solution once per distinct
-solved row, and the counts, the rendered text and SearchReport.rows all
-read that list.  Masks are int64, so the search stops at n = 63.
+One rule serves every bipartition: _add adds one count point to its
+block, in Python ints, and refuses it when no (mu1, mu2, r) fits the
+points so far; _row reads the solved row (line, r_num, r_den, c1, d1, c2,
+d2) off two blocks that took all their points.  _solution turns a solved
+row into the one result record, a BipartitionClassification whose
+certificate leaves s1 and s2 empty, and _classified fills in the vertex
+sets.  classify_bipartition adds every vertex's point from graph_core's
+count table.  The search (_walk) is a depth-first search over the
+vertices in BFS order from vertex 1, each placed in the first block, then
+the second, as bits of Python-int masks: a vertex's point is fixed once
+it and all its neighbours are placed, with neighbour counts from
+int.bit_count, and a point _add refuses cuts the node's whole subtree,
+every mask of which is Infeasible (pruned backtracking; Knuth, TAOCP 4B,
+section 7.2.2).  The report keeps the masks with a nonempty solution set,
+sorted, and the index of each into the distinct solved rows, as stdlib
+array columns; it counts the nodes entered and the subtrees cut.
+SearchReport.solutions runs _solution once per distinct solved row, and
+the counts, the rendered text and SearchReport.rows all read that list.
+No numpy is imported by a search.  Masks are int64 columns, so the
+search stops at n = 63.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import math
 import os
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
-
-import numpy as np
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import _EXPORTS
 from .errors import (
@@ -75,8 +83,8 @@ __all__ = list(_EXPORTS["bipartition_analysis"])
 
 RationalLike = Fraction | int | str
 
-# masks per batch of the bipartition search; fixed, so batch memory is bounded
-SEARCH_BATCH_ROWS = 1024
+# low mask bits a search report decodes from one label table
+LABEL_BITS = 10
 # largest n the search runs without force: 2**21 rows
 SEARCH_MAX_N = 22
 
@@ -106,46 +114,77 @@ class SolutionSet:
 _EMPTY = SolutionSet("empty", None, ())
 
 
-def _solve_rows(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve mu_b * d_cross - r = d_in for every row of a batch, in int64.
+# A block's count points so far: () before the first, then (cA, dA, cB, dB),
+# its points A and B of least and greatest d_cross.  cA == cB means every
+# point so far is A.  The points fix r when they span two d_cross values,
+# through the line from A to B, or when all sit at d_cross 0, where
+# mu * 0 - r = d gives r = -dA; otherwise r is free.
+Block = tuple[int, ...]
+_NO_POINTS: Block = ()
 
-    x is the (rows, n) indicator of the second block, to_s2 every vertex's
-    neighbour count into that block and degree the vertex degrees.  Each
-    block's count points (d_cross, d_in) must lie on the line through its
-    points A and B of smallest and largest d_cross or, when all share one
-    d_cross, coincide.  A block with two distinct d_cross values pins
-    r = (d_B c_A - d_A c_B) / (c_B - c_A); when both blocks pin r the two
-    values must agree.  Returns whether each row's solution set is nonempty
-    and one int64 row per mask,
 
-        (line, r_num, r_den, c1, d1, c2, d2),
+def _r(block: Block) -> tuple[int, int]:
+    """r = r_num / r_den of a block whose points fix it."""
+    ca, da, cb, db = block
+    return (db * ca - da * cb, cb - ca) if cb > ca else (-da, 1)
 
-    meaningful where it is nonempty: line marks one point per block (r is
-    free; r_num / r_den = 0 / 1 gives the line's base), r_num / r_den comes
-    from the first block that pins it, and (c_b, d_b) is block b's point B,
-    so mu_b = (d_b r_den + r_num) / (c_b r_den).  Connectivity makes c_b > 0.
-    Every product is bounded by Delta**3 for the maximum degree Delta, so
-    the solve is exact while Delta < 2**21.
-    """
-    cross = np.where(x == 1, degree - to_s2, to_s2)
-    d_in = degree - cross
-    ok = np.ones(x.shape[0], dtype=bool)
-    rows = np.arange(x.shape[0])[:, None]
-    blocks = []
-    for member in (x == 0, x == 1):
-        # pad non-members past every count: n above, -1 below
-        lo = np.argmin(np.where(member, cross, x.shape[1]), axis=1)[:, None]
-        hi = np.argmax(np.where(member, cross, -1), axis=1)[:, None]
-        ca, da, cb, db = cross[rows, lo], d_in[rows, lo], cross[rows, hi], d_in[rows, hi]
-        span = cb - ca
-        on_line = ((d_in - da) * span == (db - da) * (cross - ca)) & ((span > 0) | (d_in == da))
-        ok &= np.all(on_line | ~member, axis=1)
-        blocks.append([a[:, 0] for a in (db * ca - da * cb, span, cb, db)])
-    (num1, den1, c1, d1), (num2, den2, c2, d2) = blocks
-    ok &= (den1 == 0) | (den2 == 0) | (num1 * den2 == num2 * den1)
-    r_num = np.where(den1 > 0, num1, np.where(den2 > 0, num2, 0))
-    r_den = np.where(den1 > 0, den1, np.where(den2 > 0, den2, 1))
-    return ok, np.column_stack([(den1 == 0) & (den2 == 0), r_num, r_den, c1, d1, c2, d2])
+
+def _add(block: Block, other: Block, c: int, d: int) -> Block | None:
+    """The block after it gains the count point (c, d), or None when no
+    (mu1, mu2, r) fits: the point leaves the line through the block's
+    points, or the block's points come to fix an r other than the one
+    other's points fix.  The one rule both count sources use:
+    classify_bipartition adds every vertex's point, the search adds each
+    point once it is fixed.  Points on a line share d where they share c,
+    so A and B move only to a point of strictly smaller or larger
+    d_cross, and r, once fixed, stays."""
+    if not block:
+        new = (c, d, c, d)
+        if c:
+            return new  # one point off d_cross 0 leaves r free
+    else:
+        ca, da, cb, db = block
+        if ca == cb and c == ca:
+            return block if d == da else None
+        if ca < cb and (d - da) * (cb - ca) != (db - da) * (c - ca):
+            return None
+        new = (c, d, cb, db) if c < ca else (ca, da, c, d) if c > cb else block
+        if ca < cb or ca == 0:
+            return new  # r was fixed already, and checked then
+    # new fixes r first now: other must leave it free or fix the same
+    if other and (other[0] < other[2] or other[2] == 0):
+        (num, den), (other_num, other_den) = _r(new), _r(other)
+        if num * other_den != other_num * den:
+            return None
+    return new
+
+
+def _row(b1: Block, b2: Block) -> tuple[int, ...]:
+    """The solved row of two nonempty blocks that passed _add,
+
+        (line, r_num, r_den, c1, d1, c2, d2):
+
+    line marks one point per block (r is free; r_num / r_den = 0 / 1 gives
+    the line's base), r_num / r_den comes from the first block whose two
+    d_cross values fix it, and (c_b, d_b) is block b's point B, so mu_b =
+    (d_b r_den + r_num) / (c_b r_den).  Connectivity makes c_b > 0."""
+    (ca1, _, c1, d1), (ca2, _, c2, d2) = b1, b2
+    r = _r(b1) if ca1 < c1 else _r(b2) if ca2 < c2 else (0, 1)
+    return (int(ca1 == c1 and ca2 == c2), *r, c1, d1, c2, d2)
+
+
+def _solve(points: Iterable[tuple[bool, int, int]]) -> tuple[int, ...] | None:
+    """The solved row of a bipartition's count points (in_s2, d_cross,
+    d_in), one per vertex, or None when its solution set is empty."""
+    b1 = b2 = _NO_POINTS
+    for in_s2, c, d in points:
+        if in_s2:
+            b2 = _add(b2, b1, c, d)
+        else:
+            b1 = _add(b1, b2, c, d)
+        if b1 is None or b2 is None:
+            return None
+    return _row(b1, b2)
 
 
 @dataclass(frozen=True)
@@ -267,32 +306,31 @@ def _equitable_family(c1: int, d1: int, c2: int, d2: int) -> FamilySegment:
 def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassification:
     """Decide what kind of rigid two-block structure the bipartition admits.
 
-    The bipartition becomes a one-row batch: its second block's indicator
-    and every vertex's neighbour count into that block, read with the
-    degrees off graph_core's count table, so no n x n matrix is built.
-    The batch goes through _solve_rows, _solution and _classified, the
-    same solve and tail the exhaustive search uses.  One count point per
-    block is the equitable case: the solution set is a line, reported as
-    `Equitable` with its quotient and family segment.  Otherwise the set
-    is one point or empty: a strictly feasible point certifies the
-    bipartition, equality cases are boundary hits, and everything else is
-    infeasible.
+    Every vertex's count point is read off graph_core's count table, so no
+    n x n matrix is built, and goes through _solve, _solution and
+    _classified: the rule, solved row and tail the exhaustive search uses.
+    One count point per block is the equitable case: the solution set is a
+    line, reported as `Equitable` with its quotient and family segment.
+    Otherwise the set is one point or empty: a strictly feasible point
+    certifies the bipartition, equality cases are boundary hits, and
+    everything else is infeasible.
     `Condition2Family` is never returned, because a connected graph never
-    gives a non-equitable line.  The int64 solve is exact while the
-    maximum degree is below 2**21; larger degrees raise TooLargeError.
+    gives a non-equitable line.  A maximum degree of 2**21 or more raises
+    TooLargeError: the bound under which the int64 batch oracle of the
+    tests is exact, so every graph accepted here is one it can check.
     """
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
     # block positions are 0 / 1, so the index is the second block's indicator
     counts, index = _block_counts(g, bip)
-    to_s1, to_s2 = counts.T
-    # two columns add far faster than counts.sum(axis=1) reduces short rows
-    degree = to_s1 + to_s2
-    if degree.max() >= 1 << 21:
-        raise TooLargeError(f"maximum degree {degree.max()} reaches 2**21, past exact int64 products")
-    nonempty, solved = _solve_rows(index.astype(np.int64)[None], to_s2[None], degree)
-    # tolist hands _solution Python ints, never numpy scalars
-    return _classified(_solution(*solved[0].tolist()) if nonempty[0] else _NO_SOLUTION, *bip.blocks)
+    # tolist hands the rule Python ints, never numpy scalars
+    rows = counts.tolist()
+    degree = max(map(sum, rows))
+    if degree >= 1 << 21:
+        raise TooLargeError(f"maximum degree {degree} reaches 2**21, past exact int64 products")
+    # (in_s2, d_cross, d_in): a row is (to_s1, to_s2)
+    row = _solve((side, counts[1 - side], counts[side]) for side, counts in zip(index.tolist(), rows))
+    return _classified(_NO_SOLUTION if row is None else _solution(*row), *bip.blocks)
 
 
 # what an empty solution set fixes
@@ -345,6 +383,8 @@ def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> Line
     """Closed-form motion the certificate promises: phase c + r sin(alpha) t on
     s1 and the same plus the cross-block offset on s2.  The start vector is c
     everywhere with the offset added on s2; s1 and s2 must split 1..n."""
+    import numpy as np
+
     from .dynamics import LinearTrajectory
 
     n = max(cert.s1 + cert.s2)
@@ -368,6 +408,8 @@ def verify_certificate(
     certified gains, so this is an end-to-end consistency check of the
     gains, the lag, and the offset against the graph itself.
     """
+    import numpy as np
+
     from .dynamics import ModelParams, residual_max
 
     if bip.blocks != (cert.s1, cert.s2):
@@ -387,43 +429,40 @@ class SearchRow:
     family: FamilySegment | None
 
 
-def _mask_bits(masks: np.ndarray, n: int) -> np.ndarray:
-    """(rows, n) int64 indicator of each mask's second block; bit v stands
-    for vertex v + 2, and vertex 1 always sits in the first block."""
-    x = np.zeros((masks.size, n), dtype=np.int64)
-    x[:, 1:] = masks[:, None] >> np.arange(n - 1) & 1
-    return x
+@dataclass(frozen=True)
+class SearchRow:
+    mask: int
+    s2: tuple[int, ...]
+    classification: Classification
+    certificate: Condition2Certificate | None
+    family: FamilySegment | None
 
 
-def _labels(member: np.ndarray, names: Sequence) -> tuple[list, Iterator[tuple[int, int]]]:
-    """The names of a boolean batch's set entries, row after row, and each
-    row's (begin, end) span in that flat list."""
-    flat = [names[i] for i in np.nonzero(member)[1].tolist()]
-    ends = np.cumsum(member.sum(axis=1)).tolist()
-    return flat, zip([0, *ends], ends)
-
-
-def _batches(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Masks lo..hi-1 as int64 arrays of at most SEARCH_BATCH_ROWS each."""
-    for start in range(lo, hi, SEARCH_BATCH_ROWS):
-        yield np.arange(start, min(start + SEARCH_BATCH_ROWS, hi), dtype=np.int64)
+def _labels(mask: int, first: int) -> str:
+    """Comma-joined labels first + v of the set bits v of mask."""
+    return ",".join([str(first + v) for v in range(mask.bit_length()) if mask >> v & 1])
 
 
 @dataclass(eq=False)
 class SearchReport:
-    """Every bipartition of an n-vertex graph, kept as array data.
+    """Every bipartition of an n-vertex graph, kept as compact columns.
 
     masks holds, in ascending order, the masks whose solution set is
-    nonempty, and solved their rows of _solve_rows: (line, r_num, r_den,
-    c1, d1, c2, d2), the arguments of _solution.  Every other mask in
-    1 .. total is Infeasible with an empty set, so it is never stored.
-    rows builds the SearchRow tuples on first use; counts and
+    nonempty, and which the index of each into solved, the distinct solved
+    rows (line, r_num, r_den, c1, d1, c2, d2) in sorted order, the
+    arguments of _solution.  Every other mask in 1 .. total is Infeasible
+    with an empty set, so it is never stored.  nodes and pruned count the
+    search-tree nodes the search entered and the subtrees it cut.  rows
+    builds the SearchRow tuples on first use; counts and
     format_search_report never do.
     """
 
     n: int
-    masks: np.ndarray
-    solved: np.ndarray
+    masks: array
+    which: array
+    solved: tuple[tuple[int, ...], ...]
+    nodes: int = 0
+    pruned: int = 0
 
     @property
     def total(self) -> int:
@@ -431,62 +470,156 @@ class SearchReport:
         return (1 << (self.n - 1)) - 1
 
     @functools.cached_property
-    def _distinct(self) -> tuple[list[BipartitionClassification], np.ndarray]:
-        """The _solution of each distinct solved row, and each stored row's
-        index into that list; the only place a search calls _solution."""
-        # one 56-byte key per row: far faster than np.unique(axis=0)
-        keys = np.ascontiguousarray(self.solved).view(np.dtype((np.void, 8 * 7))).ravel()
-        rows, inverse = np.unique(keys, return_inverse=True)
-        return [_solution(*row) for row in rows.view(np.int64).reshape(-1, 7).tolist()], inverse.reshape(-1)
-
-    def _which(self, batch: np.ndarray) -> np.ndarray:
-        """Each mask of a contiguous batch's index into _distinct's
-        solutions, or their count for an Infeasible mask never stored."""
-        solutions, inverse = self._distinct
-        lo, hi = np.searchsorted(self.masks, [batch[0], batch[-1] + 1])
-        which = np.full(batch.size, len(solutions))
-        which[self.masks[lo:hi] - batch[0]] = inverse[lo:hi]
-        return which
+    def solutions(self) -> list[BipartitionClassification]:
+        """The _solution of each distinct solved row; the only place a
+        search calls _solution."""
+        return [_solution(*row) for row in self.solved]
 
     @functools.cached_property
     def rows(self) -> tuple[SearchRow, ...]:
         """One SearchRow per mask, through _classified, the tail that
         classify_bipartition uses."""
-        solutions = [*self._distinct[0], _NO_SOLUTION]
-        names = range(1, self.n + 1)
+        found = dict(zip(self.masks, map(self.solutions.__getitem__, self.which)))
         out: list[SearchRow] = []
-        for masks in _batches(1, self.total + 1):
-            x = _mask_bits(masks, self.n)
-            (s1s, spans1), (s2s, spans2) = _labels(x == 0, names), _labels(x == 1, names)
-            for mask, i, (a, b), (c, d) in zip(masks.tolist(), self._which(masks).tolist(), spans1, spans2):
-                s2 = tuple(s2s[c:d])
-                res = _classified(solutions[i], tuple(s1s[a:b]), s2)
-                out.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
+        for mask in range(1, self.total + 1):
+            # bit v of the mask puts vertex v + 2 in the second block
+            s2 = tuple(v for v in range(2, self.n + 1) if mask >> (v - 2) & 1)
+            s1 = tuple(v for v in range(1, self.n + 1) if v == 1 or not mask >> (v - 2) & 1)
+            res = _classified(found.get(mask, _NO_SOLUTION), s1, s2)
+            out.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
         return tuple(out)
 
     @property
     def counts(self) -> dict[str, int]:
         out = {c.value: 0 for c in Classification}
-        out[Classification.INFEASIBLE.value] = self.total - self.masks.size
-        solutions, inverse = self._distinct
-        for solution, count in zip(solutions, np.bincount(inverse, minlength=len(solutions)).tolist()):
-            out[solution.classification.value] += count
+        out[Classification.INFEASIBLE.value] = self.total - len(self.masks)
+        for i, count in Counter(self.which).items():
+            out[self.solutions[i].classification.value] += count
         return out
 
 
-def _solve_chunk(args: tuple[Graph, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Solve masks lo..hi-1 (lo < hi), SEARCH_BATCH_ROWS at a time; returns
-    the nonempty masks and their solved rows, as SearchReport stores them."""
-    g, lo, hi = args
-    adj = g.adjacency_matrix().astype(np.int64)
-    degree = adj.sum(axis=1)
-    masks_out, solved_out = [], []
-    for masks in _batches(lo, hi):
-        x = _mask_bits(masks, g.n)
-        nonempty, solved = _solve_rows(x, x @ adj, degree)
-        masks_out.append(masks[nonempty])
-        solved_out.append(solved[nonempty])
-    return np.concatenate(masks_out), np.concatenate(solved_out)
+# the search order as vertex bits, and per depth the (bit, neighbour mask,
+# degree) of each vertex whose count point that depth fixes
+Plan = tuple[list[int], list[list[tuple[int, int, int]]]]
+
+
+def _plan(g: Graph) -> Plan:
+    """The search order and what each depth fixes.  Vertices go in BFS
+    order from vertex 1 as bits 1 << (v - 1); fixes[k] lists (bit,
+    neighbour mask, degree) for each vertex whose count point is fixed
+    once the vertex at depth k is placed: the deepest of it and its
+    neighbours.  Connectivity leaves fixes[0] empty."""
+    pos = {1: 0}
+    order = [1]
+    for v in order:
+        for w in g.adjacency[v]:
+            if w not in pos:
+                pos[w] = len(order)
+                order.append(w)
+    fixes: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for v in order:
+        nbrs = g.adjacency[v]
+        deepest = max(pos[v], *map(pos.__getitem__, nbrs))
+        fixes[deepest].append((1 << (v - 1), sum(1 << (w - 1) for w in nbrs), len(nbrs)))
+    return [1 << (v - 1) for v in order], fixes
+
+
+# a search-tree node: the depth of the next vertex to place, the bits of
+# the vertices placed in the second block, and both blocks' states
+Node = tuple[int, int, Block, Block]
+_ROOT: Node = (1, 0, _NO_POINTS, _NO_POINTS)
+
+
+@dataclass
+class _Walk:
+    """What walking some subtrees found: the nonempty masks in the order
+    reached, each one's index into rows (the distinct solved rows in the
+    order first reached), the nodes left at the stop depth, and the nodes
+    entered and subtrees cut."""
+
+    masks: array
+    which: array
+    rows: list[tuple[int, ...]]
+    frontier: list[Node]
+    nodes: int
+    pruned: int
+
+
+def _walk(plan: Plan, roots: Sequence[Node], stop: int) -> _Walk:
+    """Depth-first search below each root, placing the vertex of each
+    depth in the first block, then the second.  A node fixes the count
+    points of plan's fixes at its depth and adds each to its block with
+    _add; a point that leaves no solution cuts the node's whole subtree,
+    whose masks are all Infeasible.  A leaf with a nonempty second block
+    records its mask with the _row of its blocks.  Nodes reaching depth
+    stop are kept in frontier, not walked."""
+    bits, fixes = plan
+    n = len(bits)
+    masks, which, frontier = array("q"), array("I"), []
+    seen: dict[tuple[Block, Block], int] = {}  # block states -> row index
+    index: dict[tuple[int, ...], int] = {}  # solved row -> row index
+    nodes = pruned = 0
+
+    def visit(k: int, s2: int, b1: Block, b2: Block) -> None:
+        nonlocal nodes, pruned
+        nodes += 2
+        for t2 in (s2, s2 | bits[k]):
+            c1, c2 = b1, b2
+            for bit, nbrs, degree in fixes[k]:
+                # neighbours across, then inside, the vertex's block
+                into = (nbrs & t2).bit_count()
+                if bit & t2:
+                    c2 = _add(c2, c1, degree - into, into)
+                    if c2 is None:
+                        break
+                else:
+                    c1 = _add(c1, c2, into, degree - into)
+                    if c1 is None:
+                        break
+            else:
+                if k + 1 < n:
+                    if k + 1 == stop:
+                        frontier.append((k + 1, t2, c1, c2))
+                    else:
+                        visit(k + 1, t2, c1, c2)
+                elif t2:
+                    i = seen.get((c1, c2))
+                    if i is None:
+                        i = seen[c1, c2] = index.setdefault(_row(c1, c2), len(index))
+                    masks.append(t2 >> 1)
+                    which.append(i)
+                continue
+            pruned += 1
+
+    for root in roots:
+        visit(*root)
+    return _Walk(masks, which, list(index), frontier, nodes, pruned)
+
+
+def _walk_task(args: tuple[Plan, Node]) -> _Walk:
+    """One worker's subtree: everything below a frontier node."""
+    plan, root = args
+    return _walk(plan, [root], 0)
+
+
+def _report(n: int, parts: Sequence[_Walk]) -> SearchReport:
+    """The report of walks that together cover the tree: their rows made
+    distinct and sorted, and their masks sorted with each one's index into
+    those rows.  The order of the parts and of their masks is immaterial,
+    so the report is the same however the tree was split."""
+    solved = tuple(sorted({row for part in parts for row in part.rows}))
+    rank = {row: i for i, row in enumerate(solved)}
+    # each mask with its row's rank in the low 32 bits, sorted as one int
+    keys: list[int] = []
+    for part in parts:
+        ranks = [rank[row] for row in part.rows]
+        keys += [mask << 32 | ranks[i] for mask, i in zip(part.masks, part.which)]
+    keys.sort()
+    masks = array("q", [key >> 32 for key in keys])
+    which = array("I", [key & 0xFFFFFFFF for key in keys])
+    nodes = sum(part.nodes for part in parts)
+    pruned = sum(part.pruned for part in parts)
+    return SearchReport(n, masks, which, solved, nodes, pruned)
 
 
 def _check_search_size(n: int, force: bool) -> None:
@@ -501,21 +634,20 @@ def _check_search_size(n: int, force: bool) -> None:
 def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> SearchReport:
     """Classify every bipartition of g, in ascending mask order.
 
-    The 2**(n-1) - 1 subsets are enumerated by the bitmask of which of
-    vertices 2..n sit opposite vertex 1, SEARCH_BATCH_ROWS masks at a time.
-    Each batch decodes to an int64 indicator matrix X, every neighbour
-    count comes from one product X @ A, and _solve_rows solves every row
-    in int64: emptiness, r and the gains.  The report keeps only the
-    nonempty masks and their solved rows as int64 arrays; no per-row
-    object is built here.  Its rows, built on first use, pass each
-    distinct solved row's solution through _classified, the tail
-    classify_bipartition also uses.
+    A bipartition is the bitmask of which of vertices 2..n sit opposite
+    vertex 1.  A depth-first search places the vertices in BFS order from
+    vertex 1 and feeds each count point to _add once the point is fixed,
+    so one point off its block's line cuts every mask below it at once
+    (see _walk).  The report keeps only the nonempty masks, in ascending
+    order, and the index of each into the distinct solved rows, as array
+    columns; no per-row object is built here.  Its rows, built on first
+    use, pass each distinct solved row's solution through _classified,
+    the tail classify_bipartition also uses.
     n > SEARCH_MAX_N raises TooLargeError unless force is set; masks are
-    int64, so n >= 64 raises it even with force.  With jobs > 1 the mask
-    range is split into contiguous chunks handled by at most
-    os.cpu_count() worker processes, which return their arrays, and the
-    arrays are joined in range order, so the report is identical for any
-    job count.
+    int64, so n >= 64 raises it even with force.  With jobs > 1 this
+    process walks the top of the tree and at most os.cpu_count() worker
+    processes walk the subtrees below it; _report sorts what they found,
+    so the report is identical for any job count.
     """
     _check_search_size(g.n, force)
     if jobs < 1:
@@ -523,20 +655,19 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     total = (1 << (g.n - 1)) - 1
     if total < 1:
         raise BadParameterError("bipartitions need n >= 2")
+    plan = _plan(g)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or total < 4 * workers:
-        masks, solved = _solve_chunk((g, 1, total + 1))
-    else:
-        bounds = np.linspace(1, total + 1, workers + 1).astype(int)
-        chunks = [(g, int(bounds[i]), int(bounds[i + 1])) for i in range(workers)]
-        # imported here, so runs without a pool never load it
-        from concurrent.futures import ProcessPoolExecutor
+        return _report(g.n, [_walk(plan, [_ROOT], 0)])
+    # at least 4 subtrees per worker below the stop depth, which is below
+    # the root and above the leaves, since total >= 4 * workers
+    top = _walk(plan, [_ROOT], min(g.n - 1, (4 * workers).bit_length() + 1))
+    # imported here, so runs without a pool never load it
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_solve_chunk, chunks))
-        masks = np.concatenate([m for m, _ in parts])
-        solved = np.concatenate([r for _, r in parts])
-    return SearchReport(g.n, masks, solved)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(_walk_task, [(plan, node) for node in top.frontier]))
+    return _report(g.n, [top, *parts])
 
 
 def classification_report(
@@ -579,8 +710,8 @@ def _tail_text(solution: BipartitionClassification) -> str:
 
 def _tail_count(report: SearchReport) -> int:
     """How many distinct tail texts the report's lines carry."""
-    tails = set(map(_tail_text, report._distinct[0]))
-    if report.masks.size < report.total:
+    tails = set(map(_tail_text, report.solutions))
+    if len(report.masks) < report.total:
         tails.add(_tail_text(_NO_SOLUTION))
     return len(tails)
 
@@ -590,23 +721,38 @@ def format_search_report(report: SearchReport) -> str:
 
     Each line is the zero-padded mask, the s2 field and a tail.  The tail
     is rendered once per distinct solution, and every mask with an empty
-    solution set shares the tail "Infeasible".  Lines are built batch by
-    batch straight from the report's arrays, with each batch of masks
-    decoded into s2 labels at once; no SearchRow is built.
+    solution set shares the tail "Infeasible".  Lines go out in mask order
+    in blocks of 2**LABEL_BITS masks that share their high bits: the s2
+    field is a label table entry for the low bits, then the high bits'
+    labels, decoded once per block, so no SearchRow is built.
     """
-    total = report.total
-    line = f"{{:0{len(str(total))}d}} s2={{}} {{}}\n".format
-    # _which gives the masks never stored the index past the solutions
-    tails = np.array([_tail_text(s) for s in [*report._distinct[0], _NO_SOLUTION]], dtype=object)
-    names = [str(v) for v in range(1, report.n + 1)]
+    total, n = report.total, report.n
+    line = f"{{:0{len(str(total))}d}} s2={{}}{{}} {{}}\n".format
+    tails = [_tail_text(s) for s in report.solutions]
+    infeasible = _tail_text(_NO_SOLUTION)
+    low = min(n - 1, LABEL_BITS)
+    size = 1 << low
+    # the label table: entry m lists the vertices v + 2 of the set bits v of m
+    alone = [""]
+    for v in range(low):
+        label = str(v + 2)
+        alone += [s + "," + label if s else label for s in alone]
+    # before a nonempty high part, a nonempty low part needs a comma
+    joined = [s and s + "," for s in alone]
+    masks, which = report.masks, report.which
     chunks = []
-    for masks in _batches(1, total + 1):
-        flat, spans = _labels(_mask_bits(masks, report.n) == 1, names)
-        s2 = [",".join(flat[a:b]) for a, b in spans]
-        # freed before the join: a live label list between two chunk strings
-        # fragments the heap, about 3 MB more peak RSS on linear:10
-        del flat
-        chunks.append("".join(map(line, masks.tolist(), s2, tails[report._which(masks)].tolist())))
+    done = 0  # masks of earlier blocks
+    for base in range(0, total + 1, size):
+        block = [infeasible] * size
+        end = bisect.bisect_left(masks, base + size, done)
+        for mask, i in zip(masks[done:end], which[done:end]):
+            block[mask - base] = tails[i]
+        done = end
+        first = 1 if base == 0 else 0  # mask 0 is no bipartition
+        lows = joined if base else alone
+        high = _labels(base >> low, low + 2)
+        lines = map(line, range(base + first, base + size), lows[first:], repeat(high), block[first:])
+        chunks.append("".join(lines))
     summary = " ".join(f"{k}={v}" for k, v in report.counts.items())
     chunks.append(f"# total={total} {summary}\n")
     return "".join(chunks)

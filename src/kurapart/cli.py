@@ -11,7 +11,9 @@ gets the mode a plain open would give it (0o666 less the umask).
 
 Only graph_core is imported up front.  Each subcommand imports the layers
 it uses when it runs, so `search` never loads the integrator and
-`simulate` loads the bipartition layer only for a certificate.
+`simulate` loads the bipartition layer only for a certificate.  numpy is
+imported only by `simulate` and `verify`, and by the layers when they build
+arrays, so `search` runs without it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import tempfile
 import time
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TextIO
 
-import numpy as np
-
 from . import graph_core as gc
 from .errors import (
     BadParameterError,
@@ -40,6 +40,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import bipartition_analysis as ban
     from . import dynamics as dyn
 
@@ -201,6 +203,8 @@ def _initial_state(
     part: gc.VertexPartition | None,
     cert: ban.Condition2Certificate | None,
 ) -> np.ndarray:
+    import numpy as np
+
     # the parser requires exactly one --init-* option
     if args.init_equal is not None:
         if not math.isfinite(args.init_equal):
@@ -365,8 +369,10 @@ def cmd_search(args: argparse.Namespace) -> int:
         search_s, format_s, write_s = (b - a for a, b in zip(clock, clock[1:]))
         stats = {
             "rows": report.total,
-            "nonempty_rows": int(report.masks.size),
+            "nonempty_rows": len(report.masks),
             "distinct_tails": ban._tail_count(report),
+            "nodes": report.nodes,
+            "pruned": report.pruned,
             "search_s": search_s,
             "format_s": format_s,
             "write_s": write_s,
@@ -434,6 +440,8 @@ def _verify_linear(p: int, failures: list[str]) -> None:
 
 
 def _verify_regular(d: int, alpha: float, failures: list[str]) -> None:
+    import numpy as np
+
     from . import dynamics as dyn
 
     g = gc.complete_graph(d + 1)
@@ -549,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument(
         "--stats",
         action="store_true",
-        help="write row counts and per-phase times as one JSON object to stderr",
+        help="write row counts, search-tree nodes and cuts, and per-phase times "
+        "as one JSON object to stderr",
     )
     sea.set_defaults(func=cmd_search)
 
@@ -602,10 +611,15 @@ def run() -> NoReturn:
     pool by the time it returns, so once stdout and stderr are flushed
     nothing is left to write; freeing numpy's and the standard library's
     modules would cost a run about 20 ms more.  A failed flush of stdout
-    is an I/O error, reported in one line unless main() reported one.  An
-    exception escaping main() propagates as usual, and a watched process
+    is an I/O error, reported in one line unless main() reported one.  The
+    SystemExit that argparse raises after printing --help ends the run
+    the same way, with its code, so the help text is flushed too.
+    An exception escaping main() propagates as usual, and a watched process
     exits normally, so its tool can write its report."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code  # argparse's int, once it has printed --help
     try:
         if sys.stdout is not None:
             sys.stdout.flush()

@@ -3,6 +3,10 @@
 Vertices are labelled 1..n everywhere a caller can see them.  Graphs are
 simple, undirected, and connected; connectivity is enforced at construction
 so downstream dynamics never has to special-case isolated components.
+
+numpy is imported by the functions that build arrays, when they run: a
+graph is built from Python tuples alone and makes its arc arrays on first
+use, so the bipartition search never loads numpy.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import _EXPORTS
 from .errors import (
@@ -27,6 +29,9 @@ from .errors import (
     VertexOutOfRangeError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = list(_EXPORTS["graph_core"])
 
 
@@ -34,6 +39,8 @@ def _interleaved_bins(dst: np.ndarray) -> np.ndarray:
     """Bins (2 d, 2 d + 1) per arc destination d, interleaved, so one
     bincount sums the (re, im) parts of a complex value per arc into the
     (re, im) parts of a length-n complex array."""
+    import numpy as np
+
     return np.stack((2 * dst, 2 * dst + 1), axis=1).ravel()
 
 
@@ -44,11 +51,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    # read-only 0-based (src, dst) arrays holding both directions of every
-    # edge, sorted by (dst, src), and the arcs' interleaved scatter bins
-    # (2 dst, 2 dst + 1); built once so RHS builders need not rebuild them
-    _arcs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _arc_bins: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -75,12 +77,6 @@ class Graph:
         adjacency = tuple(tuple(sorted(a)) for a in nbrs)
         object.__setattr__(self, "adjacency", adjacency)
         self._check_connected()
-        src = np.array([u - 1 for a in adjacency[1:] for u in a], dtype=np.intp)
-        dst = np.repeat(np.arange(self.n, dtype=np.intp), [len(a) for a in adjacency[1:]])
-        bins = _interleaved_bins(dst)
-        src.flags.writeable = dst.flags.writeable = bins.flags.writeable = False
-        object.__setattr__(self, "_arcs", (src, dst))
-        object.__setattr__(self, "_arc_bins", bins)
 
     def _check_connected(self) -> None:
         reached = {1}
@@ -109,6 +105,25 @@ class Graph:
         return v in self.adjacency[u] if 1 <= u <= self.n else False
 
     @functools.cached_property
+    def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only 0-based (src, dst) arrays holding both directions of
+        every edge, sorted by (dst, src); built on first use and kept, so
+        RHS builders need not rebuild them."""
+        import numpy as np
+
+        src = np.array([u - 1 for a in self.adjacency[1:] for u in a], dtype=np.intp)
+        dst = np.repeat(np.arange(self.n, dtype=np.intp), [len(a) for a in self.adjacency[1:]])
+        src.flags.writeable = dst.flags.writeable = False
+        return src, dst
+
+    @functools.cached_property
+    def _arc_bins(self) -> np.ndarray:
+        """Read-only interleaved scatter bins (2 dst, 2 dst + 1) of _arcs."""
+        bins = _interleaved_bins(self._arcs[1])
+        bins.flags.writeable = False
+        return bins
+
+    @functools.cached_property
     def _arc_matrix(self) -> np.ndarray:
         """Read-only adjacency_matrix(), W[dst, src] = 1 for every arc, so
         W @ x sums x over each vertex's neighbours.  Built on first use and
@@ -120,6 +135,8 @@ class Graph:
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 matrix A with A[i-1, j-1] = 1 iff i ~ j; a fresh,
         writable array filled from _arcs by one indexed assignment."""
+        import numpy as np
+
         src, dst = self._arcs
         a = np.zeros((self.n, self.n))
         a[dst, src] = 1.0
@@ -196,6 +213,8 @@ def _block_index(p: VertexPartition, n: int) -> np.ndarray:
     top = max(b[-1] for b in p.blocks)
     if count != n or top != n:
         raise PartitionMismatchError(f"partition has {count} vertices up to {top}, graph has 1..{n}")
+    import numpy as np
+
     labels = np.fromiter(itertools.chain.from_iterable(p.blocks), np.intp, n)
     index = np.empty(n, dtype=np.intp)
     index[labels - 1] = np.repeat(np.arange(p.k), [len(b) for b in p.blocks])
@@ -220,6 +239,8 @@ class DegreeProfile:
         return self.delta[v - 1]
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.delta, dtype=int)
 
 
@@ -234,12 +255,16 @@ class QuotientMatrix:
         return len(self.gamma)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.gamma, dtype=float)
 
 
 def _block_counts(g: Graph, p: VertexPartition) -> tuple[np.ndarray, np.ndarray]:
     """(n, k) int64 counts of each vertex's neighbours (row v - 1) in each
     block of p, from one bincount over the arcs, and _block_index(p, g.n)."""
+    import numpy as np
+
     index = _block_index(p, g.n)
     src, dst = g._arcs
     return np.bincount(dst * p.k + index[src], minlength=g.n * p.k).reshape(g.n, p.k), index

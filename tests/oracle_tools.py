@@ -62,10 +62,13 @@ def condition2_rows(g: Graph, blocks) -> list[tuple[int, int, int]]:
 
 def condition2_solution_slow(g: Graph, blocks) -> SolutionSet:
     """Exact Gauss-Jordan elimination of the per-vertex rows; unknowns (mu1, mu2, r)."""
-    aug = [
-        [Fraction(a), Fraction(b), Fraction(-1), Fraction(rhs)]
-        for a, b, rhs in condition2_rows(g, blocks)
-    ]
+    return gauss_jordan_slow(condition2_rows(g, blocks))
+
+
+def gauss_jordan_slow(rows) -> SolutionSet:
+    """Exact Gauss-Jordan elimination of rows (c_mu1, c_mu2, rhs) of
+    mu1*c_mu1 + mu2*c_mu2 - r = rhs; unknowns (mu1, mu2, r)."""
+    aug = [[Fraction(a), Fraction(b), Fraction(-1), Fraction(rhs)] for a, b, rhs in rows]
     ncols = 3
     pivots: list[int] = []
     row = 0
@@ -146,6 +149,88 @@ def search_rows_slow(g: Graph) -> list[SearchRow]:
         res = classify_bipartition(g, bip)
         rows.append(SearchRow(mask, bip.blocks[1], res.classification, res.certificate, res.family))
     return rows
+
+
+def solve_rows_batch(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve mu_b * d_cross - r = d_in for every row of a batch, in int64.
+
+    x is the (rows, n) indicator of the second block, to_s2 every vertex's
+    neighbour count into that block and degree the vertex degrees.  Each
+    block's count points (d_cross, d_in) must lie on the line through its
+    points A and B of smallest and largest d_cross or, when all share one
+    d_cross, coincide.  A block with two distinct d_cross values pins
+    r = (d_B c_A - d_A c_B) / (c_B - c_A); when both blocks pin r the two
+    values must agree.  Returns whether each row's solution set is nonempty
+    and one int64 row per mask, (line, r_num, r_den, c1, d1, c2, d2), in
+    the library's solved-row layout, meaningful where it is nonempty.
+    Every product is bounded by Delta**3 for the maximum degree Delta, so
+    the solve is exact while Delta < 2**21.
+    """
+    cross = np.where(x == 1, degree - to_s2, to_s2)
+    d_in = degree - cross
+    ok = np.ones(x.shape[0], dtype=bool)
+    rows = np.arange(x.shape[0])[:, None]
+    blocks = []
+    for member in (x == 0, x == 1):
+        # pad non-members past every count: n above, -1 below
+        lo = np.argmin(np.where(member, cross, x.shape[1]), axis=1)[:, None]
+        hi = np.argmax(np.where(member, cross, -1), axis=1)[:, None]
+        ca, da, cb, db = cross[rows, lo], d_in[rows, lo], cross[rows, hi], d_in[rows, hi]
+        span = cb - ca
+        on_line = ((d_in - da) * span == (db - da) * (cross - ca)) & ((span > 0) | (d_in == da))
+        ok &= np.all(on_line | ~member, axis=1)
+        blocks.append([a[:, 0] for a in (db * ca - da * cb, span, cb, db)])
+    (num1, den1, c1, d1), (num2, den2, c2, d2) = blocks
+    ok &= (den1 == 0) | (den2 == 0) | (num1 * den2 == num2 * den1)
+    r_num = np.where(den1 > 0, num1, np.where(den2 > 0, num2, 0))
+    r_den = np.where(den1 > 0, den1, np.where(den2 > 0, den2, 1))
+    return ok, np.column_stack([(den1 == 0) & (den2 == 0), r_num, r_den, c1, d1, c2, d2])
+
+
+def search_batch_slow(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """solve_rows_batch on every mask of g at once, with the int64
+    indicator rows X of the masks and their neighbour counts X @ A."""
+    total = (1 << (g.n - 1)) - 1
+    x = np.zeros((total, g.n), dtype=np.int64)
+    x[:, 1:] = np.arange(1, total + 1)[:, None] >> np.arange(g.n - 1) & 1
+    adj = adjacency_matrix_slow(g).astype(np.int64)
+    return solve_rows_batch(x, x @ adj, adj.sum(axis=1))
+
+
+def search_tree_slow(g: Graph) -> tuple[int, int]:
+    """(nodes, pruned) of the pruned depth-first search, by brute force.
+
+    Vertices go in BFS order from vertex 1, neighbours in ascending order.
+    Each assignment of the first k + 1 of them (vertex 1 in the first
+    block) is a node at depth k; it is entered when its parent's is and
+    not cut, and cut when the count points it fixes, those of the placed
+    vertices whose neighbours are all placed, have no exact solution.
+    """
+    nbrs = adjacency_sets(g)
+    order = [1]
+    for v in order:
+        order += [w for w in sorted(nbrs[v]) if w not in order]
+    nodes = pruned = 0
+    alive = [frozenset()]  # second blocks of the live nodes one depth up
+    for k in range(1, g.n):
+        placed = set(order[: k + 1])
+        fixed = [v for v in placed if nbrs[v] <= placed]
+        deeper = []
+        for s2 in alive:
+            for child in (s2, s2 | {order[k]}):
+                nodes += 1
+                s1 = placed - child
+                rows = [
+                    (0, len(nbrs[v] & s1), len(nbrs[v] & child)) if v in child
+                    else (len(nbrs[v] & child), 0, len(nbrs[v] & s1))
+                    for v in fixed
+                ]
+                if rows and gauss_jordan_slow(rows).kind == "empty":
+                    pruned += 1
+                else:
+                    deeper.append(child)
+        alive = deeper
+    return nodes, pruned
 
 
 def format_search_report_slow(n: int, rows: list[SearchRow]) -> str:

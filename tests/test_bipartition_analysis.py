@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,10 @@ from oracle_tools import (
     line_family_slow,
     random_connected_graph,
     residual_max_slow,
+    search_batch_slow,
     search_rows_slow,
+    search_tree_slow,
+    solve_rows_batch,
 )
 
 
@@ -423,7 +427,7 @@ class TestSearch:
         def never(args):
             raise AssertionError("enumeration started")
 
-        monkeypatch.setattr(ban, "_solve_chunk", never)
+        monkeypatch.setattr(ban, "_walk", never)
         with pytest.raises(kp.TooLargeError):
             kp.search_all_bipartitions(kp.path_graph(64), force=True)
 
@@ -504,11 +508,11 @@ class TestSearchText:
     def test_distinct_tails_shared(self):
         # every row of C12(1,2) is nonempty, with 30 distinct solved rows but 3 texts
         report = kp.search_all_bipartitions(circulant_graph(12, (1, 2)))
-        assert report.masks.tolist() == list(range(1, 2048))
-        assert len(report._distinct[0]) == 30
+        assert list(report.masks) == list(range(1, 2048))
+        assert len(report.solutions) == 30
         assert ban._tail_count(report) == 3
         hub = kp.search_all_bipartitions(kp.linear_family_graph(6)[0])
-        assert (hub.masks.size, ban._tail_count(hub)) == (9, 5)
+        assert (len(hub.masks), ban._tail_count(hub)) == (9, 5)
 
     def test_solution_once_per_distinct_row(self, monkeypatch):
         calls = []
@@ -525,7 +529,7 @@ class TestSearchText:
         assert len(calls) == len(set(calls)) == 30
 
     def test_report_without_nonempty_rows(self):
-        report = ban.SearchReport(5, np.zeros(0, dtype=np.int64), np.zeros((0, 7), dtype=np.int64))
+        report = ban.SearchReport(5, array("q"), array("I"), ())
         text = kp.format_search_report(report)
         assert report.counts["Infeasible"] == 15 == sum(report.counts.values())
         assert ban._tail_count(report) == 1
@@ -553,7 +557,7 @@ class TestEquitableFamily:
         assert 100 < feasible < 5184
 
     def test_matches_half_lines_on_every_equitable_bipartition(self):
-        # the line comes from the Gauss-Jordan oracle, not from _solve_rows
+        # the line comes from the Gauss-Jordan oracle, not from _solve
         seen = 0
         for g in search_oracle_graphs():
             for row in kp.search_all_bipartitions(g).rows:
@@ -567,7 +571,8 @@ class TestEquitableFamily:
 
 
 class TestBatchSearch:
-    """The batched search and its int64 solve against the slow oracles."""
+    """The pruned search and its solve rule against the slow oracles: the
+    per-row classifier, Gauss-Jordan elimination and the int64 batch."""
 
     def test_rows_match_per_row_oracle(self, oracle_searches):
         kinds = set()
@@ -582,7 +587,10 @@ class TestBatchSearch:
         }
 
     def test_solve_rows_match_gauss_jordan(self):
-        # counts come from adjacency sets, not from the search's X @ A
+        # counts come from adjacency sets, not from the search's bitmasks;
+        # the scalar solve must equal the int64 batch oracle row for row, and
+        # each search row the batch oracle's row of the same mask, which
+        # search_batch_slow solves from its own X @ A counts
         kinds = {"empty": 0, "point": 0, "line": 0}
         for g in search_oracle_graphs():
             nbrs = adjacency_sets(g)
@@ -593,14 +601,26 @@ class TestBatchSearch:
                 dtype=np.int64,
             )
             degree = np.array([len(nbrs[v]) for v in range(1, g.n + 1)], dtype=np.int64)
-            nonempty, solved = ban._solve_rows(x, to_s2, degree)
-            for bip, nonempty, row in zip(bips, nonempty.tolist(), solved.tolist()):
-                line, r_num, r_den, c1, d1, c2, d2 = row
+            nonempty, solved = solve_rows_batch(x, to_s2, degree)
+            report = kp.search_all_bipartitions(g)
+            searched = dict(zip(report.masks, map(report.solved.__getitem__, report.which)))
+            batch = search_batch_slow(g)
+            assert batch[0].tolist() == nonempty.tolist()
+            for mask, bip, nonempty, row in zip(itertools.count(1), bips, nonempty.tolist(), solved.tolist()):
+                s2 = set(bip.blocks[1])
+                points = [
+                    (True, len(nbrs[v] - s2), len(nbrs[v] & s2)) if v in s2
+                    else (False, len(nbrs[v] & s2), len(nbrs[v] - s2))
+                    for v in range(1, g.n + 1)
+                ]
+                got = ban._solve(points)
                 want = condition2_solution_slow(g, bip.blocks)
                 kinds[want.kind] += 1
-                assert bool(nonempty) == (want.kind != "empty")
+                assert bool(nonempty) == (want.kind != "empty") == (got is not None) == (mask in searched)
                 if want.kind == "empty":
                     continue
+                assert got == tuple(row) == searched[mask] == tuple(batch[1][mask - 1].tolist())
+                line, r_num, r_den, c1, d1, c2, d2 = got
                 assert bool(line) == (want.kind == "line")
                 mu1 = Fraction(d1 * r_den + r_num, c1 * r_den)
                 mu2 = Fraction(d2 * r_den + r_num, c2 * r_den)
@@ -608,6 +628,23 @@ class TestBatchSearch:
                 if line:
                     assert want.directions == ((Fraction(1, c1), Fraction(1, c2), 1),)
         assert kinds["empty"] > 1000 and kinds["point"] > 100 and kinds["line"] > 10
+
+    def test_search_tree_matches_brute_force(self):
+        # every node entered and every subtree cut, against Gauss-Jordan on
+        # the points each prefix fixes; a cut leaves only Infeasible masks.
+        # Small random graphs reach the prefixes where a block's first point
+        # has d_cross 0 and so fixes r = -d_in against the other block's r
+        rng = np.random.default_rng(5)
+        small = [
+            random_connected_graph(rng, int(rng.integers(4, 10)), float(rng.uniform(0, 1)))
+            for _ in range(60)
+        ]
+        cut = 0
+        for g in search_oracle_graphs()[:20] + small:
+            report = kp.search_all_bipartitions(g)
+            assert (report.nodes, report.pruned) == search_tree_slow(g)
+            cut += report.pruned
+        assert cut > 100
 
     def test_classify_beyond_63_vertices(self):
         # no mask or n x n matrix limits the one-row path
@@ -634,11 +671,19 @@ class TestBatchSearch:
         with pytest.raises(kp.TooLargeError):
             kp.classify_bipartition(g, kp.VertexPartition.from_blocks([[1], [2]]))
 
-    def test_chunks_not_aligned_to_batches(self):
-        assert ban.SEARCH_BATCH_ROWS == 1024
+    def test_report_independent_of_how_the_tree_is_split(self):
         g = circulant_graph(12, (1, 2))
-        whole = ban.SearchReport(12, *ban._solve_chunk((g, 1, 2048))).rows
-        halves = ban._solve_chunk((g, 1, 1000)), ban._solve_chunk((g, 1000, 2048))
-        split = ban.SearchReport(12, *(np.concatenate(part) for part in zip(*halves))).rows
-        assert [row.mask for row in whole] == list(range(1, 2048))
-        assert split == whole
+        plan = ban._plan(g)
+        whole_walk = ban._walk(plan, [ban._ROOT], 0)
+        whole = ban._report(12, [whole_walk])
+        assert [row.mask for row in whole.rows] == list(range(1, 2048))
+        for stop in (2, 5, 11):
+            top = ban._walk(plan, [ban._ROOT], stop)
+            # subtrees walked one by one and in reverse, as workers return them
+            parts = [ban._walk(plan, [node], 0) for node in reversed(top.frontier)]
+            split = ban._report(12, [*parts, top])
+            assert split.rows == whole.rows
+            assert (list(split.masks), list(split.which), split.solved) == (
+                list(whole.masks), list(whole.which), whole.solved,
+            )
+            assert (split.nodes, split.pruned) == (whole_walk.nodes, whole_walk.pruned)

@@ -474,7 +474,10 @@ class TestSearch:
 
     def test_stats_on_stderr_leave_the_report_unchanged(self, capsys, tmp_path):
         digest = "ae17bf4a9aaec7991bd01c61dfc49295020395c1d539d65cf40f0a15b177c56d"  # linear:6, above
-        fields = {"rows", "nonempty_rows", "distinct_tails", "search_s", "format_s", "write_s", "rows_per_s"}
+        fields = {
+            "rows", "nonempty_rows", "distinct_tails", "nodes", "pruned",
+            "search_s", "format_s", "write_s", "rows_per_s",
+        }
         assert run("search", "--builtin", "linear:6", "--stats") == 0
         out, err = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -482,6 +485,8 @@ class TestSearch:
         assert set(stats) == fields
         assert stats["rows"] == 2**12 - 1
         assert (stats["nonempty_rows"], stats["distinct_tails"]) == (9, 5)
+        # TestBatchSearch ties both counts to a brute-force walk of the tree
+        assert (stats["nodes"], stats["pruned"]) == (866, 425)
         assert min(stats[k] for k in ("search_s", "format_s", "write_s", "rows_per_s")) > 0
         target = tmp_path / "report.txt"
         assert run("search", "--builtin", "linear:6", "--stats", "--out", target) == 0
@@ -543,7 +548,7 @@ class TestStartUp:
                  "--seed", "1", "--t-end", "1", "--out", "x.csv"],
                 ["kurapart.bipartition_analysis", "fractions"],
             ),
-            (["search", "--builtin", "cycle:8", "--out", "x.txt"], ["kurapart.dynamics", *POOL]),
+            (["search", "--builtin", "cycle:8", "--out", "x.txt"], ["kurapart.dynamics", "numpy", *POOL]),
         ],
         ids=["import-cli", "simulate-random", "search"],
     )
@@ -558,6 +563,14 @@ class TestStartUp:
         code, *loaded = _fresh_python(probe, tmp_path, *argv).split()
         assert code == "0"
         assert [m for m in unloaded if m in loaded] == []
+
+    def test_search_imports_no_numpy(self):
+        child = _child("-X", "importtime", "-m", "kurapart.cli", "search", "--builtin", "linear:6")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.decode().splitlines()]
+        # the whole report, and the import lines of a module it needs
+        assert hashlib.sha256(child.stdout).hexdigest().startswith("ae17bf4a")
+        assert "fractions" in imported
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
     @pytest.mark.parametrize(
         "name, loaded",
@@ -652,8 +665,10 @@ class TestProcessEntry:
             ["analyze", "--builtin", "latoro"],
             ["search", "--builtin", "path:3"],  # fits the buffer: fails at main's flush
             ["search", "--builtin", "linear:6"],  # outgrows it: fails in the write
+            ["--help"],  # argparse raises SystemExit(0) once the help is buffered
+            ["search", "--help"],
         ],
-        ids=["verify", "analyze", "search-small", "search-large"],
+        ids=["verify", "analyze", "search-small", "search-large", "help", "search-help"],
     )
     def test_failed_write_to_stdout_exits_2(self, argv, sink):
         if sink == "dev-full":
