@@ -51,7 +51,6 @@ _EXPORTS = {
         "coarsest_equitable_refinement",
         "automorphisms_brute_force",
         "orbit_partition_brute_force",
-        "enumerate_bipartitions",
         "bipartition_from_mask",
         "linear_family_graph",
         "latoro_profile_graph",

@@ -72,6 +72,7 @@ from .graph_core import (
     VertexPartition,
     _block_counts,
     _block_index,
+    bipartition_from_mask,
 )
 
 # the integrator is imported by the two functions that run the dynamics,
@@ -429,15 +430,6 @@ class SearchRow:
     family: FamilySegment | None
 
 
-@dataclass(frozen=True)
-class SearchRow:
-    mask: int
-    s2: tuple[int, ...]
-    classification: Classification
-    certificate: Condition2Certificate | None
-    family: FamilySegment | None
-
-
 def _labels(mask: int, first: int) -> str:
     """Comma-joined labels first + v of the set bits v of mask."""
     return ",".join([str(first + v) for v in range(mask.bit_length()) if mask >> v & 1])
@@ -482,9 +474,7 @@ class SearchReport:
         found = dict(zip(self.masks, map(self.solutions.__getitem__, self.which)))
         out: list[SearchRow] = []
         for mask in range(1, self.total + 1):
-            # bit v of the mask puts vertex v + 2 in the second block
-            s2 = tuple(v for v in range(2, self.n + 1) if mask >> (v - 2) & 1)
-            s1 = tuple(v for v in range(1, self.n + 1) if v == 1 or not mask >> (v - 2) & 1)
+            s1, s2 = bipartition_from_mask(self.n, mask).blocks
             res = _classified(found.get(mask, _NO_SOLUTION), s1, s2)
             out.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
         return tuple(out)

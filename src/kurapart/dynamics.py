@@ -5,7 +5,8 @@ phase lag, so equal phases are not stationary in general; rigid rotations
 are.  Both the full vertex system and the block quotient system share one
 right-hand side, evaluated through the angle-sum identity from one complex
 exponential per vertex, with neighbour sums over the arcs or, on dense
-graphs, by one matrix product.  They also share one integration core:
+graphs, by one matrix product.  They also share one step loop, which
+hands on the last stage, checks, records and counts the steps of either
 classical fixed-step RK4 or an embedded Dormand-Prince 4(5) pair with
 proportional step control.  Each integration reports its step and
 evaluation counts.
@@ -392,89 +393,86 @@ def _rk4_steps(t_end: float, dt: float) -> tuple[int, float]:
     return (n_full + 1, remainder) if remainder > 1e-9 * max(dt, 1.0) else (n_full, dt)
 
 
-def _rk4_path(
-    f: Rhs, y0: np.ndarray, cfg: IntegratorConfig
-) -> tuple[list[float], list[np.ndarray], RunStats]:
-    dt = float(cfg.dt)  # validated > 0
-    t_end = cfg.t_end
-    n_steps, last = _rk4_steps(t_end, dt)  # validated <= MAX_ADAPTIVE_STEPS
-    times, states = [0.0], [y0]
-    y = y0
-    k = np.empty((_RK4_A.shape[0], y.size))
-    plan = _stage_plan(_RK4_A, k)
-    arg = np.empty(y.size)
-    f(y, k[0])
-    for i in range(1, n_steps + 1):
-        y = _rk_stages(f, y, dt if i < n_steps else last, plan, arg)
-        k[0] = k[-1]
-        _check_finite(y, f"after step {i}")
-        if i == n_steps or i % cfg.record_every == 0:
-            times.append(t_end if i == n_steps else i * dt)
-            states.append(y)
-    if times[-1] < t_end:  # horizon shorter than the step tolerance: no step taken
-        times.append(t_end)
-        states.append(y)
-    sizes = [dt] * (n_steps > 1) + [last] * (n_steps > 0)  # only the last may differ
-    h_min, h_max = min(sizes, default=None), max(sizes, default=None)
-    return times, states, RunStats(n_steps, 0, 1 + 4 * n_steps, h_min, h_max)
-
-
-def _rk45_path(
+def _rk_path(
     f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, t_eval: np.ndarray | None
 ) -> tuple[list[float], list[np.ndarray], RunStats]:
+    """The step loop of both methods: recorded times, states and RunStats.
+
+    rk45 clips each step to its boundary, the next t_eval time or t_end,
+    and accepts it when the error norm is at most 1; only a step that is
+    not clipped must reach MIN_ADAPTIVE_STEP.  rk4 accepts every step of
+    _rk4_steps and labels step i as i * dt, the last as t_end; a horizon
+    below its step tolerance takes no step but still records t_end.
+    """
+    adaptive = cfg.method == "rk45"
     t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
+    if adaptive:
+        a, budget = _DP_A, MAX_ADAPTIVE_STEPS
+        h = min(t_goal, max(t_goal / 100.0, 1e-6))
+    else:
+        a, h = _RK4_A, float(cfg.dt)
+        budget, last = _rk4_steps(t_goal, h)  # validated within MAX_ADAPTIVE_STEPS
     times, states = [0.0], [y0]
     y = y0
     abs_y = np.abs(y)  # carried from each accepted step to the next
     t = 0.0
-    h = min(t_goal, max(t_goal / 100.0, 1e-6))
     eval_idx = 1  # t_eval[0] == 0 already recorded
     accepted = 0
     steps = 0
     h_min, h_max = math.inf, 0.0
-    k = np.empty((_DP_A.shape[0], y.size))
-    plan = _stage_plan(_DP_A, k)
+    k = np.empty((a.shape[0], y.size))
+    plan = _stage_plan(a, k)
     arg, err_vec, scale = np.empty((3, y.size))
     f(y, k[0])
     # the error norm may overflow to inf, which rejects the step
     with np.errstate(over="ignore"):
-        while t < t_goal:
+        while t < t_goal and steps < budget:
             steps += 1
-            if steps > MAX_ADAPTIVE_STEPS:
-                raise StepUnderflowError(f"step budget exhausted at t={t}")
-            if h < MIN_ADAPTIVE_STEP:
-                raise StepUnderflowError(f"adaptive step fell below {MIN_ADAPTIVE_STEP} at t={t}")
-            boundary = t_eval[eval_idx] if t_eval is not None else t_goal
-            clipped = t + h >= boundary
-            h_step = boundary - t if clipped else h
+            if adaptive:
+                boundary = t_eval[eval_idx] if t_eval is not None else t_goal
+                clipped = t + h >= boundary
+                if h < MIN_ADAPTIVE_STEP and not clipped:
+                    raise StepUnderflowError(
+                        f"adaptive step fell below {MIN_ADAPTIVE_STEP} at t={t}"
+                    )
+                h_step, t_next = (boundary - t, boundary) if clipped else (h, t + h)
+            else:
+                h_step, t_next = (last, t_goal) if steps == budget else (h, steps * h)
             y_new = _rk_stages(f, y, h_step, plan, arg)
-            abs_new = np.abs(y_new)
-            np.maximum(abs_y, abs_new, out=scale)
-            scale *= cfg.rel_tol
-            scale += cfg.abs_tol
-            np.dot(_DP_E, k, out=err_vec)
-            err_vec /= scale
-            # RMS of h * (E @ k) / scale, with h taken out of the norm
-            err = h_step * math.sqrt(float(err_vec @ err_vec) / y.size)
-            if err <= 1.0:
-                t = boundary if clipped else t + h_step
-                y, abs_y = y_new, abs_new
-                k[0] = k[-1]
-                _check_finite(y, f"at t={t}")
-                accepted += 1
-                h_min, h_max = min(h_min, h_step), max(h_max, h_step)
-                if t_eval is None:
-                    keep = accepted % cfg.record_every == 0 or t >= t_goal
-                else:
-                    keep, eval_idx = clipped, eval_idx + clipped
-                if keep and t > times[-1]:
-                    times.append(float(t))
-                    states.append(y)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h = h_step * factor if (not clipped or err > 1.0) else h * factor
-            h = min(h, t_goal)
+            if adaptive:
+                abs_new = np.abs(y_new)
+                np.maximum(abs_y, abs_new, out=scale)
+                scale *= cfg.rel_tol
+                scale += cfg.abs_tol
+                np.dot(_DP_E, k, out=err_vec)
+                err_vec /= scale
+                # RMS of h * (E @ k) / scale, with h taken out of the norm
+                err = h_step * math.sqrt(float(err_vec @ err_vec) / y.size)
+                factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+                h = h_step * factor if (not clipped or err > 1.0) else h * factor
+                h = min(h, t_goal)
+                if err > 1.0:
+                    continue
+                abs_y = abs_new
+            t, y = t_next, y_new
+            k[0] = k[-1]
+            _check_finite(y, f"at t={t}")
+            accepted += 1
+            h_min, h_max = min(h_min, h_step), max(h_max, h_step)
+            if t_eval is None:
+                keep = accepted % cfg.record_every == 0 or t >= t_goal
+            else:
+                keep, eval_idx = clipped, eval_idx + clipped
+            if keep and t > times[-1]:
+                times.append(float(t))
+                states.append(y)
+    if t < t_goal:
+        if adaptive:
+            raise StepUnderflowError(f"step budget exhausted at t={t}")
+        times.append(t_goal)
+        states.append(y)
     h_range = (float(h_min), float(h_max)) if accepted else (None, None)
-    return times, states, RunStats(accepted, steps - accepted, 1 + 6 * steps, *h_range)
+    return times, states, RunStats(accepted, steps - accepted, 1 + len(plan) * steps, *h_range)
 
 
 def _integrate_core(
@@ -483,12 +481,9 @@ def _integrate_core(
     y0 = np.asarray(init, dtype=float).copy()
     _check_finite(y0, "in initial condition")
     te = _validate_t_eval(t_eval, cfg.t_end)
-    if cfg.method == "rk4":
-        if te is not None:
-            raise BadParameterError("t_eval is supported by rk45 only")
-        times, states, stats = _rk4_path(f, y0, cfg)
-    else:
-        times, states, stats = _rk45_path(f, y0, cfg, te)
+    if cfg.method == "rk4" and te is not None:
+        raise BadParameterError("t_eval is supported by rk45 only")
+    times, states, stats = _rk_path(f, y0, cfg, te)
     return Trajectory(np.array(times), np.array(states), stats=stats)
 
 

@@ -15,7 +15,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from . import _EXPORTS
 from .errors import (
@@ -373,18 +373,6 @@ def orbit_partition_brute_force(g: Graph, limit: int = 10) -> list[VertexPartiti
         partitions.add(VertexPartition.from_blocks(blocks))
     ordered = sorted(partitions, key=lambda p: p.blocks)
     return ordered
-
-
-def enumerate_bipartitions(g: Graph) -> Iterator[VertexPartition]:
-    """Yield every unordered 2-block partition of 1..n exactly once.
-
-    Vertex 1 stays in the first block; the complement runs through all
-    2**(n-1) - 1 nonempty proper subsets of 2..n in ascending mask order.
-    """
-    if g.n < 2:
-        raise BadParameterError("bipartitions need n >= 2")
-    for mask in range(1, 1 << (g.n - 1)):
-        yield bipartition_from_mask(g.n, mask)
 
 
 def bipartition_from_mask(n: int, mask: int) -> VertexPartition:

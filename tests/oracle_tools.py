@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -138,6 +139,18 @@ def line_family_slow(sol: SolutionSet) -> FamilySegment:
     else:
         t_mid = Fraction(0)
     return FamilySegment(True, 1, lo, hi, alpha_at(lo), alpha_at(hi), alpha_at(t_mid))
+
+
+def enumerate_bipartitions(g: Graph) -> Iterator[VertexPartition]:
+    """Yield every unordered 2-block partition of 1..n exactly once.
+
+    Vertex 1 stays in the first block; the complement runs through all
+    2**(n-1) - 1 nonempty proper subsets of 2..n in ascending mask order.
+    """
+    if g.n < 2:
+        raise BadParameterError("bipartitions need n >= 2")
+    for mask in range(1, 1 << (g.n - 1)):
+        yield bipartition_from_mask(g.n, mask)
 
 
 def search_rows_slow(g: Graph) -> list[SearchRow]:

@@ -17,6 +17,7 @@ from oracle_tools import (
     adjacency_sets,
     condition2_rows,
     condition2_solution_slow,
+    enumerate_bipartitions,
     format_search_report_slow,
     is_equitable_slow,
     line_family_slow,
@@ -70,7 +71,7 @@ class TestSystemConstruction:
         rng = np.random.default_rng(3)
         for _ in range(25):
             g = random_connected_graph(rng, int(rng.integers(2, 8)))
-            for bip in kp.enumerate_bipartitions(g):
+            for bip in enumerate_bipartitions(g):
                 prof = kp.degree_profile(g, bip)
                 rows = rows_by_vertex(g, bip)
                 for v in bip.blocks[0]:
@@ -130,7 +131,7 @@ class TestSolver:
             graphs.append(random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0))))
         kinds = set()
         for g in graphs:
-            for bip in kp.enumerate_bipartitions(g):
+            for bip in enumerate_bipartitions(g):
                 sol = assert_matches_oracle(g, bip)
                 kinds.add(sol.kind)
                 if sol.kind != "empty":
@@ -235,7 +236,7 @@ class TestClassification:
         for _ in range(12):
             n = int(rng.integers(2, 9))
             g = random_connected_graph(rng, n, extra=float(rng.uniform(0.0, 1.0)))
-            for bip in kp.enumerate_bipartitions(g):
+            for bip in enumerate_bipartitions(g):
                 res = kp.classify_bipartition(g, bip)
                 assert res.solution_set.dim <= 1
                 line = res.solution_set.dim == 1
@@ -256,7 +257,7 @@ class TestCertificates:
         seen = 0
         for _ in range(40):
             g = random_connected_graph(rng, int(rng.integers(3, 8)))
-            for bip in kp.enumerate_bipartitions(g):
+            for bip in enumerate_bipartitions(g):
                 res = kp.classify_bipartition(g, bip)
                 c = res.certificate
                 if c is None:
@@ -278,7 +279,7 @@ class TestCertificates:
         strict = boundary = 0
         for _ in range(40):
             g = random_connected_graph(rng, int(rng.integers(3, 8)))
-            for bip in kp.enumerate_bipartitions(g):
+            for bip in enumerate_bipartitions(g):
                 c = kp.classify_bipartition(g, bip).certificate
                 if c is None:
                     continue
@@ -378,7 +379,7 @@ class TestSearch:
         assert len(report.rows) == 2**5 - 1
         want_equitable = sum(
             1
-            for bip in kp.enumerate_bipartitions(g)
+            for bip in enumerate_bipartitions(g)
             if kp.is_equitable(g, bip) is not None
         )
         assert report.counts["Equitable"] == want_equitable == 4
@@ -594,7 +595,7 @@ class TestBatchSearch:
         kinds = {"empty": 0, "point": 0, "line": 0}
         for g in search_oracle_graphs():
             nbrs = adjacency_sets(g)
-            bips = list(kp.enumerate_bipartitions(g))
+            bips = list(enumerate_bipartitions(g))
             x = np.array([[v in bip.blocks[1] for v in range(1, g.n + 1)] for bip in bips], dtype=np.int64)
             to_s2 = np.array(
                 [[len(nbrs[v] & set(bip.blocks[1])) for v in range(1, g.n + 1)] for bip in bips],

