@@ -78,7 +78,6 @@ _EXPORTS = {
         "integrate_quotient",
         "lift_quotient_trajectory",
         "exact_sync_partition",
-        "exact_sync_chains",
         "asymptotic_sync_clusters",
         "analytic_regular_solution",
         "residual_max",
@@ -92,7 +91,6 @@ _EXPORTS = {
         "Condition2Certificate",
         "FamilySegment",
         "BipartitionClassification",
-        "SearchRow",
         "SearchReport",
         "alpha_from_mu",
         "beta_from_mu",

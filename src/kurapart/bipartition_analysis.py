@@ -39,7 +39,7 @@ section 7.2.2).  The report keeps the masks with a nonempty solution set,
 sorted, and the index of each into the distinct solved rows, as stdlib
 array columns; it counts the nodes entered and the subtrees cut.
 SearchReport.solutions runs _solution once per distinct solved row, and
-the counts, the rendered text and SearchReport.rows all read that list.
+the counts and the rendered text both read that list.
 No numpy is imported by a search.  Masks are int64 columns, so the
 search stops at n = 63.
 """
@@ -72,7 +72,6 @@ from .graph_core import (
     VertexPartition,
     _block_counts,
     _block_index,
-    bipartition_from_mask,
 )
 
 # the integrator is imported by the two functions that run the dynamics,
@@ -421,15 +420,6 @@ def verify_certificate(
     return residual_max(g, traj, params)
 
 
-@dataclass(frozen=True)
-class SearchRow:
-    mask: int
-    s2: tuple[int, ...]
-    classification: Classification
-    certificate: Condition2Certificate | None
-    family: FamilySegment | None
-
-
 def _labels(mask: int, first: int) -> str:
     """Comma-joined labels first + v of the set bits v of mask."""
     return ",".join([str(first + v) for v in range(mask.bit_length()) if mask >> v & 1])
@@ -444,9 +434,7 @@ class SearchReport:
     rows (line, r_num, r_den, c1, d1, c2, d2) in sorted order, the
     arguments of _solution.  Every other mask in 1 .. total is Infeasible
     with an empty set, so it is never stored.  nodes and pruned count the
-    search-tree nodes the search entered and the subtrees it cut.  rows
-    builds the SearchRow tuples on first use; counts and
-    format_search_report never do.
+    search-tree nodes the search entered and the subtrees it cut.
     """
 
     n: int
@@ -466,18 +454,6 @@ class SearchReport:
         """The _solution of each distinct solved row; the only place a
         search calls _solution."""
         return [_solution(*row) for row in self.solved]
-
-    @functools.cached_property
-    def rows(self) -> tuple[SearchRow, ...]:
-        """One SearchRow per mask, through _classified, the tail that
-        classify_bipartition uses."""
-        found = dict(zip(self.masks, map(self.solutions.__getitem__, self.which)))
-        out: list[SearchRow] = []
-        for mask in range(1, self.total + 1):
-            s1, s2 = bipartition_from_mask(self.n, mask).blocks
-            res = _classified(found.get(mask, _NO_SOLUTION), s1, s2)
-            out.append(SearchRow(mask, s2, res.classification, res.certificate, res.family))
-        return tuple(out)
 
     @property
     def counts(self) -> dict[str, int]:
@@ -714,7 +690,7 @@ def format_search_report(report: SearchReport) -> str:
     solution set shares the tail "Infeasible".  Lines go out in mask order
     in blocks of 2**LABEL_BITS masks that share their high bits: the s2
     field is a label table entry for the low bits, then the high bits'
-    labels, decoded once per block, so no SearchRow is built.
+    labels, decoded once per block, so no row object is built.
     """
     total, n = report.total, report.n
     line = f"{{:0{len(str(total))}d}} s2={{}}{{}} {{}}\n".format

@@ -36,7 +36,6 @@ from .errors import (
     NoCertificateError,
     NonFiniteStateError,
     StepUnderflowError,
-    TooShortError,
 )
 
 if TYPE_CHECKING:
@@ -251,19 +250,12 @@ def _sync_report_json(
             "abs_tol": args.abs_tol,
             **dataclasses.asdict(traj.stats),
         }
-    try:
-        report = dyn.asymptotic_sync_clusters(
-            traj,
-            tail_fraction=args.tail_fraction,
-            tol=args.tail_tol,
-            exact_tol=args.sync_tol,
-        )
-    except TooShortError as exc:
-        exact, chained = dyn.exact_sync_chains(traj, tol=args.sync_tol)
-        payload["tail"] = None
-        payload["tail_skipped"] = str(exc)
+    report = dyn.asymptotic_sync_clusters(
+        traj, tail_fraction=args.tail_fraction, tol=args.tail_tol, exact_tol=args.sync_tol
+    )
+    if report.tail_skipped is not None:
+        payload["tail"], payload["tail_skipped"] = None, report.tail_skipped
     else:
-        exact, chained = report.exact_partition, report.chained_pairs
         payload["tail"] = {
             "fraction": report.tail_fraction,
             "tol": report.tail_tol,
@@ -273,9 +265,9 @@ def _sync_report_json(
             "pairs": [[i, j, label, dev] for i, j, label, dev in report.pair_classes],
         }
     payload["exact"] = {
-        "tol": args.sync_tol,
-        "blocks": [list(b) for b in exact.blocks],
-        "chained_pairs": [[i, j, d] for i, j, d in chained],
+        "tol": report.exact_tol,
+        "blocks": [list(b) for b in report.exact_partition.blocks],
+        "chained_pairs": [[i, j, d] for i, j, d in report.chained_pairs],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

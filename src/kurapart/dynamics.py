@@ -609,17 +609,15 @@ def _with_singletons(n: int, blocks: list[list[int]]) -> VertexPartition:
     return VertexPartition.from_blocks(blocks + [[v] for v in range(1, n + 1) if v not in placed])
 
 
-def _check_sync_thresholds(
-    exact_tol: float, tol: float | None = None, tail_fraction: float | None = None
-) -> None:
+def _check_sync_thresholds(exact_tol: float, tol: float, tail_fraction: float) -> None:
     """The one rule for the sync thresholds: exact_tol and the tail tol
-    positive, tail_fraction in (0, 0.5], each tail threshold when given.
-    NaN fails every comparison, so it is refused."""
+    positive, tail_fraction in (0, 0.5].  NaN fails every comparison, so it
+    is refused."""
     if not exact_tol > 0.0:
         raise BadParameterError(f"exact tol must be positive, got {exact_tol}")
-    if tol is not None and not tol > 0.0:
+    if not tol > 0.0:
         raise BadParameterError(f"tail tol must be positive, got {tol}")
-    if tail_fraction is not None and not 0.0 < tail_fraction <= 0.5:
+    if not 0.0 < tail_fraction <= 0.5:
         raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
 
 
@@ -629,35 +627,7 @@ def exact_sync_partition(traj: Trajectory, tol: float = 1e-8) -> VertexPartition
     Grouping closes under single linkage, so two members of a block can sit
     up to a chain of tol-close intermediaries apart.
     """
-    return exact_sync_chains(traj, tol)[0]
-
-
-def exact_sync_chains(
-    traj: Trajectory, tol: float = 1e-8
-) -> tuple[VertexPartition, tuple[tuple[int, int, float], ...]]:
-    """exact_sync_partition plus its chained pairs (i, j, gap): members of
-    one block whose own largest phase gap reached tol."""
-    _check_sync_thresholds(tol)
-    return _exact_sync(traj.dimension, _sync_runs(traj.states, tol, [slice(None)]), tol)
-
-
-def _exact_sync(
-    n: int, runs: list[_Run], tol: float
-) -> tuple[VertexPartition, tuple[tuple[int, int, float], ...]]:
-    # each run's first window spans the whole record
-    blocks, chains = [], {}
-    for cols, (full, *_) in runs:
-        for group in _merge_components(full < tol):
-            block = cols[group] + 1
-            blocks.append(block.tolist())
-            if len(group) > 1:
-                dev = full[np.ix_(group, group)]
-                a, b = np.nonzero(np.triu(dev >= tol, 1))
-                gaps = dev[a, b].tolist()
-                chains[blocks[-1][0]] = list(zip(block[a].tolist(), block[b].tolist(), gaps))
-    partition = _with_singletons(n, blocks)
-    flagged = tuple(pair for block in partition.blocks for pair in chains.get(block[0], ()))
-    return partition, flagged
+    return asymptotic_sync_clusters(traj, tol=tol, exact_tol=tol).exact_partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -667,19 +637,20 @@ class SyncReport:
     pair_classes lists, in lexicographic order, only the pairs labelled
     "synchronised" (same exact block, own gap below exact_tol) or
     "asymptotic" (same tail cluster), each with its tail-window maximum gap;
-    every pair not listed is desynchronised.
+    every pair not listed is desynchronised.  When the tail window holds
+    too few points, tail_skipped says so and the fields after it are None.
     """
 
     exact_partition: VertexPartition
     exact_tol: float
     chained_pairs: tuple[tuple[int, int, float], ...]
-    clusters: VertexPartition
     tail_fraction: float
     tail_tol: float
-    tail_start: float
-    block_means: np.ndarray
-    tail_max_deviation: tuple[float, ...]
-    pair_classes: tuple[tuple[int, int, str, float], ...]
+    tail_skipped: str | None = None
+    clusters: VertexPartition | None = None
+    tail_start: float | None = None
+    tail_max_deviation: tuple[float, ...] | None = None
+    pair_classes: tuple[tuple[int, int, str, float], ...] | None = None
 
 
 def asymptotic_sync_clusters(
@@ -693,6 +664,9 @@ def asymptotic_sync_clusters(
     A pair joins a cluster when its phase gap stays below tol throughout the
     tail window and its tail maximum does not exceed the maximum over the
     window immediately before, a cheap monotonicity proxy for convergence.
+    The exact partition is exact_sync_partition's at exact_tol; its chained
+    pairs are members of one block whose own gap reached exact_tol.  A tail
+    window of fewer than 10 points is skipped, and the report says why.
     Thresholds are echoed in the report rather than applied silently.
 
     Both partitions are found by sort-then-verify: the final phases are
@@ -704,36 +678,54 @@ def asymptotic_sync_clusters(
     """
     _check_sync_thresholds(exact_tol, tol, tail_fraction)
     times, states = traj.times, traj.states
+    n = traj.dimension
     span = float(times[-1] - times[0])
     tail_lo = times[-1] - tail_fraction * span
     prev_lo = times[-1] - 2.0 * tail_fraction * span
     tail_rows = np.nonzero(times >= tail_lo - 1e-12)[0]
     prev_rows = np.nonzero((times >= prev_lo - 1e-12) & (times < tail_lo - 1e-12))[0]
-    if tail_rows.size < 10:
-        raise TooShortError(
-            f"tail window holds {tail_rows.size} recorded points, need at least 10"
-        )
-    n = traj.dimension
-    windows = [slice(None), tail_rows] + ([prev_rows] if prev_rows.size else [])
+    short = tail_rows.size < 10
+    windows: list[np.ndarray | slice] = [slice(None)]
+    if not short:
+        windows += [tail_rows] + ([prev_rows] if prev_rows.size else [])
     runs = _sync_runs(states, max(tol, exact_tol), windows)
-    blocks = []
+    blocks, chains = [], {}
+    # each run's first window spans the whole record
+    for cols, (full, *_) in runs:
+        for group in _merge_components(full < exact_tol):
+            block = cols[group] + 1
+            blocks.append(block.tolist())
+            if len(group) > 1:
+                dev = full[np.ix_(group, group)]
+                a, b = np.nonzero(np.triu(dev >= exact_tol, 1))
+                gaps = dev[a, b].tolist()
+                chains[blocks[-1][0]] = list(zip(block[a].tolist(), block[b].tolist(), gaps))
+    exact = _with_singletons(n, blocks)
+    chained = tuple(pair for block in exact.blocks for pair in chains.get(block[0], ()))
+    if short:
+        skipped = f"tail window holds {tail_rows.size} recorded points, need at least 10"
+        return SyncReport(exact, exact_tol, chained, tail_fraction, tol, tail_skipped=skipped)
+    # a cluster's mean is taken over every row, then cut to the tail: a mean
+    # of the tail rows alone can differ in the last bit of its deviation
+    blocks, tail_dev = [], {}
     for cols, (_, dev_tail, *dev_prev) in runs:
         linked = dev_tail < tol
         if dev_prev:
             linked &= dev_tail <= dev_prev[0] + 1e-12
-        blocks += [(cols[group] + 1).tolist() for group in _merge_components(linked)]
+        for group in _merge_components(linked):
+            block = cols[group]
+            blocks.append((block + 1).tolist())
+            if len(group) > 1:
+                mean = states[:, block].mean(axis=1)[tail_rows, None]
+                gap = np.abs(states[np.ix_(tail_rows, block)] - mean).max()
+                tail_dev[blocks[-1][0]] = float(gap)
     clusters = _with_singletons(n, blocks)
-    exact, chained = _exact_sync(n, runs, exact_tol)
-    means = np.empty((traj.n_recorded, clusters.k))
-    lone = [b for b, block in enumerate(clusters.blocks) if len(block) == 1]
-    means[:, lone] = states[:, [clusters.blocks[b][0] - 1 for b in lone]]
-    for b, block in enumerate(clusters.blocks):
-        if len(block) > 1:
-            means[:, b] = states[:, [v - 1 for v in block]].mean(axis=1)
+    # a singleton's gap from itself: 0, or nan where its tail is not finite
+    lone = [block[0] for block in clusters.blocks if len(block) == 1]
+    x = states[np.ix_(tail_rows, [v - 1 for v in lone])]
+    x -= x
+    tail_dev.update(zip(lone, np.abs(x, out=x).max(axis=0).tolist()))
     cluster_of, exact_of = _block_index(clusters, n), _block_index(exact, n)
-    col_dev = np.abs(states[tail_rows] - means[tail_rows][:, cluster_of]).max(axis=0)
-    tail_dev = np.full(clusters.k, -np.inf)
-    np.maximum.at(tail_dev, cluster_of, col_dev)
     pairs: list[tuple[int, int, str, float]] = []
     for cols, (dev_full, dev_tail, *_) in runs:
         a, b = np.triu_indices(cols.size, 1)
@@ -750,12 +742,11 @@ def asymptotic_sync_clusters(
         exact_partition=exact,
         exact_tol=exact_tol,
         chained_pairs=chained,
-        clusters=clusters,
         tail_fraction=tail_fraction,
         tail_tol=tol,
+        clusters=clusters,
         tail_start=float(max(tail_lo, 0.0)),
-        block_means=means,
-        tail_max_deviation=tuple(tail_dev.tolist()),
+        tail_max_deviation=tuple(tail_dev[block[0]] for block in clusters.blocks),
         pair_classes=tuple(sorted(pairs)),
     )
 

@@ -7,8 +7,10 @@ appearing on both sides of an assertion.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
@@ -17,11 +19,12 @@ import numpy as np
 from kurapart import (
     BadParameterError,
     Classification,
+    Condition2Certificate,
     FamilySegment,
     Graph,
     NonFiniteStateError,
     RunStats,
-    SearchRow,
+    SearchReport,
     SolutionSet,
     StepUnderflowError,
     SyncReport,
@@ -151,6 +154,37 @@ def enumerate_bipartitions(g: Graph) -> Iterator[VertexPartition]:
         raise BadParameterError("bipartitions need n >= 2")
     for mask in range(1, 1 << (g.n - 1)):
         yield bipartition_from_mask(g.n, mask)
+
+
+@dataclass(frozen=True)
+class SearchRow:
+    mask: int
+    s2: tuple[int, ...]
+    classification: Classification
+    certificate: Condition2Certificate | None
+    family: FamilySegment | None
+
+
+def search_report_rows(report: SearchReport) -> tuple[SearchRow, ...]:
+    """Decode a search report's columns into one SearchRow per mask 1..total.
+
+    A mask the report does not store is Infeasible with nothing else; a
+    stored one takes the solution of its solved row, whose certificate, if
+    any, gains the vertex sets the mask encodes.
+    """
+    found = dict(zip(report.masks, report.which))
+    rows = []
+    for mask in range(1, report.total + 1):
+        s1, s2 = bipartition_from_mask(report.n, mask).blocks
+        if mask not in found:
+            rows.append(SearchRow(mask, s2, Classification.INFEASIBLE, None, None))
+            continue
+        res = report.solutions[found[mask]]
+        cert = res.certificate
+        if cert is not None:
+            cert = dataclasses.replace(cert, s1=s1, s2=s2)
+        rows.append(SearchRow(mask, s2, res.classification, cert, res.family))
+    return tuple(rows)
 
 
 def search_rows_slow(g: Graph) -> list[SearchRow]:
@@ -443,7 +477,8 @@ def sync_report_slow(
 ) -> SyncReport:
     """The all-pairs sync report: n x n deviation matrices over the whole
     record, the tail and the window before it, and a label for every pair,
-    "desynchronised" included."""
+    "desynchronised" included.  A tail window of fewer than 10 points gives
+    the exact part alone, with tail_skipped saying why."""
     if not 0.0 < tail_fraction <= 0.5:
         raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
     times = traj.times
@@ -452,19 +487,18 @@ def sync_report_slow(
     prev_lo = times[-1] - 2.0 * tail_fraction * span
     tail_rows = np.nonzero(times >= tail_lo - 1e-12)[0]
     prev_rows = np.nonzero((times >= prev_lo - 1e-12) & (times < tail_lo - 1e-12))[0]
-    if tail_rows.size < 10:
-        raise TooShortError(
-            f"tail window holds {tail_rows.size} recorded points, need at least 10"
-        )
     n = traj.dimension
     dev_full = _pairwise_max_dev_slow(traj.states)
+    exact, chained = _exact_sync_slow(dev_full, exact_tol)
+    if tail_rows.size < 10:
+        skipped = f"tail window holds {tail_rows.size} recorded points, need at least 10"
+        return SyncReport(exact, exact_tol, chained, tail_fraction, tol, tail_skipped=skipped)
     dev_tail = _pairwise_max_dev_slow(traj.states[tail_rows])
     dev_prev = _pairwise_max_dev_slow(traj.states[prev_rows]) if prev_rows.size else None
     linked = dev_tail < tol
     if dev_prev is not None:
         linked &= dev_tail <= dev_prev + 1e-12
     clusters = VertexPartition.from_blocks(_merge_components_slow(n, linked))
-    exact, chained = _exact_sync_slow(dev_full, exact_tol)
     cmap = clusters.index_map()
     means = np.empty((traj.n_recorded, clusters.k))
     for b, block in enumerate(clusters.blocks):
@@ -492,7 +526,6 @@ def sync_report_slow(
         tail_fraction=tail_fraction,
         tail_tol=tol,
         tail_start=float(max(tail_lo, 0.0)),
-        block_means=means,
         tail_max_deviation=tuple(tail_dev),
         pair_classes=tuple(pair_classes),
     )

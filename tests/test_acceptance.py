@@ -13,7 +13,7 @@ import numpy as np
 
 import kurapart as kp
 from kurapart.cli import main as cli_main
-from oracle_tools import coarsest_equitable_slow, random_connected_graph
+from oracle_tools import coarsest_equitable_slow, random_connected_graph, search_report_rows
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -184,7 +184,7 @@ def test_criterion_09_identity_suite():
     t0 = time.perf_counter()
     certs = []
     g4, _ = kp.linear_family_graph(4)
-    for row in kp.search_all_bipartitions(g4).rows:
+    for row in search_report_rows(kp.search_all_bipartitions(g4)):
         if row.certificate is not None:
             certs.append(row.certificate)
     for g, bip in (kp.latoro_profile_graph(), kp.right_angle_profile_graph()):

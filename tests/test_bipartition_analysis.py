@@ -24,6 +24,7 @@ from oracle_tools import (
     random_connected_graph,
     residual_max_slow,
     search_batch_slow,
+    search_report_rows,
     search_rows_slow,
     search_tree_slow,
     solve_rows_batch,
@@ -376,7 +377,7 @@ class TestSearch:
         g = kp.cycle_graph(6)
         report = kp.search_all_bipartitions(g)
         assert report.n == 6
-        assert len(report.rows) == 2**5 - 1
+        assert len(search_report_rows(report)) == 2**5 - 1
         want_equitable = sum(
             1
             for bip in enumerate_bipartitions(g)
@@ -387,7 +388,7 @@ class TestSearch:
     def test_rows_cover_all_masks(self):
         g = kp.cycle_graph(5)
         report = kp.search_all_bipartitions(g)
-        assert [row.mask for row in report.rows] == list(range(1, 2**4))
+        assert [row.mask for row in search_report_rows(report)] == list(range(1, 2**4))
 
     def test_parallel_agrees_with_serial(self):
         g = kp.cycle_graph(6)
@@ -484,11 +485,9 @@ class TestSearchText:
         for g, want in oracle_searches:
             report = kp.search_all_bipartitions(g)
             assert kp.format_search_report(report) == format_search_report_slow(g.n, want)
-            # neither the text nor the counts built any row objects; the rows
-            # themselves are checked against want in TestBatchSearch
-            assert "rows" not in vars(report)
+            # the decoded rows are checked against want in TestBatchSearch
             tally = {c.value: 0 for c in kp.Classification}
-            for row in report.rows:
+            for row in search_report_rows(report):
                 tally[row.classification.value] += 1
             assert report.counts == tally
 
@@ -502,7 +501,7 @@ class TestSearchText:
             for g in benchmark_relabellings(base):
                 report = kp.search_all_bipartitions(g, jobs=jobs)
                 text = kp.format_search_report(report)
-                assert text == format_search_report_slow(g.n, list(report.rows))
+                assert text == format_search_report_slow(g.n, list(search_report_rows(report)))
                 h.update(text.encode())
             assert h.hexdigest() == RELABELLED_DIGESTS[name]
 
@@ -526,7 +525,8 @@ class TestSearchText:
         monkeypatch.setattr(ban, "_solution", counted)
         report = kp.search_all_bipartitions(circulant_graph(12, (1, 2)))
         kp.format_search_report(report)
-        assert (report.counts["Equitable"], ban._tail_count(report), len(report.rows)) == (9, 3, 2047)
+        rows = search_report_rows(report)
+        assert (report.counts["Equitable"], ban._tail_count(report), len(rows)) == (9, 3, 2047)
         assert len(calls) == len(set(calls)) == 30
 
     def test_report_without_nonempty_rows(self):
@@ -534,8 +534,9 @@ class TestSearchText:
         text = kp.format_search_report(report)
         assert report.counts["Infeasible"] == 15 == sum(report.counts.values())
         assert ban._tail_count(report) == 1
-        assert [row.mask for row in report.rows] == list(range(1, 16))
-        assert text == format_search_report_slow(5, list(report.rows))
+        rows = list(search_report_rows(report))
+        assert [row.mask for row in rows] == list(range(1, 16))
+        assert text == format_search_report_slow(5, rows)
         assert text.splitlines()[0] == "01 s2=2 Infeasible"
 
 
@@ -561,7 +562,7 @@ class TestEquitableFamily:
         # the line comes from the Gauss-Jordan oracle, not from _solve
         seen = 0
         for g in search_oracle_graphs():
-            for row in kp.search_all_bipartitions(g).rows:
+            for row in search_report_rows(kp.search_all_bipartitions(g)):
                 if row.classification is not kp.Classification.EQUITABLE:
                     continue
                 bip = bipartition_from_mask(g.n, row.mask)
@@ -578,7 +579,7 @@ class TestBatchSearch:
     def test_rows_match_per_row_oracle(self, oracle_searches):
         kinds = set()
         for g, want in oracle_searches:
-            assert kp.search_all_bipartitions(g).rows == tuple(want)
+            assert search_report_rows(kp.search_all_bipartitions(g)) == tuple(want)
             kinds.update(row.classification for row in want)
         assert kinds == {
             kp.Classification.EQUITABLE,
@@ -677,13 +678,14 @@ class TestBatchSearch:
         plan = ban._plan(g)
         whole_walk = ban._walk(plan, [ban._ROOT], 0)
         whole = ban._report(12, [whole_walk])
-        assert [row.mask for row in whole.rows] == list(range(1, 2048))
+        whole_rows = search_report_rows(whole)
+        assert [row.mask for row in whole_rows] == list(range(1, 2048))
         for stop in (2, 5, 11):
             top = ban._walk(plan, [ban._ROOT], stop)
             # subtrees walked one by one and in reverse, as workers return them
             parts = [ban._walk(plan, [node], 0) for node in reversed(top.frontier)]
             split = ban._report(12, [*parts, top])
-            assert split.rows == whole.rows
+            assert search_report_rows(split) == whole_rows
             assert (list(split.masks), list(split.which), split.solved) == (
                 list(whole.masks), list(whole.which), whole.solved,
             )

@@ -16,7 +16,7 @@ import kurapart as kp
 from kurapart import bipartition_analysis as ban
 from kurapart import cli
 from kurapart.cli import _sync_report_json, main
-from oracle_tools import exact_sync_chains_slow, sync_report_slow
+from oracle_tools import sync_report_slow
 
 
 def run(*argv):
@@ -243,7 +243,6 @@ class TestSyncReport:
         assert json.loads(text)["exact"]["blocks"] == [list(b) for b in exact.blocks]
 
         monkeypatch.setattr(kp.dynamics, "asymptotic_sync_clusters", sync_report_slow)
-        monkeypatch.setattr(kp.dynamics, "exact_sync_chains", exact_sync_chains_slow)
         old_text = _sync_report_json(traj, args, kp.ModelParams(alpha=0.7))
         assert hashlib.sha256(old_text.encode()).hexdigest() == digest_0_1_0
         old = json.loads(old_text)

@@ -487,14 +487,15 @@ class TestSyncDetection:
         with pytest.raises(kp.BadParameterError):
             kp.asymptotic_sync_clusters(traj, exact_tol=nan)
 
-    def test_exact_sync_chains_without_a_tail(self):
+    def test_exact_part_without_a_tail(self):
         tol = 1e-6
         t = np.linspace(0.0, 1.0, 5)
         traj = kp.Trajectory(t, np.column_stack([t, t + 0.6 * tol, t + 1.2 * tol]))
-        partition, chained = kp.exact_sync_chains(traj, tol=tol)
-        assert partition == kp.exact_sync_partition(traj, tol=tol)
-        assert partition.blocks == ((1, 2, 3),)
-        assert [(i, j) for i, j, _ in chained] == [(1, 3)]
+        rep = kp.asymptotic_sync_clusters(traj, exact_tol=tol)
+        assert rep.tail_skipped is not None and rep.clusters is None
+        assert rep.exact_partition == kp.exact_sync_partition(traj, tol=tol)
+        assert rep.exact_partition.blocks == ((1, 2, 3),)
+        assert [(i, j) for i, j, _ in rep.chained_pairs] == [(1, 3)]
 
     def test_generic_path_init_stays_split(self):
         g = kp.path_graph(3)
@@ -549,8 +550,12 @@ class TestSyncDetection:
     def test_too_short_tail(self):
         times = np.linspace(0.0, 1.0, 20)
         traj = kp.Trajectory(times, np.zeros((20, 2)))
-        with pytest.raises(kp.TooShortError):
-            kp.asymptotic_sync_clusters(traj, tail_fraction=0.2, tol=1e-4)
+        rep = kp.asymptotic_sync_clusters(traj, tail_fraction=0.2, tol=1e-4)
+        assert rep.tail_skipped == "tail window holds 4 recorded points, need at least 10"
+        tail = (rep.clusters, rep.tail_start, rep.tail_max_deviation, rep.pair_classes)
+        assert tail == (None, None, None, None)
+        assert (rep.tail_fraction, rep.tail_tol) == (0.2, 1e-4)
+        assert rep.exact_partition.blocks == ((1, 2),) and rep.chained_pairs == ()
 
     def test_tail_fraction_validated(self):
         times = np.linspace(0.0, 1.0, 100)
@@ -690,10 +695,15 @@ def _assert_sync_matches_oracle(traj, **kw):
     assert new.chained_pairs == old.chained_pairs
     assert new.clusters == old.clusters
     np.testing.assert_array_equal(new.tail_max_deviation, old.tail_max_deviation)
-    np.testing.assert_array_equal(new.block_means, old.block_means)
     assert new.pair_classes == tuple(p for p in old.pair_classes if p[2] != "desynchronised")
     exact_tol = kw.get("exact_tol", 1e-8)
-    assert kp.exact_sync_chains(traj, exact_tol) == exact_sync_chains_slow(traj, exact_tol)
+    assert (new.exact_partition, new.chained_pairs) == exact_sync_chains_slow(traj, exact_tol)
+    # a 5-row prefix has too short a tail: the exact part alone, as the oracle gives it
+    prefix = kp.Trajectory(traj.times[:5], traj.states[:5])
+    short, short_old = kp.asymptotic_sync_clusters(prefix, **kw), sync_report_slow(prefix, **kw)
+    assert (short.exact_partition, short.chained_pairs) == exact_sync_chains_slow(prefix, exact_tol)
+    assert vars(short) == vars(short_old)
+    assert short.tail_skipped == "tail window holds 1 recorded points, need at least 10"
     return new
 
 
@@ -855,7 +865,7 @@ class TestSyncOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * traj.states.nbytes
+        assert peak < traj.states.nbytes
         assert rep.clusters.k == n and rep.pair_classes == ()
 
 

@@ -38,15 +38,14 @@ class TestPublicNames:
             "FormatError", "Graph", "InfeasibleMuError", "IntegratorConfig", "KurapartError",
             "LinearTrajectory", "ModelParams", "NoCertificateError", "NonFiniteStateError",
             "NotBipartitionError", "PartitionMismatchError", "QuotientMatrix", "RunStats",
-            "SearchReport", "SearchRow", "SelfLoopError", "SolutionSet", "StepUnderflowError",
-            "SyncReport", "TooLargeError", "TooShortError", "Trajectory",
-            "VertexOutOfRangeError", "VertexPartition", "alpha_from_mu",
-            "analytic_regular_solution", "asymptotic_sync_clusters", "automorphisms_brute_force",
-            "beta_from_mu", "bipartition_from_mask", "certificate_to_solution",
-            "classification_report", "classify_bipartition", "coarsest_equitable_refinement",
-            "complete_graph", "cycle_graph", "degree_profile", "exact_sync_chains",
-            "exact_sync_partition", "format_search_report", "from_edge_list", "integrate",
-            "integrate_quotient", "is_equitable", "kuramoto_rhs",
+            "SearchReport", "SelfLoopError", "SolutionSet", "StepUnderflowError", "SyncReport",
+            "TooLargeError", "TooShortError", "Trajectory", "VertexOutOfRangeError",
+            "VertexPartition", "alpha_from_mu", "analytic_regular_solution",
+            "asymptotic_sync_clusters", "automorphisms_brute_force", "beta_from_mu",
+            "bipartition_from_mask", "certificate_to_solution", "classification_report",
+            "classify_bipartition", "coarsest_equitable_refinement", "complete_graph",
+            "cycle_graph", "degree_profile", "exact_sync_partition", "format_search_report",
+            "from_edge_list", "integrate", "integrate_quotient", "is_equitable", "kuramoto_rhs",
             "latoro_profile_graph", "lift_quotient_trajectory", "linear_family_graph",
             "orbit_partition_brute_force", "partition_from_json", "partition_to_json",
             "path_graph", "petersen_graph", "quotient_rhs", "read_edge_list", "residual_max",
