@@ -49,9 +49,6 @@ _EXPORTS = {
         "degree_profile",
         "is_equitable",
         "coarsest_equitable_refinement",
-        "automorphisms_brute_force",
-        "orbit_partition_brute_force",
-        "bipartition_from_mask",
         "linear_family_graph",
         "latoro_profile_graph",
         "right_angle_profile_graph",
@@ -77,7 +74,6 @@ _EXPORTS = {
         "integrate",
         "integrate_quotient",
         "lift_quotient_trajectory",
-        "exact_sync_partition",
         "asymptotic_sync_clusters",
         "analytic_regular_solution",
         "residual_max",
@@ -98,6 +94,7 @@ _EXPORTS = {
         "certificate_to_solution",
         "verify_certificate",
         "search_all_bipartitions",
+        "bipartition_from_mask",
         "classification_report",
         "format_search_report",
     ),

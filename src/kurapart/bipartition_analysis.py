@@ -425,6 +425,14 @@ def _labels(mask: int, first: int) -> str:
     return ",".join([str(first + v) for v in range(mask.bit_length()) if mask >> v & 1])
 
 
+def bipartition_from_mask(n: int, mask: int) -> VertexPartition:
+    """Bipartition of 1..n whose second block holds vertex v + 2 for each set bit v."""
+    s1, s2 = [1], []
+    for v in range(2, n + 1):
+        (s2 if mask >> (v - 2) & 1 else s1).append(v)
+    return VertexPartition.from_blocks([s1, s2])
+
+
 @dataclass(eq=False)
 class SearchReport:
     """Every bipartition of an n-vertex graph, kept as compact columns.
@@ -606,9 +614,9 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     so one point off its block's line cuts every mask below it at once
     (see _walk).  The report keeps only the nonempty masks, in ascending
     order, and the index of each into the distinct solved rows, as array
-    columns; no per-row object is built here.  Its rows, built on first
-    use, pass each distinct solved row's solution through _classified,
-    the tail classify_bipartition also uses.
+    columns; no per-row object is built here.  On first use,
+    SearchReport.solutions runs _solution, which classify_bipartition
+    also uses, once per distinct solved row.
     n > SEARCH_MAX_N raises TooLargeError unless force is set; masks are
     int64, so n >= 64 raises it even with force.  With jobs > 1 this
     process walks the top of the tree and at most os.cpu_count() worker
@@ -616,6 +624,8 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     so the report is identical for any job count.
     """
     _check_search_size(g.n, force)
+    if type(jobs) is not int:
+        raise BadParameterError(f"jobs must be an int, got {jobs!r}")
     if jobs < 1:
         raise BadParameterError(f"jobs must be >= 1, got {jobs}")
     total = (1 << (g.n - 1)) - 1

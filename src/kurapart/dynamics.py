@@ -97,6 +97,8 @@ class IntegratorConfig:
             raise BadParameterError(
                 f"tolerances must be positive and finite, got {self.rel_tol}, {self.abs_tol}"
             )
+        if type(self.record_every) is not int:
+            raise BadParameterError(f"record_every must be an int, got {self.record_every!r}")
         if self.record_every < 1:
             raise BadParameterError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -531,8 +533,10 @@ def lift_quotient_trajectory(
     With gamma and alpha supplied, the lifted trajectory carries the block
     system's derivative at each recorded time, so a residual check against
     the full system verifies the block-consistency identity rather than the
-    integrator.
+    integrator.  One of the two without the other is refused.
     """
+    if (gamma is None) != (alpha is None):
+        raise BadParameterError("gamma and alpha must be given together")
     if qt.dimension != p.k or (gamma is not None and gamma.k != p.k):
         raise DimensionMismatchError(
             f"quotient dimension {qt.dimension} or gamma size does not match {p.k} blocks"
@@ -540,7 +544,7 @@ def lift_quotient_trajectory(
     cols = _block_index(p, max(b[-1] for b in p.blocks))
     states = qt.states[:, cols]
     derivs = None
-    if gamma is not None and alpha is not None:
+    if gamma is not None:
         rhs = _gamma_rhs(gamma, alpha)
         derivs = np.array([rhs(fk) for fk in qt.states])[:, cols]
     elif qt.derivatives is not None:
@@ -621,15 +625,6 @@ def _check_sync_thresholds(exact_tol: float, tol: float, tail_fraction: float) -
         raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
 
 
-def exact_sync_partition(traj: Trajectory, tol: float = 1e-8) -> VertexPartition:
-    """Group vertices whose phases agree within tol at every recorded time.
-
-    Grouping closes under single linkage, so two members of a block can sit
-    up to a chain of tol-close intermediaries apart.
-    """
-    return asymptotic_sync_clusters(traj, tol=tol, exact_tol=tol).exact_partition
-
-
 @dataclass(frozen=True, eq=False)
 class SyncReport:
     """Synchronisation diagnostics for one trajectory.
@@ -664,8 +659,9 @@ def asymptotic_sync_clusters(
     A pair joins a cluster when its phase gap stays below tol throughout the
     tail window and its tail maximum does not exceed the maximum over the
     window immediately before, a cheap monotonicity proxy for convergence.
-    The exact partition is exact_sync_partition's at exact_tol; its chained
-    pairs are members of one block whose own gap reached exact_tol.  A tail
+    The exact partition groups, under single linkage, the vertices whose
+    phases agree within exact_tol at every recorded time; its chained pairs
+    are members of one block whose own gap reached exact_tol.  A tail
     window of fewer than 10 points is skipped, and the report says why.
     Thresholds are echoed in the report rather than applied silently.
 

@@ -25,7 +25,6 @@ from .errors import (
     FormatError,
     PartitionMismatchError,
     SelfLoopError,
-    TooLargeError,
     VertexOutOfRangeError,
 )
 
@@ -314,73 +313,6 @@ def coarsest_equitable_refinement(g: Graph, seed: VertexPartition) -> VertexPart
     for v, b in enumerate(label, start=1):
         blocks[b].append(v)
     return VertexPartition.from_blocks(blocks)
-
-
-def automorphisms_brute_force(g: Graph, limit: int = 10) -> list[tuple[int, ...]]:
-    """Exhaustive adjacency-preserving permutations, as image tuples.
-
-    Backtracks vertex by vertex, pruning candidates by degree and by
-    adjacency with the already-placed prefix, so the full permutation
-    space is never materialised.  Capped at n <= limit.
-    """
-    if g.n > limit:
-        raise TooLargeError(f"n={g.n} exceeds brute-force limit {limit}")
-    degs = [g.degree(v) for v in range(1, g.n + 1)]
-    adj = [set(g.adjacency[v]) for v in range(g.n + 1)]
-    found: list[tuple[int, ...]] = []
-    image = [0] * (g.n + 1)
-    used = [False] * (g.n + 1)
-
-    def place(v: int) -> None:
-        if v > g.n:
-            found.append(tuple(image[1:]))
-            return
-        for w in range(1, g.n + 1):
-            if used[w] or degs[w - 1] != degs[v - 1]:
-                continue
-            ok = True
-            for u in range(1, v):
-                if (u in adj[v]) != (image[u] in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                place(v + 1)
-                used[w] = False
-        image[v] = 0
-
-    place(1)
-    return found
-
-
-def orbit_partition_brute_force(g: Graph, limit: int = 10) -> list[VertexPartition]:
-    """All distinct cycle partitions of single automorphisms of g."""
-    partitions: set[VertexPartition] = set()
-    for image in automorphisms_brute_force(g, limit=limit):
-        seen: set[int] = set()
-        blocks = []
-        for v in range(1, g.n + 1):
-            if v in seen:
-                continue
-            orbit = []
-            w = v
-            while w not in seen:
-                seen.add(w)
-                orbit.append(w)
-                w = image[w - 1]
-            blocks.append(orbit)
-        partitions.add(VertexPartition.from_blocks(blocks))
-    ordered = sorted(partitions, key=lambda p: p.blocks)
-    return ordered
-
-
-def bipartition_from_mask(n: int, mask: int) -> VertexPartition:
-    """Bipartition of 1..n whose second block holds vertex v + 2 for each set bit v."""
-    s1, s2 = [1], []
-    for v in range(2, n + 1):
-        (s2 if mask >> (v - 2) & 1 else s1).append(v)
-    return VertexPartition.from_blocks([s1, s2])
 
 
 # Named graph constructions.

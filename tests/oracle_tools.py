@@ -35,7 +35,7 @@ from kurapart import (
     classify_bipartition,
 )
 from kurapart import dynamics as dyn
-from kurapart.graph_core import bipartition_from_mask
+from kurapart.bipartition_analysis import bipartition_from_mask
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -380,7 +380,7 @@ def coarsest_equitable_refinement_slow(g: Graph, seed: VertexPartition) -> Verte
 
 
 def automorphisms_slow(g: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex bijections, n! scan.  Keep n <= 7."""
+    """All adjacency-preserving vertex bijections, n! scan.  Keep n <= 8."""
     edges = {frozenset(e) for e in g.edges}
     found = []
     for perm in itertools.permutations(range(1, g.n + 1)):
@@ -405,6 +405,11 @@ def orbit_blocks(perm: tuple[int, ...]) -> list[list[int]]:
             v = perm[v - 1]
         blocks.append(cycle)
     return blocks
+
+
+def orbit_partitions_slow(g: Graph) -> set[VertexPartition]:
+    """The distinct cycle partitions of single automorphisms of g."""
+    return {VertexPartition.from_blocks(orbit_blocks(perm)) for perm in automorphisms_slow(g)}
 
 
 def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 0.3) -> Graph:

@@ -13,7 +13,12 @@ import numpy as np
 
 import kurapart as kp
 from kurapart.cli import main as cli_main
-from oracle_tools import coarsest_equitable_slow, random_connected_graph, search_report_rows
+from oracle_tools import (
+    coarsest_equitable_slow,
+    orbit_partitions_slow,
+    random_connected_graph,
+    search_report_rows,
+)
 
 
 def _report(num: int, label: str, ok: bool, detail: str) -> None:
@@ -166,7 +171,7 @@ def test_criterion_08_orbit_implies_equitable():
     ok = True
     for _ in range(100):
         g = random_connected_graph(rng, int(rng.integers(2, 8)))
-        for part in kp.orbit_partition_brute_force(g):
+        for part in orbit_partitions_slow(g):
             ok = ok and kp.is_equitable(g, part) is not None
             partitions += 1
         graphs += 1
@@ -217,13 +222,13 @@ def test_criterion_10_sync_detection():
     cfg = kp.IntegratorConfig(t_end=10.0)
     qt = kp.integrate_quotient(gamma, np.array([0.0, 1.0]), 0.7, cfg)
     lifted = kp.lift_quotient_trajectory(star_part, qt, gamma=gamma, alpha=0.7)
-    star_blocks = kp.exact_sync_partition(lifted).blocks
+    star_blocks = kp.asymptotic_sync_clusters(lifted).exact_partition.blocks
     star_ok = star_blocks == ((1,), (2, 3, 4, 5, 6, 7))
 
     g4, bip4 = kp.linear_family_graph(4)
     cert = kp.classify_bipartition(g4, bip4).certificate
     cert_traj = kp.certificate_to_solution(cert).sample(np.linspace(0.0, 50.0, 501))
-    cert_blocks = kp.exact_sync_partition(cert_traj).blocks
+    cert_blocks = kp.asymptotic_sync_clusters(cert_traj).exact_partition.blocks
     cert_ok = cert_blocks == ((1,), tuple(range(2, 10)))
 
     rep = kp.asymptotic_sync_clusters(cert_traj, tail_fraction=0.2, tol=1e-4)

@@ -12,7 +12,7 @@ import pytest
 
 import kurapart as kp
 from kurapart import bipartition_analysis as ban
-from kurapart.graph_core import bipartition_from_mask
+from kurapart.bipartition_analysis import bipartition_from_mask
 from oracle_tools import (
     adjacency_sets,
     condition2_rows,
@@ -419,6 +419,12 @@ class TestSearch:
         capped = kp.format_search_report(kp.search_all_bipartitions(g, jobs=10_000))
         assert seen == [2]
         assert capped == serial
+
+    # unrefused, 1.5 would fail with an AttributeError, not a KurapartError
+    @pytest.mark.parametrize("jobs", [0, 1.5, True])
+    def test_jobs_positive_int(self, jobs):
+        with pytest.raises(kp.BadParameterError):
+            kp.search_all_bipartitions(kp.linear_family_graph(6)[0], jobs=jobs)
 
     def test_size_cap(self):
         g = kp.cycle_graph(23)

@@ -239,7 +239,7 @@ class TestSyncReport:
         args = argparse.Namespace(sync_tol=1e-6, tail_fraction=0.2, tail_tol=1e-4)
         text = _sync_report_json(traj, args, kp.ModelParams(alpha=0.7))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
-        exact = kp.exact_sync_partition(traj, tol=1e-6)
+        exact = kp.asymptotic_sync_clusters(traj, exact_tol=1e-6).exact_partition
         assert json.loads(text)["exact"]["blocks"] == [list(b) for b in exact.blocks]
 
         monkeypatch.setattr(kp.dynamics, "asymptotic_sync_clusters", sync_report_slow)

@@ -74,9 +74,11 @@ class TestIntegratorConfig:
         with pytest.raises(kp.BadParameterError):
             kp.IntegratorConfig(t_end=-1.0)
 
-    def test_record_every_positive(self):
+    # unrefused, 2.5 would record every 5th step and True would pass as 1
+    @pytest.mark.parametrize("every", [0, 2.5, True])
+    def test_record_every_positive_int(self, every):
         with pytest.raises(kp.BadParameterError):
-            kp.IntegratorConfig(t_end=1.0, record_every=0)
+            kp.IntegratorConfig(t_end=1.0, record_every=every)
 
     def test_tolerances_positive(self):
         with pytest.raises(kp.BadParameterError):
@@ -410,6 +412,16 @@ class TestQuotientIntegration:
         lifted = kp.lift_quotient_trajectory(part, qt)
         assert np.array_equal(lifted.initial_state(), [0.5, 1.5, 0.5, 1.5])
 
+    def test_lift_refuses_half_of_gamma_and_alpha(self):
+        # either alone would leave the lift without derivatives, unsaid
+        g, part = kp.star_graph(3)
+        gamma = kp.is_equitable(g, part)
+        qt = kp.integrate_quotient(gamma, np.array([0.0, 1.0]), 0.7, kp.IntegratorConfig(t_end=1.0))
+        with pytest.raises(kp.BadParameterError):
+            kp.lift_quotient_trajectory(part, qt, gamma=gamma)
+        with pytest.raises(kp.BadParameterError):
+            kp.lift_quotient_trajectory(part, qt, alpha=0.7)
+
     def test_lift_checks_block_count(self):
         part = kp.VertexPartition.from_blocks([[1, 2], [3, 4]])
         qt = kp.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3)))
@@ -441,7 +453,7 @@ class TestSyncDetection:
         times = np.linspace(0.0, 1.0, 11)
         states = np.column_stack([times, times, times + 0.5])
         traj = kp.Trajectory(times, states)
-        rep = kp.exact_sync_partition(traj, tol=1e-8)
+        rep = kp.asymptotic_sync_clusters(traj, exact_tol=1e-8).exact_partition
         assert rep.blocks == ((1, 2), (3,))
 
     def test_exact_is_partition_of_within_tol_relation(self):
@@ -452,7 +464,7 @@ class TestSyncDetection:
             ref = rng.uniform(-1, 1, n)
             states = np.tile(ref, (7, 1)) + rng.uniform(-1e-10, 1e-10, (7, n))
             traj = kp.Trajectory(times, states)
-            rep = kp.exact_sync_partition(traj, tol=1e-8)
+            rep = kp.asymptotic_sync_clusters(traj, exact_tol=1e-8).exact_partition
             assert rep.vertices() == frozenset(range(1, n + 1))
 
     def test_single_linkage_chain_merges(self):
@@ -463,7 +475,7 @@ class TestSyncDetection:
             [np.zeros(11), np.full(11, 0.6 * tol), np.full(11, 1.2 * tol)]
         )
         traj = kp.Trajectory(times, states)
-        assert kp.exact_sync_partition(traj, tol=tol).blocks == ((1, 2, 3),)
+        assert kp.asymptotic_sync_clusters(traj, exact_tol=tol).exact_partition.blocks == ((1, 2, 3),)
 
     def test_chained_pairs_flagged_in_report(self):
         tol = 1e-6
@@ -481,8 +493,6 @@ class TestSyncDetection:
         traj = kp.Trajectory(times, np.column_stack([times, times]))
         nan = float("nan")
         with pytest.raises(kp.BadParameterError):
-            kp.exact_sync_partition(traj, tol=nan)
-        with pytest.raises(kp.BadParameterError):
             kp.asymptotic_sync_clusters(traj, tol=nan)
         with pytest.raises(kp.BadParameterError):
             kp.asymptotic_sync_clusters(traj, exact_tol=nan)
@@ -493,7 +503,6 @@ class TestSyncDetection:
         traj = kp.Trajectory(t, np.column_stack([t, t + 0.6 * tol, t + 1.2 * tol]))
         rep = kp.asymptotic_sync_clusters(traj, exact_tol=tol)
         assert rep.tail_skipped is not None and rep.clusters is None
-        assert rep.exact_partition == kp.exact_sync_partition(traj, tol=tol)
         assert rep.exact_partition.blocks == ((1, 2, 3),)
         assert [(i, j) for i, j, _ in rep.chained_pairs] == [(1, 3)]
 
@@ -501,7 +510,7 @@ class TestSyncDetection:
         g = kp.path_graph(3)
         cfg = kp.IntegratorConfig(t_end=10.0, method="rk4", dt=0.05)
         traj = kp.integrate(g, np.array([0.2, 1.7, 2.9]), kp.ModelParams(alpha=0.6), cfg)
-        assert kp.exact_sync_partition(traj).blocks == ((1,), (2,), (3,))
+        assert kp.asymptotic_sync_clusters(traj).exact_partition.blocks == ((1,), (2,), (3,))
 
     def test_perturbed_star_converges_to_two_clusters(self):
         g, _ = kp.star_graph(6)
@@ -518,7 +527,7 @@ class TestSyncDetection:
         states = np.column_stack([times * 0.2, times * 0.2, np.cos(times)])
         traj = kp.Trajectory(times, states)
         rep = kp.asymptotic_sync_clusters(traj, tail_fraction=0.2, tol=1e-4)
-        assert rep.clusters == kp.exact_sync_partition(traj)
+        assert rep.clusters == rep.exact_partition
 
     def test_asymptotic_converging_pair(self):
         times = np.linspace(0.0, 50.0, 501)
