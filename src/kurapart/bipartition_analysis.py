@@ -53,10 +53,9 @@ import math
 import os
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .errors import (
@@ -97,8 +96,7 @@ class Classification(str, enum.Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """Affine solution set in (mu1, mu2, r) space, exact rationals."""
 
     kind: str  # "empty" | "point" | "line"
@@ -187,8 +185,7 @@ def _solve(points: Iterable[tuple[bool, int, int]]) -> tuple[int, ...] | None:
     return _row(b1, b2)
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     """Phase lag recovered from the gain pair, with boundary flags."""
 
     value: float
@@ -237,8 +234,7 @@ def beta_from_mu(mu1: RationalLike, mu2: RationalLike) -> float:
     return _offset(m1, m2) - alpha
 
 
-@dataclass(frozen=True)
-class Condition2Certificate:
+class Condition2Certificate(NamedTuple):
     """Exact gains plus derived angles witnessing a rigid two-block solution."""
 
     mu1: Fraction
@@ -254,8 +250,7 @@ class Condition2Certificate:
     s2: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FamilySegment:
+class FamilySegment(NamedTuple):
     """Feasible piece of a positive-dimensional solution set.
 
     For a line the parameter runs over a bounded open interval; lag values
@@ -272,8 +267,11 @@ class FamilySegment:
     alpha_at_interior: float | None = None
 
 
-@dataclass(frozen=True)
-class BipartitionClassification:
+class BipartitionClassification(NamedTuple):
+    """What one bipartition admits: its classification and solution set,
+    with a certificate for a point solution and the quotient and family
+    segment for the equitable line."""
+
     classification: Classification
     solution_set: SolutionSet
     certificate: Condition2Certificate | None = None
@@ -375,8 +373,7 @@ def _classified(
     cert = solution.certificate
     if cert is None:
         return solution
-    cert = Condition2Certificate(**{**vars(cert), "s1": s1, "s2": s2})
-    return BipartitionClassification(solution.classification, solution.solution_set, cert)
+    return solution._replace(certificate=cert._replace(s1=s1, s2=s2))
 
 
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
@@ -433,7 +430,6 @@ def bipartition_from_mask(n: int, mask: int) -> VertexPartition:
     return VertexPartition.from_blocks([s1, s2])
 
 
-@dataclass(eq=False)
 class SearchReport:
     """Every bipartition of an n-vertex graph, kept as compact columns.
 
@@ -445,12 +441,14 @@ class SearchReport:
     search-tree nodes the search entered and the subtrees it cut.
     """
 
-    n: int
-    masks: array
-    which: array
-    solved: tuple[tuple[int, ...], ...]
-    nodes: int = 0
-    pruned: int = 0
+    def __init__(self, n: int, masks: array, which: array, solved: tuple[tuple[int, ...], ...],
+                 nodes: int = 0, pruned: int = 0) -> None:
+        self.n, self.masks, self.which, self.solved = n, masks, which, solved
+        self.nodes, self.pruned = nodes, pruned
+
+    def __repr__(self) -> str:
+        columns = f"n={self.n!r}, masks={self.masks!r}, which={self.which!r}, solved={self.solved!r}"
+        return f"{type(self).__qualname__}({columns}, nodes={self.nodes!r}, pruned={self.pruned!r})"
 
     @property
     def total(self) -> int:
@@ -504,8 +502,7 @@ Node = tuple[int, int, Block, Block]
 _ROOT: Node = (1, 0, _NO_POINTS, _NO_POINTS)
 
 
-@dataclass
-class _Walk:
+class _Walk(NamedTuple):
     """What walking some subtrees found: the nonempty masks in the order
     reached, each one's index into rows (the distinct solved rows in the
     order first reached), the nodes left at the stop depth, and the nodes
@@ -653,7 +650,7 @@ def classification_report(
 ) -> dict:
     """JSON-ready view of one classification; exact gains stay as strings."""
     cert = result.certificate
-    family = vars(result.family) if result.family else None
+    family = result.family._asdict() if result.family else None
     report = {
         "bipartition": {"s1": list(bip.blocks[0]), "s2": list(bip.blocks[1]) if bip.k == 2 else None},
         "classification": result.classification.value,

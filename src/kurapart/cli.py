@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import json
 import math
 import os
 import sys
@@ -237,6 +235,8 @@ def _initial_state(
 def _sync_report_json(
     traj: dyn.Trajectory, args: argparse.Namespace, params: dyn.ModelParams
 ) -> str:
+    import json
+
     from . import dynamics as dyn
 
     payload: dict = {
@@ -248,7 +248,7 @@ def _sync_report_json(
             "dt": args.dt,
             "rel_tol": args.rel_tol,
             "abs_tol": args.abs_tol,
-            **dataclasses.asdict(traj.stats),
+            **traj.stats._asdict(),
         }
     report = dyn.asymptotic_sync_clusters(
         traj, tail_fraction=args.tail_fraction, tol=args.tail_tol, exact_tol=args.sync_tol
@@ -312,6 +312,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    import json
+
     from . import bipartition_analysis as ban
 
     g, builtin_part = _load_graph(args)
@@ -358,6 +360,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         sys.stdout.flush()  # so write_s covers the bytes reaching the pipe or file
     clock.append(time.perf_counter())
     if args.stats:
+        import json
         search_s, format_s, write_s = (b - a for a, b in zip(clock, clock[1:]))
         stats = {
             "rows": report.total,

@@ -15,8 +15,7 @@ evaluation counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -44,36 +43,41 @@ class Rhs(Protocol):
     def __call__(self, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray: ...
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Phase-lag oscillator parameters: lag alpha, drift omega, coupling gain."""
-
+class _Model(NamedTuple):
     alpha: float
     omega: float = 0.0
     coupling: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class ModelParams(_Model):
+    """Phase-lag oscillator parameters: lag alpha, drift omega, coupling gain."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> ModelParams:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.alpha <= math.pi / 2:
             raise BadParameterError(f"alpha must lie in (0, pi/2], got {self.alpha}")
         if not 0.0 < self.coupling < math.inf:
             raise BadParameterError(f"coupling must be positive and finite, got {self.coupling}")
         if not math.isfinite(self.omega):
             raise BadParameterError(f"omega must be finite, got {self.omega}")
+        _refuse_bools(self)
+        return self
 
     @property
     def at_right_angle(self) -> bool:
         return self.alpha == math.pi / 2
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """How to march in time and what to record.
+def _refuse_bools(params: tuple) -> None:
+    """A bool passes the numeric checks as 0 or 1, but is no parameter value."""
+    for name, value in zip(params._fields, params):
+        if isinstance(value, bool):
+            raise BadParameterError(f"{name} must be a number, got {value!r}")
 
-    method "rk4" takes fixed steps of dt; "rk45" adapts its step so the
-    embedded local error estimate stays below abs_tol + rel_tol * |theta|.
-    Every record_every-th step is recorded, plus the final time.
-    """
 
+class _Config(NamedTuple):
     t_end: float
     method: str = "rk45"
     dt: float | None = None
@@ -81,7 +85,19 @@ class IntegratorConfig:
     abs_tol: float = 1e-11
     record_every: int = 1
 
-    def __post_init__(self) -> None:
+
+class IntegratorConfig(_Config):
+    """How to march in time and what to record.
+
+    method "rk4" takes fixed steps of dt; "rk45" adapts its step so the
+    embedded local error estimate stays below abs_tol + rel_tol * |theta|.
+    Every record_every-th step is recorded, plus the final time.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> IntegratorConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.method not in ("rk4", "rk45"):
             raise BadParameterError(f"unknown method {self.method!r}")
         if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
@@ -101,10 +117,11 @@ class IntegratorConfig:
             raise BadParameterError(f"record_every must be an int, got {self.record_every!r}")
         if self.record_every < 1:
             raise BadParameterError(f"record_every must be >= 1, got {self.record_every}")
+        _refuse_bools(self)
+        return self
 
 
-@dataclass(frozen=True)
-class RunStats:
+class RunStats(NamedTuple):
     """What one integration did: accepted and rejected steps, right-hand side
     evaluations, and the smallest and largest accepted step size (None when
     no step was taken)."""
@@ -625,8 +642,7 @@ def _check_sync_thresholds(exact_tol: float, tol: float, tail_fraction: float) -
         raise BadParameterError(f"tail_fraction must lie in (0, 0.5], got {tail_fraction}")
 
 
-@dataclass(frozen=True, eq=False)
-class SyncReport:
+class SyncReport(NamedTuple):
     """Synchronisation diagnostics for one trajectory.
 
     pair_classes lists, in lexicographic order, only the pairs labelled

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import (
@@ -43,54 +41,55 @@ def _interleaved_bins(dst: np.ndarray) -> np.ndarray:
     return np.stack((2 * dst, 2 * dst + 1), axis=1).ravel()
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Simple undirected connected graph on vertices 1..n."""
+    """Simple undirected connected graph on vertices 1..n; read-only, equal by n and edges."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise EmptyGraphError(f"graph needs at least one vertex, got n={self.n}")
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]) -> None:
+        _check_count("n", n)
+        if n < 1:
+            raise EmptyGraphError(f"graph needs at least one vertex, got n={n}")
         seen: set[tuple[int, int]] = set()
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise SelfLoopError(f"self loop at vertex {u}")
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 1..{self.n}")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise VertexOutOfRangeError(f"edge ({u}, {v}) outside 1..{n}")
             seen.add((min(u, v), max(u, v)))
         # a connected graph has at least n - 1 edges: a count that cannot
         # connect is rejected before anything is allocated per vertex
-        if len(seen) < self.n - 1:
-            raise DisconnectedError(
-                f"{len(seen)} distinct edges cannot connect {self.n} vertices"
-            )
+        if len(seen) < n - 1:
+            raise DisconnectedError(f"{len(seen)} distinct edges cannot connect {n} vertices")
         canonical = tuple(sorted(seen))
-        object.__setattr__(self, "edges", canonical)
-        nbrs: list[list[int]] = [[] for _ in range(self.n + 1)]
+        nbrs: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in canonical:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        adjacency = tuple(tuple(sorted(a)) for a in nbrs)
-        object.__setattr__(self, "adjacency", adjacency)
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        reached = {1}
-        frontier = [1]
+        reached, frontier = {1}, [1]
         while frontier:
-            v = frontier.pop()
-            for w in self.adjacency[v]:
+            for w in nbrs[frontier.pop()]:
                 if w not in reached:
                     reached.add(w)
                     frontier.append(w)
-        if len(reached) != self.n:
-            missing = [v for v in range(1, self.n + 1) if v not in reached]
-            raise DisconnectedError(
-                f"{len(missing)} vertices unreachable from vertex 1: {_few(missing)}"
-            )
+        if len(reached) != n:
+            missing = [v for v in range(1, n + 1) if v not in reached]
+            raise DisconnectedError(f"{len(missing)} vertices unreachable from vertex 1: {_few(missing)}")
+        # past __setattr__, which refuses every assignment
+        vars(self).update(n=n, edges=canonical, adjacency=tuple(tuple(sorted(a)) for a in nbrs))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r}: a Graph is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return (self.n, self.edges) == (other.n, other.edges) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(n={self.n!r}, edges={self.edges!r})"
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         if not 1 <= v <= self.n:
@@ -147,17 +146,20 @@ def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(pairs))
 
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """Ordered partition of 1..n; blocks sorted by their smallest vertex."""
-
+class _Blocks(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if not self.blocks:
+
+class VertexPartition(_Blocks):
+    """Ordered partition of 1..n; blocks sorted by their smallest vertex."""
+
+    __slots__ = ()
+
+    def __new__(cls, blocks: tuple[tuple[int, ...], ...]) -> VertexPartition:
+        if not blocks:
             raise PartitionMismatchError("partition has no blocks")
         seen: set[int] = set()
-        for b in self.blocks:
+        for b in blocks:
             if not b:
                 raise PartitionMismatchError("empty block")
             for v in b:
@@ -166,8 +168,7 @@ class VertexPartition:
                 if v in seen:
                     raise PartitionMismatchError(f"vertex {v} appears in two blocks")
                 seen.add(v)
-        canonical = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canonical)
+        return super().__new__(cls, tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])))
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]]) -> "VertexPartition":
@@ -192,6 +193,12 @@ class VertexPartition:
             if len(targets) != 1 or None in targets:
                 return False
         return True
+
+
+def _check_count(name: str, count: object) -> None:
+    """Graph's and the named constructors' one check of a count's type."""
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise BadParameterError(f"{name} must be an int, got {count!r}")
 
 
 def _few(labels: list[int], shown: int = 10) -> str:
@@ -220,8 +227,7 @@ def _block_index(p: VertexPartition, n: int) -> np.ndarray:
     return index
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-vertex neighbour counts into each block of a partition.
 
     Row v-1 holds, for vertex v, the number of its neighbours inside each
@@ -243,8 +249,7 @@ class DegreeProfile:
         return np.array(self.delta, dtype=int)
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(NamedTuple):
     """Block-to-block neighbour counts of an equitable partition."""
 
     gamma: tuple[tuple[int, ...], ...]
@@ -325,6 +330,7 @@ def linear_family_graph(p: int) -> tuple[Graph, VertexPartition]:
     Returned with the hub-versus-rest bipartition, which is not equitable
     but admits a unique exact parameter triple.
     """
+    _check_count("p", p)
     if p < 4 or p % 2 != 0:
         raise BadParameterError(f"p must be even and >= 4, got {p}")
     edges = []
@@ -368,6 +374,7 @@ def right_angle_profile_graph() -> tuple[Graph, VertexPartition]:
 
 def star_graph(leaves: int) -> tuple[Graph, VertexPartition]:
     """Centre vertex 1 joined to leaves 2..leaves+1."""
+    _check_count("leaves", leaves)
     if leaves < 1:
         raise BadParameterError(f"star needs >= 1 leaf, got {leaves}")
     g = from_edge_list(leaves + 1, [(1, i) for i in range(2, leaves + 2)])
@@ -376,18 +383,21 @@ def star_graph(leaves: int) -> tuple[Graph, VertexPartition]:
 
 
 def cycle_graph(n: int) -> Graph:
+    _check_count("n", n)
     if n < 3:
         raise BadParameterError(f"cycle needs n >= 3, got {n}")
     return from_edge_list(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def complete_graph(n: int) -> Graph:
+    _check_count("n", n)
     if n < 2:
         raise BadParameterError(f"complete graph needs n >= 2, got {n}")
     return from_edge_list(n, list(itertools.combinations(range(1, n + 1), 2)))
 
 
 def path_graph(n: int) -> Graph:
+    _check_count("n", n)
     if n < 2:
         raise BadParameterError(f"path needs n >= 2, got {n}")
     return from_edge_list(n, [(i, i + 1) for i in range(1, n)])
@@ -450,6 +460,8 @@ def write_edge_list(g: Graph) -> str:
 
 def partition_from_json(text: str) -> VertexPartition:
     """Parse {"blocks": [[...], ...]} into a partition."""
+    import json
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -467,4 +479,6 @@ def partition_from_json(text: str) -> VertexPartition:
 
 
 def partition_to_json(p: VertexPartition) -> str:
+    import json
+
     return json.dumps({"blocks": [list(b) for b in p.blocks]})

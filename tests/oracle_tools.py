@@ -7,7 +7,6 @@ appearing on both sides of an assertion.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -182,7 +181,7 @@ def search_report_rows(report: SearchReport) -> tuple[SearchRow, ...]:
         res = report.solutions[found[mask]]
         cert = res.certificate
         if cert is not None:
-            cert = dataclasses.replace(cert, s1=s1, s2=s2)
+            cert = cert._replace(s1=s1, s2=s2)
         rows.append(SearchRow(mask, s2, res.classification, cert, res.family))
     return tuple(rows)
 

@@ -548,18 +548,26 @@ POOL = ["concurrent", "multiprocessing"]
 class TestStartUp:
     """Each run imports only the layers its subcommand uses: the integrator,
     the bipartition layer, the exact rationals and the process pool each
-    cost milliseconds."""
+    cost milliseconds.  Records are NamedTuples and plain classes, so no
+    run loads dataclasses, and a search loads neither inspect nor json."""
 
     @pytest.mark.parametrize(
         "argv, unloaded",
         [
-            ([], ["kurapart.dynamics", "kurapart.bipartition_analysis", "fractions", *POOL]),
+            (
+                [],
+                ["kurapart.dynamics", "kurapart.bipartition_analysis", "fractions", *POOL,
+                 "dataclasses", "inspect"],
+            ),
             (
                 ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
                  "--seed", "1", "--t-end", "1", "--out", "x.csv"],
-                ["kurapart.bipartition_analysis", "fractions"],
+                ["kurapart.bipartition_analysis", "fractions", "dataclasses"],
             ),
-            (["search", "--builtin", "cycle:8", "--out", "x.txt"], ["kurapart.dynamics", "numpy", *POOL]),
+            (
+                ["search", "--builtin", "cycle:8", "--out", "x.txt"],
+                ["kurapart.dynamics", "numpy", *POOL, "dataclasses", "inspect", "json"],
+            ),
         ],
         ids=["import-cli", "simulate-random", "search"],
     )

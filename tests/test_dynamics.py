@@ -56,6 +56,24 @@ class TestModelParams:
             kp.ModelParams(alpha=0.5, omega=math.inf)
 
 
+# unrefused, each passed as the number 1 or 0
+@pytest.mark.parametrize(
+    "make, kwargs",
+    [
+        (kp.IntegratorConfig, {"t_end": True}),
+        (kp.IntegratorConfig, {"t_end": 1.0, "rel_tol": True}),
+        (kp.IntegratorConfig, {"t_end": 1.0, "abs_tol": True}),
+        (kp.IntegratorConfig, {"t_end": 1.0, "method": "rk4", "dt": True}),
+        (kp.ModelParams, {"alpha": True}),
+        (kp.ModelParams, {"alpha": 1.0, "coupling": True}),
+        (kp.ModelParams, {"alpha": 1.0, "omega": False}),
+    ],
+)
+def test_bool_is_no_parameter_value(make, kwargs):
+    with pytest.raises(kp.BadParameterError, match="must be a number, got (True|False)"):
+        make(**kwargs)
+
+
 class TestIntegratorConfig:
     def test_rk4_needs_dt(self):
         with pytest.raises(kp.BadParameterError):
@@ -711,7 +729,7 @@ def _assert_sync_matches_oracle(traj, **kw):
     prefix = kp.Trajectory(traj.times[:5], traj.states[:5])
     short, short_old = kp.asymptotic_sync_clusters(prefix, **kw), sync_report_slow(prefix, **kw)
     assert (short.exact_partition, short.chained_pairs) == exact_sync_chains_slow(prefix, exact_tol)
-    assert vars(short) == vars(short_old)
+    assert short._asdict() == short_old._asdict()
     assert short.tail_skipped == "tail window holds 1 recorded points, need at least 10"
     return new
 

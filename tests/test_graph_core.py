@@ -1,9 +1,11 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 import kurapart as kp
+from kurapart import bipartition_analysis as ban
 from oracle_tools import (
     adjacency_matrix_slow,
     adjacency_sets,
@@ -56,6 +58,104 @@ class TestPublicNames:
             assert getattr(kp, name) is not None
 
 
+def _hub():
+    return kp.classify_bipartition(*kp.latoro_profile_graph())
+
+
+def _star():
+    return kp.classify_bipartition(*kp.star_graph(3))
+
+
+def _c4_walk():
+    return ban._walk(ban._plan(kp.cycle_graph(4)), [ban._ROOT], 0)
+
+
+# every record the library returns or takes: how to make one, its fields
+# as its repr lists them, and whether records with equal fields are equal
+RECORDS = {
+    "Graph": (lambda: kp.Graph(3, ((2, 1), (2, 3), (3, 2))), ["n", "edges"], True),
+    "VertexPartition": (lambda: kp.VertexPartition(((3, 1), (2,))), ["blocks"], True),
+    "DegreeProfile": (
+        lambda: kp.degree_profile(kp.path_graph(3), kp.VertexPartition(((1,), (2, 3)))), ["delta"], True
+    ),
+    "QuotientMatrix": (lambda: _star().quotient, ["gamma"], True),
+    "ModelParams": (lambda: kp.ModelParams(0.5, coupling=2.0), ["alpha", "omega", "coupling"], True),
+    "IntegratorConfig": (
+        lambda: kp.IntegratorConfig(1.0, "rk4", dt=0.1),
+        ["t_end", "method", "dt", "rel_tol", "abs_tol", "record_every"],
+        True,
+    ),
+    "RunStats": (
+        lambda: kp.RunStats(3, 1, 25, 0.125, 0.5), ["accepted", "rejected", "rhs_calls", "h_min", "h_max"], True
+    ),
+    "SyncReport": (
+        lambda: kp.asymptotic_sync_clusters(kp.Trajectory(np.linspace(0.0, 1.0, 60), np.zeros((60, 3)))),
+        ["exact_partition", "exact_tol", "chained_pairs", "tail_fraction", "tail_tol", "tail_skipped",
+         "clusters", "tail_start", "tail_max_deviation", "pair_classes"],
+        True,
+    ),
+    "SolutionSet": (lambda: _hub().solution_set, ["kind", "basepoint", "directions"], True),
+    "AlphaResult": (lambda: kp.alpha_from_mu(1, 0), ["value", "mu_equal", "sum_at_limit"], True),
+    "Condition2Certificate": (
+        lambda: _hub().certificate,
+        ["mu1", "mu2", "r", "alpha", "beta", "offset", "mu_equal", "offset_at_limit", "feasible", "s1", "s2"],
+        True,
+    ),
+    "FamilySegment": (
+        lambda: _star().family,
+        ["feasible", "dim", "param_lo", "param_hi", "alpha_at_lo", "alpha_at_hi", "alpha_at_interior"],
+        True,
+    ),
+    "BipartitionClassification": (
+        _star, ["classification", "solution_set", "certificate", "quotient", "family"], True
+    ),
+    # a report equals only itself, and its fields may be reassigned
+    "SearchReport": (
+        lambda: kp.search_all_bipartitions(kp.cycle_graph(5)),
+        ["n", "masks", "which", "solved", "nodes", "pruned"],
+        False,
+    ),
+    # what a search worker sends back: it holds lists, so it has no hash
+    "_Walk": (_c4_walk, ["masks", "which", "rows", "frontier", "nodes", "pruned"], True),
+}
+
+
+class TestRecords:
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_repr_equality_read_only_and_pickle(self, name):
+        make, fields, by_value = RECORDS[name]
+        a, b = make(), make()
+        assert type(a).__name__ == name
+        shown = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields)
+        assert repr(a) == f"{name}({shown})"
+        copy = pickle.loads(pickle.dumps(a))
+        assert type(copy) is type(a) and repr(copy) == repr(a)
+        if not by_value:
+            assert a == a and a != b
+            return
+        assert a == b and not a != b and copy == a
+        if name != "_Walk":
+            assert hash(a) == hash(b) == hash(copy)
+        for f in fields:
+            with pytest.raises(AttributeError):
+                setattr(a, f, getattr(b, f))
+
+    def test_graph_compares_n_and_edges_and_hides_adjacency(self):
+        g = kp.Graph(3, ((1, 2), (2, 3)))
+        assert "adjacency" not in repr(g)
+        assert g == kp.path_graph(3) and hash(g) == hash(kp.path_graph(3))
+        assert g != kp.Graph(3, ((1, 2), (1, 3))) and g != (3, g.edges)
+        for attr in ("adjacency", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(g, attr, ())
+        with pytest.raises(AttributeError):
+            del g.n
+        # the arc arrays cached on first use travel with a pickled graph
+        g._arcs
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy.adjacency == g.adjacency and np.array_equal(copy._arcs[0], g._arcs[0])
+
+
 class TestGraphConstruction:
     def test_edges_canonical_and_deduped(self):
         g = kp.Graph(3, ((2, 1), (1, 2), (3, 2)))
@@ -74,6 +174,26 @@ class TestGraphConstruction:
     def test_empty_graph_rejected(self):
         with pytest.raises(kp.EmptyGraphError):
             kp.Graph(0, ())
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("Graph", (True, ())),
+            ("Graph", (2.0, ((1, 2),))),
+            ("from_edge_list", (3.0, [(1, 2), (2, 3)])),
+            ("star_graph", (True,)),
+            ("star_graph", (3.5,)),
+            ("cycle_graph", (4.0,)),
+            ("path_graph", (3.0,)),
+            ("complete_graph", (4.5,)),
+            ("linear_family_graph", (6.0,)),
+        ],
+    )
+    def test_vertex_count_must_be_an_int(self, name, args):
+        # a bool passed as a one-vertex graph and a two-vertex star; a
+        # float raised a bare TypeError from range()
+        with pytest.raises(kp.BadParameterError, match="must be an int"):
+            getattr(kp, name)(*args)
 
     def test_disconnected_rejected(self):
         with pytest.raises(kp.DisconnectedError):
