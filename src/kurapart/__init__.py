@@ -14,7 +14,6 @@ and the package's `__all__` is all of them, so `from kurapart import *`
 imports all four.
 """
 
-import importlib
 from typing import TYPE_CHECKING
 
 __version__ = "0.1.0"
@@ -111,7 +110,9 @@ if TYPE_CHECKING:
 def __getattr__(name: str):
     # `from kurapart import cli` asks for cli here before importing it
     if name in (*_EXPORTS, "cli"):
-        return importlib.import_module(f"{__name__}.{name}")
+        # __import__, not importlib.import_module, so -X importtime reports it
+        __import__(f"{__name__}.{name}")
+        return globals()[name]
     if name == "__all__":
         value = list(_MODULE_OF)
     elif name in _MODULE_OF:

@@ -313,9 +313,8 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     certifies the bipartition, equality cases are boundary hits, and
     everything else is infeasible.
     `Condition2Family` is never returned, because a connected graph never
-    gives a non-equitable line.  A maximum degree of 2**21 or more raises
-    TooLargeError: the bound under which the int64 batch oracle of the
-    tests is exact, so every graph accepted here is one it can check.
+    gives a non-equitable line.  The rule works in Python ints, so it is
+    exact at any degree.
     """
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
@@ -323,9 +322,6 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     counts, index = _block_counts(g, bip)
     # tolist hands the rule Python ints, never numpy scalars
     rows = counts.tolist()
-    degree = max(map(sum, rows))
-    if degree >= 1 << 21:
-        raise TooLargeError(f"maximum degree {degree} reaches 2**21, past exact int64 products")
     # (in_s2, d_cross, d_in): a row is (to_s1, to_s2)
     row = _solve((side, counts[1 - side], counts[side]) for side, counts in zip(index.tolist(), rows))
     return _classified(_NO_SOLUTION if row is None else _solution(*row), *bip.blocks)

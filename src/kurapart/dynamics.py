@@ -53,6 +53,8 @@ class ModelParams(_Model):
     """Phase-lag oscillator parameters: lag alpha, drift omega, coupling gain."""
 
     __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args: float, **kwargs: float) -> ModelParams:
         self = super().__new__(cls, *args, **kwargs)
@@ -95,6 +97,7 @@ class IntegratorConfig(_Config):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args: object, **kwargs: object) -> IntegratorConfig:
         self = super().__new__(cls, *args, **kwargs)
@@ -578,32 +581,6 @@ def _pairwise_max_dev(states: np.ndarray) -> np.ndarray:
     return np.maximum(out, out.T)
 
 
-_Run = tuple[np.ndarray, list[np.ndarray]]
-
-
-def _sync_runs(
-    states: np.ndarray, cut: float, windows: Sequence[np.ndarray | slice]
-) -> list[_Run]:
-    """Sort-then-verify candidates for the single-linkage sync partitions.
-
-    A pair whose gap stays below cut over rows that include the last one is
-    below cut at the last row, so it lies in one run of the final phases
-    sorted on the line, cut wherever sorted neighbours are cut or more apart
-    (or their gap is not a number).  Returns each run of two or more
-    vertices as its ascending columns plus its pairwise deviation matrix
-    over each window of rows; every other vertex is a singleton.
-    """
-    final = states[-1]
-    order = np.argsort(final)
-    bounds = np.r_[0, np.flatnonzero(~(np.diff(final[order]) < cut)) + 1, final.size]
-    runs = []
-    for r in np.flatnonzero(np.diff(bounds) > 1).tolist():
-        cols = np.sort(order[bounds[r] : bounds[r + 1]])
-        sub = states[:, cols]
-        runs.append((cols, [_pairwise_max_dev(sub[rows]) for rows in windows]))
-    return runs
-
-
 def _merge_components(linked: np.ndarray) -> list[list[int]]:
     """Single-linkage groups of a symmetric boolean matrix: ascending index
     lists, ordered by their least index."""
@@ -683,10 +660,12 @@ def asymptotic_sync_clusters(
 
     Both partitions are found by sort-then-verify: the final phases are
     sorted and cut where neighbours sit max(tol, exact_tol) or more apart,
-    and only the runs of two or more vertices are checked over the whole
-    record, the tail and the window before it.  Vertices in different runs
-    are desynchronised and are left out of pair_classes.  For n vertices and
-    m rows the cost is O(n m + n log n), plus O(r^2 m) for each run of r.
+    and one loop checks each run of two or more vertices over the whole
+    record, the tail and the window before it.  No block, cluster or listed
+    pair straddles a cut, so each run labels its groups on its own, and
+    vertices in different runs are desynchronised and left out of
+    pair_classes.  For n vertices and m rows the cost is O(n m + n log n),
+    plus O(r^2 m) for each run of r.
     """
     _check_sync_thresholds(exact_tol, tol, tail_fraction)
     times, states = traj.times, traj.states
@@ -697,52 +676,45 @@ def asymptotic_sync_clusters(
     tail_rows = np.nonzero(times >= tail_lo - 1e-12)[0]
     prev_rows = np.nonzero((times >= prev_lo - 1e-12) & (times < tail_lo - 1e-12))[0]
     short = tail_rows.size < 10
-    windows: list[np.ndarray | slice] = [slice(None)]
-    if not short:
-        windows += [tail_rows] + ([prev_rows] if prev_rows.size else [])
-    runs = _sync_runs(states, max(tol, exact_tol), windows)
-    blocks, chains = [], {}
-    # each run's first window spans the whole record
-    for cols, (full, *_) in runs:
-        for group in _merge_components(full < exact_tol):
+    order = np.argsort(states[-1])
+    # runs are cut where sorted final neighbours sit max(tol, exact_tol) or more
+    # apart (or are not numbers); every exact- or tail-linked pair is closer at
+    # the last row, so no block, cluster or listed pair spans two runs
+    bounds = np.r_[0, np.flatnonzero(~(np.diff(states[-1, order]) < max(tol, exact_tol))) + 1, n]
+    exact_blocks, chains, blocks, tail_dev, pairs = [], {}, [], {}, []
+    for r in np.flatnonzero(np.diff(bounds) > 1).tolist():
+        cols = np.sort(order[bounds[r] : bounds[r + 1]])
+        sub = states[:, cols]
+        dev_full = _pairwise_max_dev(sub)
+        for group in _merge_components(dev_full < exact_tol):
             block = cols[group] + 1
-            blocks.append(block.tolist())
+            exact_blocks.append(block.tolist())
             if len(group) > 1:
-                dev = full[np.ix_(group, group)]
+                dev = dev_full[np.ix_(group, group)]
                 a, b = np.nonzero(np.triu(dev >= exact_tol, 1))
                 gaps = dev[a, b].tolist()
-                chains[blocks[-1][0]] = list(zip(block[a].tolist(), block[b].tolist(), gaps))
-    exact = _with_singletons(n, blocks)
-    chained = tuple(pair for block in exact.blocks for pair in chains.get(block[0], ()))
-    if short:
-        skipped = f"tail window holds {tail_rows.size} recorded points, need at least 10"
-        return SyncReport(exact, exact_tol, chained, tail_fraction, tol, tail_skipped=skipped)
-    # a cluster's mean is taken over every row, then cut to the tail: a mean
-    # of the tail rows alone can differ in the last bit of its deviation
-    blocks, tail_dev = [], {}
-    for cols, (_, dev_tail, *dev_prev) in runs:
+                chains[exact_blocks[-1][0]] = list(zip(block[a].tolist(), block[b].tolist(), gaps))
+        if short:
+            continue
+        dev_tail = _pairwise_max_dev(sub[tail_rows])
         linked = dev_tail < tol
-        if dev_prev:
-            linked &= dev_tail <= dev_prev[0] + 1e-12
+        if prev_rows.size:
+            linked &= dev_tail <= _pairwise_max_dev(sub[prev_rows]) + 1e-12
+        together = np.zeros_like(linked)
         for group in _merge_components(linked):
             block = cols[group]
             blocks.append((block + 1).tolist())
             if len(group) > 1:
+                together[np.ix_(group, group)] = True
+                # a cluster's mean is taken over every row, then cut to the tail:
+                # a mean of the tail rows alone can differ in the last bit
                 mean = states[:, block].mean(axis=1)[tail_rows, None]
                 gap = np.abs(states[np.ix_(tail_rows, block)] - mean).max()
                 tail_dev[blocks[-1][0]] = float(gap)
-    clusters = _with_singletons(n, blocks)
-    # a singleton's gap from itself: 0, or nan where its tail is not finite
-    lone = [block[0] for block in clusters.blocks if len(block) == 1]
-    x = states[np.ix_(tail_rows, [v - 1 for v in lone])]
-    x -= x
-    tail_dev.update(zip(lone, np.abs(x, out=x).max(axis=0).tolist()))
-    cluster_of, exact_of = _block_index(clusters, n), _block_index(exact, n)
-    pairs: list[tuple[int, int, str, float]] = []
-    for cols, (dev_full, dev_tail, *_) in runs:
         a, b = np.triu_indices(cols.size, 1)
-        sync = (exact_of[cols[a]] == exact_of[cols[b]]) & (dev_full[a, b] < exact_tol)
-        keep = sync | (cluster_of[cols[a]] == cluster_of[cols[b]])
+        # a pair below exact_tol over every row is linked, so in one exact block
+        sync = dev_full[a, b] < exact_tol
+        keep = sync | together[a, b]
         a, b, sync = a[keep], b[keep], sync[keep]
         pairs += zip(
             (cols[a] + 1).tolist(),
@@ -750,6 +722,17 @@ def asymptotic_sync_clusters(
             np.where(sync, "synchronised", "asymptotic").tolist(),
             dev_tail[a, b].tolist(),
         )
+    exact = _with_singletons(n, exact_blocks)
+    chained = tuple(pair for block in exact.blocks for pair in chains.get(block[0], ()))
+    if short:
+        skipped = f"tail window holds {tail_rows.size} recorded points, need at least 10"
+        return SyncReport(exact, exact_tol, chained, tail_fraction, tol, tail_skipped=skipped)
+    clusters = _with_singletons(n, blocks)
+    # a singleton's gap from itself: 0, or nan where its tail is not finite
+    lone = [block[0] for block in clusters.blocks if len(block) == 1]
+    x = states[np.ix_(tail_rows, [v - 1 for v in lone])]
+    x -= x
+    tail_dev.update(zip(lone, np.abs(x, out=x).max(axis=0).tolist()))
     return SyncReport(
         exact_partition=exact,
         exact_tol=exact_tol,

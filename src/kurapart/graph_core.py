@@ -154,6 +154,8 @@ class VertexPartition(_Blocks):
     """Ordered partition of 1..n; blocks sorted by their smallest vertex."""
 
     __slots__ = ()
+    # namedtuple's _make, which _replace calls, would skip the checks of __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, blocks: tuple[tuple[int, ...], ...]) -> VertexPartition:
         if not blocks:

@@ -212,6 +212,7 @@ def solve_rows_batch(x: np.ndarray, to_s2: np.ndarray, degree: np.ndarray) -> tu
     Every product is bounded by Delta**3 for the maximum degree Delta, so
     the solve is exact while Delta < 2**21.
     """
+    assert int(degree.max()) < 1 << 21, "int64 products overflow from a degree of 2**21"
     cross = np.where(x == 1, degree - to_s2, to_s2)
     d_in = degree - cross
     ok = np.ones(x.shape[0], dtype=bool)

@@ -19,6 +19,7 @@ from oracle_tools import (
     condition2_solution_slow,
     enumerate_bipartitions,
     format_search_report_slow,
+    gauss_jordan_slow,
     is_equitable_slow,
     line_family_slow,
     random_connected_graph,
@@ -671,13 +672,22 @@ class TestBatchSearch:
             text = json.dumps(kp.classification_report(part, res, residual=0.0))
             assert json.loads(text)["mu1"] == str(gains[0])
 
-    def test_degree_past_exact_int64_products_rejected(self):
-        g = kp.path_graph(2)
-        # a vertex of degree 2**21 would overflow int64 products in the solve
-        arcs = np.ones(1 << 21, dtype=np.intp), np.zeros(1 << 21, dtype=np.intp)
-        object.__setattr__(g, "_arcs", arcs)
-        with pytest.raises(kp.TooLargeError):
-            kp.classify_bipartition(g, kp.VertexPartition.from_blocks([[1], [2]]))
+    def test_degree_past_exact_int64_products_classified(self):
+        # a multigraph faked through its arcs: vertex 1 has degree 3a + 3 >=
+        # 2**21, past where the tests' int64 batch oracle is exact; the count
+        # points of block {2, 3, 4} lie on a line of slope -1
+        a = (1 << 21) // 3
+        g = kp.path_graph(4)
+        times = {(0, 1): a + 2, (0, 2): a + 1, (0, 3): a, (1, 2): 1, (1, 3): 2, (2, 3): 3}
+        u, v = np.array(list(times), dtype=np.intp).T
+        count = 2 * list(times.values())
+        object.__setattr__(g, "_arcs", (np.repeat(np.r_[u, v], count), np.repeat(np.r_[v, u], count)))
+        part = kp.VertexPartition.from_blocks([[1], [2, 3, 4]])
+        assert kp.degree_profile(g, part).delta == ((0, 3 * a + 3), (a + 2, 3), (a + 1, 4), (a, 5))
+        res = kp.classify_bipartition(g, part)
+        rows = [(3 * a + 3, 0, 0), (0, a + 2, 3), (0, a + 1, 4), (0, a, 5)]
+        assert res.solution_set == gauss_jordan_slow(rows)
+        assert res.solution_set.basepoint == (Fraction(-(a + 5), 3 * a + 3), -1, -(a + 5))
 
     def test_report_independent_of_how_the_tree_is_split(self):
         g = circulant_graph(12, (1, 2))

@@ -590,6 +590,19 @@ class TestStartUp:
         assert hashlib.sha256(child.stdout).hexdigest().startswith("ae17bf4a")
         assert "fractions" in imported
         assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+        # the layers load through the package's __getattr__, which importtime
+        # sees only when it imports them with __import__
+        assert {"kurapart.graph_core", "kurapart.bipartition_analysis"} <= set(imported)
+        assert "kurapart.dynamics" not in imported
+
+    def test_simulate_importtime_reports_its_layers(self, tmp_path):
+        argv = ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
+                "--seed", "1", "--t-end", "1", "--out", "x.csv"]
+        child = _child("-X", "importtime", "-m", "kurapart.cli", *argv, cwd=tmp_path)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in child.stderr.decode().splitlines()]
+        assert child.returncode == 0
+        assert {"kurapart.graph_core", "kurapart.dynamics"} <= set(imported)
+        assert "kurapart.bipartition_analysis" not in imported
 
     @pytest.mark.parametrize(
         "name, loaded",

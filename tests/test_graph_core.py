@@ -140,6 +140,25 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 setattr(a, f, getattr(b, f))
 
+    @pytest.mark.parametrize(
+        "record, bad, good",
+        [
+            (kp.ModelParams(0.5), {"alpha": 5.0}, {"omega": 1.0}),
+            (kp.IntegratorConfig(1.0), {"t_end": -1.0}, {"rel_tol": 1e-6}),
+            (kp.VertexPartition.from_blocks([[1], [2]]), {"blocks": ((2, 1), (1,))}, {"blocks": ((2,), (1,))}),
+        ],
+        ids=["ModelParams", "IntegratorConfig", "VertexPartition"],
+    )
+    def test_replace_and_make_run_the_checks(self, record, bad, good):
+        with pytest.raises(kp.KurapartError):
+            record._replace(**bad)
+        with pytest.raises(kp.KurapartError):
+            type(record)._make({**record._asdict(), **bad}.values())
+        changed = record._replace(**good)
+        # a partition's blocks come back canonical, as its constructor makes them
+        assert type(changed) is type(record) and changed == type(record)(*changed)
+        assert pickle.loads(pickle.dumps(changed)) == changed
+
     def test_graph_compares_n_and_edges_and_hides_adjacency(self):
         g = kp.Graph(3, ((1, 2), (2, 3)))
         assert "adjacency" not in repr(g)
