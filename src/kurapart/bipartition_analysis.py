@@ -380,6 +380,9 @@ def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> Line
 
     from .dynamics import LinearTrajectory
 
+    if not cert.s1 + cert.s2:
+        # the certificates of SearchReport.solutions are shared by many masks
+        raise PartitionMismatchError("certificate has no vertex sets s1 and s2")
     n = max(cert.s1 + cert.s2)
     _block_index(VertexPartition((cert.s1, cert.s2)), n)
     start = np.full(n, float(c))
@@ -419,7 +422,10 @@ def _labels(mask: int, first: int) -> str:
 
 
 def bipartition_from_mask(n: int, mask: int) -> VertexPartition:
-    """Bipartition of 1..n whose second block holds vertex v + 2 for each set bit v."""
+    """Bipartition of 1..n whose second block holds vertex v + 2 for each set
+    bit v of mask, one of 1 .. 2^(n-1) - 1."""
+    if not 0 < mask < 1 << (n - 1):
+        raise BadParameterError(f"mask {mask} outside 1..{(1 << (n - 1)) - 1} for n={n}")
     s1, s2 = [1], []
     for v in range(2, n + 1):
         (s2 if mask >> (v - 2) & 1 else s1).append(v)

@@ -282,15 +282,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise BadParameterError(f"--report and --out name the same file {args.out!r}")
     g, builtin_part = _load_graph(args)
     part = _load_partition(args, builtin_part)
-    cert = None
-    if args.init_cert or args.alpha_from_cert:
-        cert = _certificate_for(g, part)
-    if args.alpha is not None:
-        alpha = args.alpha
-    elif cert is not None:
-        alpha = cert.alpha
-    else:
-        raise BadParameterError("--alpha is required (or --alpha-from-cert)")
+    cert = _certificate_for(g, part) if args.init_cert or args.alpha_from_cert else None
+    alpha = cert.alpha if args.alpha_from_cert else args.alpha
     params = dyn.ModelParams(alpha=alpha, omega=args.omega, coupling=args.coupling)
     cfg = dyn.IntegratorConfig(
         t_end=args.t_end,
@@ -487,7 +480,13 @@ def _add_graph_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_model_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, help="phase lag in (0, pi/2]")
+    lag = sub.add_mutually_exclusive_group(required=True)
+    lag.add_argument("--alpha", type=float, help="phase lag in (0, pi/2]")
+    lag.add_argument(
+        "--alpha-from-cert",
+        action="store_true",
+        help="take the lag from the partition's certificate",
+    )
     sub.add_argument("--omega", type=float, default=0.0, help="common drift (default 0)")
     sub.add_argument(
         "--lambda", dest="coupling", type=float, default=1.0, help="coupling gain (default 1)"
@@ -524,11 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     init.add_argument("--init-random", action="store_true", help=RANDOM_INIT_ALGORITHM)
     init.add_argument("--init-cert", action="store_true", help="start on the certified closed form")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--alpha-from-cert",
-        action="store_true",
-        help="take the lag from the partition's certificate",
-    )
     sim.add_argument("--sync-tol", type=float, default=1e-6)
     sim.add_argument("--tail-fraction", type=float, default=0.2)
     sim.add_argument("--tail-tol", type=float, default=1e-4)

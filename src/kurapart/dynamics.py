@@ -3,19 +3,19 @@
 The model couples each vertex to its neighbours through a sine with a fixed
 phase lag, so equal phases are not stationary in general; rigid rotations
 are.  Both the full vertex system and the block quotient system share one
-right-hand side, evaluated through the angle-sum identity from one complex
-exponential per vertex, with neighbour sums over the arcs or, on dense
-graphs, by one matrix product.  They also share one step loop, which
-hands on the last stage, checks, records and counts the steps of either
-classical fixed-step RK4 or an embedded Dormand-Prince 4(5) pair with
-proportional step control.  Each integration reports its step and
-evaluation counts.
+right-hand side over a weighted arc list, evaluated through the angle-sum
+identity from one complex exponential per vertex, with neighbour sums over
+the arcs or, on dense graphs, by one matrix product.  They also share one
+step loop, which hands on the last stage, checks, records and counts the
+steps of either classical fixed-step RK4 or an embedded Dormand-Prince
+4(5) pair with proportional step control.  Each integration reports its
+step and evaluation counts.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import (
     StepUnderflowError,
     TooShortError,
 )
-from .graph_core import Graph, QuotientMatrix, VertexPartition, _block_index, _interleaved_bins
+from .graph_core import Graph, QuotientMatrix, VertexPartition, _block_index
 
 __all__ = list(_EXPORTS["dynamics"])
 
@@ -231,9 +231,8 @@ def _dense_sums(n_arcs: int, n: int) -> bool:
 
 def _coupling_rhs(
     src: np.ndarray,
-    bins: np.ndarray,
+    dst: np.ndarray,
     w: np.ndarray | None,
-    matrix: Callable[[], np.ndarray],
     n: int,
     alpha: float,
     omega: float = 0.0,
@@ -241,22 +240,24 @@ def _coupling_rhs(
 ) -> Rhs:
     """y -> omega + coupling * sum over arcs src->dst of w sin(y_src - y_dst - alpha).
 
-    The one place the coupling sum is evaluated.  By the angle-sum identity
-    the sum at vertex i is Im(e^{-i alpha} conj(z_i) S_i), where z = e^{iy}
-    and S_i sums w z_src over the arcs into i.  A call costs n complex
-    exponentials, the neighbour sums S and O(n) more.  _dense_sums picks
-    how S is formed, once per right-hand side:
+    The one place the coupling sum is evaluated, over one arc list: w holds
+    one weight per arc, or is None for unit weights.  By the angle-sum
+    identity the sum at vertex i is Im(e^{-i alpha} conj(z_i) S_i), where
+    z = e^{iy} and S_i sums w z_src over the arcs into i.  A call costs n
+    complex exponentials, the neighbour sums S and O(n) more.  _dense_sums
+    picks how S is formed, and the kernel's arrays are built here, once per
+    right-hand side:
 
-    * dense: one float64 product W @ (re, im) of z, with W = matrix(), the
-      n x n weights W[dst, src]; O(n^2), summed in BLAS order;
+    * dense: one float64 product W @ (re, im) of z, with the n x n weights
+      W[dst, src] = w; O(n^2), summed in BLAS order;
     * sparse: one gather of z over the arcs and one bincount of the
-      gathered (re, im) parts into bins, the interleaved (2 dst, 2 dst + 1)
-      of _interleaved_bins; O(arcs), summed in arc order.  w holds each
-      arc's weight twice, matching bins, or is None for unit weights.
+      gathered (re, im) parts, both scaled by the arc's weight, into the
+      interleaved bins (2 dst, 2 dst + 1); O(arcs), summed in arc order.
 
-    Either order is fixed for a given graph, so results are deterministic.
-    The lag enters as the constant rotation coupling * e^{-i alpha}, never
-    as y + alpha, which would round at ulp(|y|).
+    Either order is fixed for a given arc list, so results are
+    deterministic.  The lag enters as the constant rotation
+    coupling * e^{-i alpha}, never as y + alpha, which would round at
+    ulp(|y|).
 
     The returned f(y, out=None) writes its result into out, or into a fresh
     array when out is None.  Its work arrays, z and, for the dense kernel,
@@ -264,19 +265,25 @@ def _coupling_rhs(
     run twice at the same time.
     """
     rot = complex(coupling * math.cos(alpha), -coupling * math.sin(alpha))
-    dense = matrix() if _dense_sums(src.size, n) else None
+    dense = _dense_sums(src.size, n)
     z = np.empty(n, dtype=complex)
     z_re, z_im = z.real, z.imag
-    if dense is not None:
+    if dense:
+        matrix = np.zeros((n, n))
+        matrix[dst, src] = 1.0 if w is None else w
         z_pairs = z.view(float).reshape(n, 2)
         pull = np.empty(n, dtype=complex)
         pull_pairs = pull.view(float).reshape(n, 2)
+    else:
+        bins = np.stack((2 * dst, 2 * dst + 1), axis=1).ravel()
+        if w is not None:
+            w = np.repeat(w, 2)  # one per (re, im) part, as bins
 
     def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.cos(y, out=z_re)
         np.sin(y, out=z_im)
-        if dense is not None:
-            np.matmul(dense, z_pairs, out=pull_pairs)
+        if dense:
+            np.matmul(matrix, z_pairs, out=pull_pairs)
             sums = pull
         else:
             parts = z[src].view(float)
@@ -292,28 +299,15 @@ def _coupling_rhs(
 
 
 def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
-    # the graph's arcs and bins, built once with it: each vertex pulled by
-    # its sorted neighbours, unit weight; its dense matrix is built and kept
-    # by the graph on first use
-    return _coupling_rhs(
-        g._arcs[0],
-        g._arc_bins,
-        None,
-        lambda: g._arc_matrix,
-        g.n,
-        params.alpha,
-        params.omega,
-        params.coupling,
-    )
+    # each vertex pulled by its sorted neighbours, unit weight
+    return _coupling_rhs(*g._arcs, None, g.n, *params)
 
 
 def _gamma_rhs(gamma: QuotientMatrix, alpha: float) -> Rhs:
     # block j pulls block i with weight gamma_ij; nonzero() yields (dst, src) order
     gm = gamma.as_array()
     dst, src = np.nonzero(gm)
-    return _coupling_rhs(
-        src, _interleaved_bins(dst), np.repeat(gm[dst, src], 2), lambda: gm, gamma.k, alpha
-    )
+    return _coupling_rhs(src, dst, gm[dst, src], gamma.k, alpha)
 
 
 def kuramoto_rhs(g: Graph, theta: Sequence[float], params: ModelParams) -> np.ndarray:

@@ -5,8 +5,9 @@ simple, undirected, and connected; connectivity is enforced at construction
 so downstream dynamics never has to special-case isolated components.
 
 numpy is imported by the functions that build arrays, when they run: a
-graph is built from Python tuples alone and makes its arc arrays on first
-use, so the bipartition search never loads numpy.
+graph is built from Python tuples alone and makes its (src, dst) arc
+arrays on first use, so the bipartition search never loads numpy.  Each
+right-hand side in dynamics builds its own kernel arrays from those arcs.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = list(_EXPORTS["graph_core"])
-
-
-def _interleaved_bins(dst: np.ndarray) -> np.ndarray:
-    """Bins (2 d, 2 d + 1) per arc destination d, interleaved, so one
-    bincount sums the (re, im) parts of a complex value per arc into the
-    (re, im) parts of a length-n complex array."""
-    import numpy as np
-
-    return np.stack((2 * dst, 2 * dst + 1), axis=1).ravel()
 
 
 class Graph:
@@ -105,30 +97,13 @@ class Graph:
     @functools.cached_property
     def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only 0-based (src, dst) arrays holding both directions of
-        every edge, sorted by (dst, src); built on first use and kept, so
-        RHS builders need not rebuild them."""
+        every edge, sorted by (dst, src); built on first use and kept."""
         import numpy as np
 
         src = np.array([u - 1 for a in self.adjacency[1:] for u in a], dtype=np.intp)
         dst = np.repeat(np.arange(self.n, dtype=np.intp), [len(a) for a in self.adjacency[1:]])
         src.flags.writeable = dst.flags.writeable = False
         return src, dst
-
-    @functools.cached_property
-    def _arc_bins(self) -> np.ndarray:
-        """Read-only interleaved scatter bins (2 dst, 2 dst + 1) of _arcs."""
-        bins = _interleaved_bins(self._arcs[1])
-        bins.flags.writeable = False
-        return bins
-
-    @functools.cached_property
-    def _arc_matrix(self) -> np.ndarray:
-        """Read-only adjacency_matrix(), W[dst, src] = 1 for every arc, so
-        W @ x sums x over each vertex's neighbours.  Built on first use and
-        kept, so only dense neighbour sums pay its n^2."""
-        w = self.adjacency_matrix()
-        w.flags.writeable = False
-        return w
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 matrix A with A[i-1, j-1] = 1 iff i ~ j; a fresh,

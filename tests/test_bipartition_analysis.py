@@ -337,6 +337,15 @@ class TestCertificates:
                 seen += 1
         assert seen >= 8
 
+    def test_search_certificate_has_no_vertex_sets(self):
+        # one solution row stands for many masks, so its certificate names none
+        solutions = kp.search_all_bipartitions(kp.linear_family_graph(4)[0]).solutions
+        certs = [s.certificate for s in solutions if s.certificate is not None]
+        assert certs
+        for cert in certs:
+            with pytest.raises(kp.PartitionMismatchError, match="no vertex sets"):
+                kp.certificate_to_solution(cert)
+
     def test_verify_rejects_mismatched_partition(self):
         g, bip = kp.linear_family_graph(4)
         c = kp.classify_bipartition(g, bip).certificate
@@ -385,6 +394,14 @@ class TestSearch:
             if kp.is_equitable(g, bip) is not None
         )
         assert report.counts["Equitable"] == want_equitable == 4
+
+    def test_masks_outside_their_range_rejected(self):
+        got = [bipartition_from_mask(3, mask).blocks for mask in (1, 2, 3)]
+        assert got == [((1, 3), (2,)), ((1, 2), (3,)), ((1,), (2, 3))]
+        # unchecked, 5 reads as mask 1, -1 as mask 3, and 4 as an empty block
+        for mask in (0, 4, 5, -1):
+            with pytest.raises(kp.BadParameterError, match="outside 1..3"):
+                bipartition_from_mask(3, mask)
 
     def test_rows_cover_all_masks(self):
         g = kp.cycle_graph(5)

@@ -930,9 +930,29 @@ class TestExitCodes:
         monkeypatch.setattr(kp.dynamics, "integrate", _never)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "p.json").write_text(json.dumps({"blocks": [[1, 2], [3, 4]]}))
-        assert run("simulate", *argv, "--alpha", 0.5, "--out", "x.csv") == 3
+        lag = [] if "--alpha-from-cert" in argv else ["--alpha", 0.5]
+        assert run("simulate", *argv, *lag, "--out", "x.csv") == 3
         assert error in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize(
+        "lag, error",
+        [
+            (["--alpha", 0.3, "--alpha-from-cert"], "not allowed with argument"),
+            ([], "one of the arguments --alpha --alpha-from-cert is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_lag_needs_exactly_one_source(self, monkeypatch, tmp_path, capsys, lag, error):
+        # an explicit --alpha must not silently override --alpha-from-cert
+        monkeypatch.setattr(kp.dynamics, "integrate", _never)
+        out = tmp_path / "a.csv"
+        assert run(
+            "simulate", "--builtin", "linear:4", *lag,
+            "--init-cert", "--t-end", 1, "--out", out,
+        ) == 3
+        assert error in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "a.sync.json").exists()
 
     @pytest.mark.parametrize("blocks", [[[1], [2]], [[1], [2, 3, 4, 5]]])
     def test_init_blocks_partition_must_cover(self, tmp_path, blocks):

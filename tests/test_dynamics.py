@@ -949,7 +949,7 @@ class TestRhsOracles:
 
     def test_single_vertex_has_no_arcs(self):
         g = kp.Graph(1, ())
-        assert g._arcs[0].size == 0 and g._arc_bins.size == 0
+        assert g._arcs[0].size == 0
         params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
         for theta in ([0.0], [-4000.0]):
             got = kp.kuramoto_rhs(g, theta, params)
@@ -1044,29 +1044,21 @@ class TestNeighbourSumKernels:
     )
     def test_rule_picks_the_kernel(self, g, dense):
         assert dyn._dense_sums(g._arcs[0].size, g.n) is dense
-        params = kp.ModelParams(alpha=0.7)
-        kp.kuramoto_rhs(g, np.zeros(g.n), params)
-        # the graph builds its matrix only for the dense kernel, and once
-        assert ("_arc_matrix" in vars(g)) is dense
-        if dense:
-            first = vars(g)["_arc_matrix"]
-            assert first.shape == (g.n, g.n) and not first.flags.writeable
-            assert np.array_equal(first, g.adjacency_matrix())
-            kp.kuramoto_rhs(g, np.ones(g.n), params)
-            assert vars(g)["_arc_matrix"] is first
 
     def test_dense_rhs_reuses_the_matrix(self):
+        # integration calls one f many times: only building it pays for W
         g = kp.complete_graph(200)
         theta = np.random.default_rng(4).uniform(0.0, 2 * math.pi, g.n)
-        params = kp.ModelParams(alpha=0.7)
-        kp.kuramoto_rhs(g, theta, params)  # builds W, 320 kB
+        rhs = dyn._graph_rhs(g, kp.ModelParams(alpha=0.7))  # builds W, 320 kB
+        first = rhs(theta)
         tracemalloc.start()
         try:
-            kp.kuramoto_rhs(g, theta, params)
+            second = rhs(theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * g.n * g.n // 4
+        assert np.array_equal(first, second)
 
     def test_rule_asks_more_arcs_once_the_matrix_leaves_cache(self):
         n = dyn.DENSE_CACHED_N
@@ -1086,7 +1078,6 @@ class TestNeighbourSumKernels:
             tracemalloc.stop()
         # n^2 float64 would be 3.2 GB; the arc kernel peaks near 12 n float64
         assert peak < 32 * 8 * g.n
-        assert "_arc_matrix" not in vars(g)
 
 
 def _random_sparse_graph(seed):

@@ -261,13 +261,11 @@ class TestGraphConstruction:
         a = g.adjacency_matrix()
         assert a.dtype == np.float64 and a.flags.writeable
         assert np.array_equal(a, adjacency_matrix_slow(g))
-        # a fresh array each call, never the kept read-only matrix
-        w = g._arc_matrix
-        assert np.array_equal(w, a) and not w.flags.writeable
+        # a fresh writable array each call
         b = g.adjacency_matrix()
-        assert not np.shares_memory(a, w) and not np.shares_memory(a, b)
+        assert not np.shares_memory(a, b)
         a[0, 1] = 7.0
-        assert w[0, 1] == b[0, 1] == adjacency_matrix_slow(g)[0, 1]
+        assert b[0, 1] == adjacency_matrix_slow(g)[0, 1]
 
 
 class TestVertexPartition:
