@@ -194,12 +194,81 @@ def _certificate_for(
     return result.certificate
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_uniform_phases(seed: int, n: int) -> list[float]:
+    """The n doubles of numpy's Generator(PCG64(seed)).uniform(0, 2*pi, n),
+    bit for bit, in Python ints, so a run need not import numpy.random.
+
+    SeedSequence(seed) hashes the seed's 32-bit words, least significant
+    first, into a pool of four words and draws eight words from it; PCG64
+    (O'Neill 2014) reads them as two little-endian 128-bit numbers, its
+    initial state and its stream, and each draw is one LCG step, the XSL-RR
+    output and the top 53 bits of it scaled to [0, 2*pi).  Tests pin this
+    to numpy's stream for many seeds and lengths.
+    """
+    words = []
+    while True:
+        words.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+    state_words = []
+    draw_const = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ draw_const
+        draw_const = draw_const * 0x58F38DED & _M32
+        value = value * draw_const & _M32
+        state_words.append(value ^ value >> 16)
+    u = [state_words[2 * i] | state_words[2 * i + 1] << 32 for i in range(4)]
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _M128
+    # from state 0, one step gives inc; add the initial state and step again
+    state = ((inc + (u[0] << 64 | u[1])) * _PCG64_MULT + inc) & _M128
+    # 2*pi * (k * 2**-53) as one rounding: scaling by a power of two is exact
+    scale = 2.0 * math.pi * 2.0**-53
+    phases = []
+    for _ in range(n):
+        state = (state * _PCG64_MULT + inc) & _M128
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        phases.append((x >> 11) * scale)
+    return phases
+
+
 def _initial_state(
     args: argparse.Namespace,
     g: gc.Graph,
     part: gc.VertexPartition | None,
     cert: ban.Condition2Certificate | None,
 ) -> np.ndarray:
+    """The state the run starts from, one phase per vertex, as the --init-*
+    option says.  --init-random draws numpy's Generator(PCG64(seed))
+    uniform [0, 2*pi) stream, computed in Python ints by
+    _pcg64_uniform_phases and pinned to numpy's doubles by a test."""
     import numpy as np
 
     # the parser requires exactly one --init-* option
@@ -224,8 +293,7 @@ def _initial_state(
     if args.init_random:
         if args.seed < 0:
             raise BadParameterError(f"--seed must be >= 0, got {args.seed}")
-        rng = np.random.Generator(np.random.PCG64(args.seed))
-        return rng.uniform(0.0, 2.0 * math.pi, size=g.n)
+        return np.array(_pcg64_uniform_phases(args.seed, g.n))
     assert cert is not None
     from . import bipartition_analysis as ban
 

@@ -283,7 +283,7 @@ def _coupling_rhs(
         np.cos(y, out=z_re)
         np.sin(y, out=z_im)
         if dense:
-            np.matmul(matrix, z_pairs, out=pull_pairs)
+            np.dot(matrix, z_pairs, out=pull_pairs)
             sums = pull
         else:
             parts = z[src].view(float)
@@ -472,7 +472,8 @@ def _rk_path(
                 abs_y = abs_new
             t, y = t_next, y_new
             k[0] = k[-1]
-            _check_finite(y, f"at t={t}")
+            if not np.isfinite(y).all():
+                raise NonFiniteStateError(f"non-finite state at t={t}")
             accepted += 1
             h_min, h_max = min(h_min, h_step), max(h_max, h_step)
             if t_eval is None:

@@ -3,7 +3,9 @@ import concurrent.futures
 import errno
 import hashlib
 import json
+import math
 import os
+import random
 import re
 import stat
 import subprocess
@@ -112,6 +114,31 @@ class TestSimulate:
                 "--t-end", 2, "--out", out,
             )
         assert a.read_text() != b.read_text()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 48, 200, 1000])
+    def test_random_phases_are_numpys_pcg64_stream(self, n):
+        # SeedSequence splits a seed into 32-bit words and mixes in those past
+        # the fourth one by one, so the seeds straddle each word boundary
+        bits = random.Random(2026)
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 + 1, 2**300 - 3]
+        seeds += [bits.getrandbits(bits.randint(1, 300)) for _ in range(200)]
+        for seed in seeds:
+            got = np.array(cli._pcg64_uniform_phases(seed, n))
+            want = np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 2.0 * math.pi, n)
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), seed
+
+    def test_random_init_csv_starts_on_numpys_draw(self, tmp_path):
+        out = tmp_path / "r.csv"
+        seed = 2**64 + 5
+        code = run(
+            "simulate", "--builtin", "cycle:7",
+            "--alpha", 0.6, "--init-random", "--seed", seed,
+            "--t-end", 1, "--out", out,
+        )
+        assert code == 0
+        want = np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 2.0 * math.pi, 7)
+        first = kp.trajectory_from_csv(out.read_text()).initial_state()
+        assert first.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_init_blocks(self, tmp_path):
         out = tmp_path / "blk.csv"
@@ -562,7 +589,7 @@ class TestStartUp:
             (
                 ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
                  "--seed", "1", "--t-end", "1", "--out", "x.csv"],
-                ["kurapart.bipartition_analysis", "fractions", "dataclasses"],
+                ["kurapart.bipartition_analysis", "fractions", "dataclasses", "numpy.random"],
             ),
             (
                 ["search", "--builtin", "cycle:8", "--out", "x.txt"],
