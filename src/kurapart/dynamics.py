@@ -326,11 +326,6 @@ def quotient_rhs(gamma: QuotientMatrix, f: Sequence[float], alpha: float) -> np.
     return _gamma_rhs(gamma, alpha)(fv)
 
 
-def _check_finite(y: np.ndarray, where: str) -> None:
-    if not np.isfinite(y).all():
-        raise NonFiniteStateError(f"non-finite state {where}")
-
-
 def _validate_t_eval(t_eval: Sequence[float] | None, t_end: float) -> np.ndarray | None:
     if t_eval is None:
         return None
@@ -496,7 +491,8 @@ def _integrate_core(
     f: Rhs, init: Sequence[float], cfg: IntegratorConfig, t_eval: Sequence[float] | None
 ) -> Trajectory:
     y0 = np.asarray(init, dtype=float).copy()
-    _check_finite(y0, "in initial condition")
+    if not np.isfinite(y0).all():
+        raise NonFiniteStateError("non-finite state in initial condition")
     te = _validate_t_eval(t_eval, cfg.t_end)
     if cfg.method == "rk4" and te is not None:
         raise BadParameterError("t_eval is supported by rk45 only")

@@ -570,6 +570,8 @@ class TestVerify:
 
 # the process pool's packages; a search loads them only for --jobs > 1
 POOL = ["concurrent", "multiprocessing"]
+# numpy 1.x imports numpy.random with numpy itself; numpy 2 loads it on first use
+NUMPY_RANDOM = ["numpy.random"] if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else []
 
 
 class TestStartUp:
@@ -589,7 +591,7 @@ class TestStartUp:
             (
                 ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
                  "--seed", "1", "--t-end", "1", "--out", "x.csv"],
-                ["kurapart.bipartition_analysis", "fractions", "dataclasses", "numpy.random"],
+                ["kurapart.bipartition_analysis", "fractions", "dataclasses", *NUMPY_RANDOM],
             ),
             (
                 ["search", "--builtin", "cycle:8", "--out", "x.txt"],
