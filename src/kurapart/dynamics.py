@@ -262,40 +262,47 @@ def _coupling_rhs(
     The returned f(y, out=None) writes its result into out, or into a fresh
     array when out is None.  Its work arrays, z and, for the dense kernel,
     S, are allocated here once and reused by every call, so one f must not
-    run twice at the same time.
+    run twice at the same time.  Each kernel has its own f, numpy bound once.
     """
     rot = complex(coupling * math.cos(alpha), -coupling * math.sin(alpha))
-    dense = _dense_sums(src.size, n)
     z = np.empty(n, dtype=complex)
     z_re, z_im = z.real, z.imag
-    if dense:
+    cos, sin, conjugate, multiply, add = np.cos, np.sin, np.conjugate, np.multiply, np.add
+    if _dense_sums(src.size, n):
         matrix = np.zeros((n, n))
         matrix[dst, src] = 1.0 if w is None else w
         z_pairs = z.view(float).reshape(n, 2)
         pull = np.empty(n, dtype=complex)
         pull_pairs = pull.view(float).reshape(n, 2)
-    else:
-        bins = np.stack((2 * dst, 2 * dst + 1), axis=1).ravel()
+        dot = np.dot
+
+        def f_dense(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            cos(y, z_re)
+            sin(y, z_im)
+            dot(matrix, z_pairs, pull_pairs)
+            conjugate(z, z)
+            multiply(z, rot, z)
+            multiply(z, pull, z)
+            return add(z_im, omega, out)
+
+        return f_dense
+    bins = np.stack((2 * dst, 2 * dst + 1), axis=1).ravel()
+    if w is not None:
+        w = np.repeat(w, 2)  # one per (re, im) part, as bins
+
+    def f_sparse(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        cos(y, z_re)
+        sin(y, z_im)
+        parts = z[src].view(float)
         if w is not None:
-            w = np.repeat(w, 2)  # one per (re, im) part, as bins
+            multiply(parts, w, parts)
+        sums = np.bincount(bins, parts, 2 * n).view(complex)
+        conjugate(z, z)
+        multiply(z, rot, z)
+        multiply(z, sums, z)
+        return add(z_im, omega, out)
 
-    def f(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        np.cos(y, out=z_re)
-        np.sin(y, out=z_im)
-        if dense:
-            np.dot(matrix, z_pairs, out=pull_pairs)
-            sums = pull
-        else:
-            parts = z[src].view(float)
-            if w is not None:
-                parts *= w
-            sums = np.bincount(bins, weights=parts, minlength=2 * n).view(complex)
-        np.conjugate(z, out=z)
-        np.multiply(z, rot, out=z)
-        np.multiply(z, sums, out=z)
-        return np.add(z_im, omega, out=out)
-
-    return f
+    return f_sparse
 
 
 def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
@@ -367,34 +374,6 @@ _DP_E = _DP_A[6] - np.array(
 )
 
 
-_StagePlan = list[tuple[np.ndarray, np.ndarray, np.ndarray]]
-
-
-def _stage_plan(a: np.ndarray, k: np.ndarray) -> _StagePlan:
-    """Per stage i >= 1 of the tableau a: its row a[i, :i], the earlier
-    derivatives k[:i] and its own row k[i], sliced once per run."""
-    return [(a[i, :i], k[:i], k[i]) for i in range(1, a.shape[0])]
-
-
-def _rk_stages(
-    f: Rhs, y: np.ndarray, h: float, plan: _StagePlan, arg: np.ndarray
-) -> np.ndarray:
-    """Fill k[1:] for one step of size h from y, given k[0] = f(y); return the new state.
-
-    plan is _stage_plan(a, k).  Inner stage arguments are formed in place in
-    the scratch row arg and each derivative is written straight into its row
-    of k; the last argument, the new state, is a fresh array.
-    """
-    last = len(plan)
-    for i, (a_i, k_before, k_i) in enumerate(plan, start=1):
-        y_i = arg if i < last else np.empty_like(y)
-        np.dot(a_i, k_before, out=y_i)
-        y_i *= h
-        y_i += y
-        f(y_i, k_i)
-    return y_i
-
-
 def _rk4_steps(t_end: float, dt: float) -> tuple[int, float]:
     """Number of rk4 steps from 0 to t_end and the size of the last; the others are dt.
 
@@ -410,10 +389,10 @@ def _rk_path(
     """The step loop of both methods: recorded times, states and RunStats.
 
     rk45 clips each step to its boundary, the next t_eval time or t_end,
-    and accepts it when the error norm is at most 1; only a step that is
-    not clipped must reach MIN_ADAPTIVE_STEP.  rk4 accepts every step of
-    _rk4_steps and labels step i as i * dt, the last as t_end; a horizon
-    below its step tolerance takes no step but still records t_end.
+    and accepts it when the error norm is at most 1 (never when NaN); only
+    a step that is not clipped must reach MIN_ADAPTIVE_STEP.  rk4 accepts
+    every step of _rk4_steps and labels step i as i * dt, the last as t_end;
+    a horizon below its step tolerance takes no step but still records t_end.
     """
     adaptive = cfg.method == "rk45"
     t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
@@ -428,12 +407,14 @@ def _rk_path(
     abs_y = np.abs(y)  # carried from each accepted step to the next
     t = 0.0
     eval_idx = 1  # t_eval[0] == 0 already recorded
-    accepted = 0
-    steps = 0
+    accepted = steps = 0
     h_min, h_max = math.inf, 0.0
     k = np.empty((a.shape[0], y.size))
-    plan = _stage_plan(a, k)
+    *inner, (a_last, k_before_last, k_last) = [(a[i, :i], k[:i], k[i]) for i in range(1, len(a))]
     arg, err_vec, scale = np.empty((3, y.size))
+    # numpy bound once per run, outputs passed positionally
+    dot, multiply, add, divide, absolute = np.dot, np.multiply, np.add, np.divide, np.absolute
+    maximum, largest, rel_tol, abs_tol = np.maximum, np.maximum.reduce, cfg.rel_tol, cfg.abs_tol
     f(y, k[0])
     # the error norm may overflow to inf, which rejects the step
     with np.errstate(over="ignore"):
@@ -449,25 +430,33 @@ def _rk_path(
                 h_step, t_next = (boundary - t, boundary) if clipped else (h, t + h)
             else:
                 h_step, t_next = (last, t_goal) if steps == budget else (h, steps * h)
-            y_new = _rk_stages(f, y, h_step, plan, arg)
+            for a_i, k_before, k_i in inner:
+                dot(a_i, k_before, arg)
+                multiply(arg, h_step, arg)
+                add(arg, y, arg)
+                f(arg, k_i)
+            y_new = dot(a_last, k_before_last)
+            multiply(y_new, h_step, y_new)
+            add(y_new, y, y_new)
+            f(y_new, k_last)
+            abs_new = absolute(y_new)
             if adaptive:
-                abs_new = np.abs(y_new)
-                np.maximum(abs_y, abs_new, out=scale)
-                scale *= cfg.rel_tol
-                scale += cfg.abs_tol
-                np.dot(_DP_E, k, out=err_vec)
-                err_vec /= scale
+                maximum(abs_y, abs_new, out=scale)  # numpy 2.4 deprecates a positional out
+                multiply(scale, rel_tol, scale)
+                add(scale, abs_tol, scale)
+                dot(_DP_E, k, err_vec)
+                divide(err_vec, scale, err_vec)
                 # RMS of h * (E @ k) / scale, with h taken out of the norm
-                err = h_step * math.sqrt(float(err_vec @ err_vec) / y.size)
+                err = h_step * math.sqrt(float(err_vec.dot(err_vec)) / y.size)
                 factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
                 h = h_step * factor if (not clipped or err > 1.0) else h * factor
                 h = min(h, t_goal)
-                if err > 1.0:
+                if not err <= 1.0:
                     continue
                 abs_y = abs_new
             t, y = t_next, y_new
-            k[0] = k[-1]
-            if not np.isfinite(y).all():
+            k[0] = k_last
+            if not math.isfinite(largest(abs_new)):  # NaN and inf both fail
                 raise NonFiniteStateError(f"non-finite state at t={t}")
             accepted += 1
             h_min, h_max = min(h_min, h_step), max(h_max, h_step)
@@ -484,7 +473,7 @@ def _rk_path(
         times.append(t_goal)
         states.append(y)
     h_range = (float(h_min), float(h_max)) if accepted else (None, None)
-    return times, states, RunStats(accepted, steps - accepted, 1 + len(plan) * steps, *h_range)
+    return times, states, RunStats(accepted, steps - accepted, 1 + (len(a) - 1) * steps, *h_range)
 
 
 def _integrate_core(
@@ -563,13 +552,15 @@ def lift_quotient_trajectory(
     return Trajectory(qt.times.copy(), states, derivatives=derivs)
 
 
-def _pairwise_max_dev(states: np.ndarray) -> np.ndarray:
-    """Symmetric matrix of each column pair's largest absolute gap over the rows."""
+def _pairwise_max_devs(states: np.ndarray, starts: list[int]) -> np.ndarray:
+    """Per window of rows from starts[w] (the first 0) up to the next, the
+    symmetric matrix of each column pair's largest absolute gap in it."""
     n = states.shape[1]
-    out = np.zeros((n, n))
+    out = np.zeros((len(starts), n, n))
     for i in range(n - 1):
-        out[i, i + 1 :] = np.abs(states[:, i + 1 :] - states[:, i : i + 1]).max(axis=0)
-    return np.maximum(out, out.T)
+        gaps = states[:, i + 1 :] - states[:, i : i + 1]
+        out[:, i, i + 1 :] = np.maximum.reduceat(np.abs(gaps, out=gaps), starts)
+    return np.maximum(out, out.transpose(0, 2, 1))
 
 
 def _merge_components(linked: np.ndarray) -> list[list[int]]:
@@ -651,22 +642,25 @@ def asymptotic_sync_clusters(
 
     Both partitions are found by sort-then-verify: the final phases are
     sorted and cut where neighbours sit max(tol, exact_tol) or more apart,
-    and one loop checks each run of two or more vertices over the whole
-    record, the tail and the window before it.  No block, cluster or listed
-    pair straddles a cut, so each run labels its groups on its own, and
-    vertices in different runs are desynchronised and left out of
-    pair_classes.  For n vertices and m rows the cost is O(n m + n log n),
-    plus O(r^2 m) for each run of r.
+    and one loop checks each run of two or more vertices in one pass over
+    the record, which takes each pair's largest gap in the rows before the
+    previous window, in that window and in the tail, whose maximum is the
+    whole record's.  No block, cluster or listed pair straddles a cut, so
+    each run labels its groups on its own, and vertices in different runs
+    are desynchronised and left out of pair_classes.  For n vertices and
+    m rows the cost is O(n m + n log n), plus O(r^2 m) for each run of r.
     """
     _check_sync_thresholds(exact_tol, tol, tail_fraction)
     times, states = traj.times, traj.states
-    n = traj.dimension
+    n, n_rows = traj.dimension, traj.n_recorded
     span = float(times[-1] - times[0])
     tail_lo = times[-1] - tail_fraction * span
     prev_lo = times[-1] - 2.0 * tail_fraction * span
-    tail_rows = np.nonzero(times >= tail_lo - 1e-12)[0]
-    prev_rows = np.nonzero((times >= prev_lo - 1e-12) & (times < tail_lo - 1e-12))[0]
-    short = tail_rows.size < 10
+    # row windows 0, 1, 2: before the previous window, the previous window, the tail
+    edges = [0, *np.searchsorted(times, [prev_lo - 1e-12, tail_lo - 1e-12]).tolist(), n_rows]
+    windows = [w for w in range(3) if edges[w] < edges[w + 1]]
+    tail_lo_row = edges[2]
+    short = n_rows - tail_lo_row < 10
     order = np.argsort(states[-1])
     # runs are cut where sorted final neighbours sit max(tol, exact_tol) or more
     # apart (or are not numbers); every exact- or tail-linked pair is closer at
@@ -676,7 +670,9 @@ def asymptotic_sync_clusters(
     for r in np.flatnonzero(np.diff(bounds) > 1).tolist():
         cols = np.sort(order[bounds[r] : bounds[r + 1]])
         sub = states[:, cols]
-        dev_full = _pairwise_max_dev(sub)
+        devs = _pairwise_max_devs(sub, [edges[w] for w in windows])
+        dev_full = np.maximum.reduce(devs)  # exact, and NaN wins
+        window_dev = dict(zip(windows, devs))
         for group in _merge_components(dev_full < exact_tol):
             block = cols[group] + 1
             exact_blocks.append(block.tolist())
@@ -687,10 +683,10 @@ def asymptotic_sync_clusters(
                 chains[exact_blocks[-1][0]] = list(zip(block[a].tolist(), block[b].tolist(), gaps))
         if short:
             continue
-        dev_tail = _pairwise_max_dev(sub[tail_rows])
+        dev_tail = window_dev[2]
         linked = dev_tail < tol
-        if prev_rows.size:
-            linked &= dev_tail <= _pairwise_max_dev(sub[prev_rows]) + 1e-12
+        if 1 in window_dev:
+            linked &= dev_tail <= window_dev[1] + 1e-12
         together = np.zeros_like(linked)
         for group in _merge_components(linked):
             block = cols[group]
@@ -699,8 +695,8 @@ def asymptotic_sync_clusters(
                 together[np.ix_(group, group)] = True
                 # a cluster's mean is taken over every row, then cut to the tail:
                 # a mean of the tail rows alone can differ in the last bit
-                mean = states[:, block].mean(axis=1)[tail_rows, None]
-                gap = np.abs(states[np.ix_(tail_rows, block)] - mean).max()
+                mean = states[:, block].mean(axis=1)[tail_lo_row:, None]
+                gap = np.abs(states[tail_lo_row:, block] - mean).max()
                 tail_dev[blocks[-1][0]] = float(gap)
         a, b = np.triu_indices(cols.size, 1)
         # a pair below exact_tol over every row is linked, so in one exact block
@@ -716,12 +712,12 @@ def asymptotic_sync_clusters(
     exact = _with_singletons(n, exact_blocks)
     chained = tuple(pair for block in exact.blocks for pair in chains.get(block[0], ()))
     if short:
-        skipped = f"tail window holds {tail_rows.size} recorded points, need at least 10"
+        skipped = f"tail window holds {n_rows - tail_lo_row} recorded points, need at least 10"
         return SyncReport(exact, exact_tol, chained, tail_fraction, tol, tail_skipped=skipped)
     clusters = _with_singletons(n, blocks)
     # a singleton's gap from itself: 0, or nan where its tail is not finite
     lone = [block[0] for block in clusters.blocks if len(block) == 1]
-    x = states[np.ix_(tail_rows, [v - 1 for v in lone])]
+    x = states[tail_lo_row:, [v - 1 for v in lone]]
     x -= x
     tail_dev.update(zip(lone, np.abs(x, out=x).max(axis=0).tolist()))
     return SyncReport(
@@ -782,12 +778,16 @@ def residual_max(g: Graph, traj: Trajectory, params: ModelParams) -> float:
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Header t,theta_1,...,theta_n; 17 significant digits throughout."""
+    """Header t,theta_1,...,theta_n; 17 significant digits throughout, about
+    4096 values per % call, each block of rows stacked only when formatted."""
     n = traj.dimension
     row = ",".join(["%.17g"] * (n + 1))
-    lines = ["t," + ",".join(f"theta_{i}" for i in range(1, n + 1))]
-    lines += [row % tuple(r) for r in np.column_stack((traj.times, traj.states)).tolist()]
-    return "\n".join(lines) + "\n"
+    rows = max(1, 4096 // (n + 1))
+    chunks = ["t," + ",".join(f"theta_{i}" for i in range(1, n + 1))]
+    for lo in range(0, traj.n_recorded, rows):
+        values = np.column_stack((traj.times[lo : lo + rows], traj.states[lo : lo + rows]))
+        chunks.append("\n".join([row] * len(values)) % tuple(values.ravel().tolist()))
+    return "\n".join(chunks + [""])
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

@@ -850,6 +850,28 @@ class TestExitCodes:
         assert "step budget exhausted" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "method, message",
+        [
+            (("--method", "rk4", "--dt", 0.1), "non-finite state at t=0.1"),
+            ((), "adaptive step fell below 1e-12 at t=0.0"),
+        ],
+        ids=["rk4", "rk45"],
+    )
+    def test_state_turning_non_finite_writes_nothing(self, tmp_path, capsys, method, message):
+        # lambda 1e308 overflows the first step's stage sums: rk4 accepts the
+        # step and stops at its finite check, rk45 rejects every NaN error norm
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(
+                "simulate", "--builtin", "complete:4",
+                "--alpha", 0.5, "--lambda", 1e308, "--init-random", "--seed", 0,
+                "--t-end", 1, *method, "--out", tmp_path / "x.csv",
+            )
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+        assert not (tmp_path / "x.sync.json").exists()
+
     def test_infinite_rk4_step(self, tmp_path):
         out = tmp_path / "x.csv"
         assert run(

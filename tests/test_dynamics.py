@@ -318,6 +318,15 @@ class TestIntegration:
         with pytest.raises(kp.NonFiniteStateError):
             kp.integrate(g, init, kp.ModelParams(alpha=0.5), kp.IntegratorConfig(t_end=1.0))
 
+    def test_state_turning_non_finite_mid_run(self):
+        # coupling 1e308 overflows the first step's stage sums; rk4 accepts
+        # every step, so the new state's own check stops the run
+        cfg = kp.IntegratorConfig(t_end=1.0, method="rk4", dt=0.1)
+        params = kp.ModelParams(alpha=0.5, coupling=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(kp.NonFiniteStateError, match=r"^non-finite state at t=0\.1$"):
+                kp.integrate(kp.complete_graph(4), [0.0, 1.0, 2.0, 3.0], params, cfg)
+
     def test_step_underflow(self):
         g = kp.cycle_graph(4)
         cfg = kp.IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-320)
@@ -341,32 +350,41 @@ class TestIntegration:
             kp.integrate(kp.cycle_graph(4), init, kp.ModelParams(alpha=0.5), kp.IntegratorConfig(t_end=1.0))
 
 
+def _stage_row_recorder(g):
+    """The graph's right-hand side and the list of the out addresses it
+    was called with, one per evaluation."""
+    rhs = dyn._graph_rhs(g, kp.ModelParams(alpha=0.7))
+    addresses = []
+
+    def f(y, out=None):
+        addresses.append(out.__array_interface__["data"][0])
+        return rhs(y, out)
+
+    return f, addresses
+
+
+def _attempts(addresses, n):
+    """Attempted rk45 steps from the stage rows written: the first call
+    fills row 0 of the stage matrix, then each attempt fills rows 1 to 6 in
+    order and never row 0, which takes the last stage of the step before
+    (FSAL)."""
+    rows = [(a - addresses[0]) // (8 * n) for a in addresses]
+    attempts = (len(rows) - 1) // 6
+    assert rows == [0] + [1, 2, 3, 4, 5, 6] * attempts
+    return attempts
+
+
 class TestRunStats:
-    def test_rk45_counts_every_attempt_and_rhs_call(self, monkeypatch):
-        from kurapart import dynamics as dyn
-
-        attempts = []
-        stages = dyn._rk_stages
-
-        def counting_stages(*args):
-            attempts.append(1)  # the stage loop runs once per attempted step
-            return stages(*args)
-
-        monkeypatch.setattr(dyn, "_rk_stages", counting_stages)
-        rhs = dyn._graph_rhs(kp.cycle_graph(6), kp.ModelParams(alpha=0.7))
-        calls = []
-
-        def f(y, out=None):
-            calls.append(1)
-            return rhs(y, out)
-
+    def test_rk45_counts_every_attempt_and_rhs_call(self):
+        f, addresses = _stage_row_recorder(kp.cycle_graph(6))
         cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
         init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
         traj = dyn._integrate_core(f, init, cfg, None)
         stats = traj.stats
+        attempts = _attempts(addresses, 6)
         assert stats.rejected > 0
-        assert stats.accepted + stats.rejected == len(attempts)
-        assert stats.rhs_calls == len(calls) == 1 + 6 * len(attempts)
+        assert stats.accepted + stats.rejected == attempts
+        assert stats.rhs_calls == len(addresses) == 1 + 6 * attempts
         # record_every 1 records every accepted step
         assert stats.accepted == traj.n_recorded - 1
         h = np.diff(traj.times)
@@ -705,6 +723,14 @@ class TestTrajectoryCsv:
         for traj in trajs:
             assert kp.trajectory_to_csv(traj) == trajectory_to_csv_slow(traj)
 
+    @pytest.mark.parametrize("n, m", [(1, 4097), (100, 40), (100, 81), (4095, 3), (5000, 2)])
+    def test_bytes_match_per_value_writer_across_blocks(self, n, m):
+        # blocks of 4096 // (n + 1) rows: full blocks, a short last block, one row each
+        rng = np.random.default_rng(n + m)
+        times = np.r_[0.0, np.cumsum(rng.uniform(1e-3, 1.0, m - 1))]
+        traj = kp.Trajectory(times, rng.normal(0.0, 10.0, (m, n)))
+        assert kp.trajectory_to_csv(traj) == trajectory_to_csv_slow(traj)
+
     def test_bytes_match_per_value_writer_on_special_values(self):
         values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, 0.1]
         states = np.array([values, values[::-1]])
@@ -714,8 +740,9 @@ class TestTrajectoryCsv:
         assert ",-0," in text and ",4.9406564584124654e-324," in text and ",nan," in text
 
 
-def _assert_sync_matches_oracle(traj, **kw):
-    """Sort-then-verify against the all-pairs oracle, desynchronised pairs left out."""
+def _assert_sync_matches_oracle(traj, short_rows=1, **kw):
+    """Sort-then-verify against the all-pairs oracle, desynchronised pairs
+    left out; short_rows is the tail length of the record's first 5 rows."""
     new = kp.asymptotic_sync_clusters(traj, **kw)
     old = sync_report_slow(traj, **kw)
     assert new.exact_partition == old.exact_partition
@@ -730,7 +757,7 @@ def _assert_sync_matches_oracle(traj, **kw):
     short, short_old = kp.asymptotic_sync_clusters(prefix, **kw), sync_report_slow(prefix, **kw)
     assert (short.exact_partition, short.chained_pairs) == exact_sync_chains_slow(prefix, exact_tol)
     assert short._asdict() == short_old._asdict()
-    assert short.tail_skipped == "tail window holds 1 recorded points, need at least 10"
+    assert short.tail_skipped == f"tail window holds {short_rows} recorded points, need at least 10"
     return new
 
 
@@ -878,7 +905,38 @@ class TestSyncOracle:
             traj = kp.integrate(g, init, params, cfg, t_eval=grid)
             for kw in ({"exact_tol": 1e-6}, {"exact_tol": 1e-8, "tol": 1e-3}):
                 listed += len(_assert_sync_matches_oracle(traj, **kw).pair_classes)
+            _assert_sync_matches_oracle(traj, short_rows=3, tail_fraction=0.5, exact_tol=1e-6)
         assert listed > 0
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC_SYNC_CASES))
+    def test_half_tail_leaves_no_rows_before_the_previous_window(self, name):
+        # the previous window then starts at the first row
+        traj, kw = SYNTHETIC_SYNC_CASES[name]
+        with np.errstate(invalid="ignore"):
+            _assert_sync_matches_oracle(traj, short_rows=3, tail_fraction=0.5, **kw)
+
+    def test_record_without_a_previous_window(self):
+        # the previous window [0.6, 0.8) holds no row, the rows before it only t = 0
+        t = np.r_[0.0, np.linspace(0.9, 1.0, 12)]
+        cols = [0.1 * t, 0.1 * t + 1e-5 * (1.0 - t), 0.1 * t + 3e-9, 0.1 * t + 1e-3]
+        cols.append(cols[3] + np.where(t == 0.0, 1e-3, 0.0))
+        traj = kp.Trajectory(t, np.column_stack(cols))
+        rep = _assert_sync_matches_oracle(traj, short_rows=4, exact_tol=1e-6)
+        assert rep.exact_partition.blocks == ((1, 3), (2,), (4,), (5,))
+        assert rep.clusters.blocks == ((1, 2, 3), (4, 5))
+
+    def test_nan_inside_the_tail(self):
+        # finite final phases in one sorted run: a NaN in the tail unlinks its
+        # vertex, one before the tail splits only the exact partition
+        t = np.linspace(0.0, 50.0, 101)
+        cols = [0.1 * t, np.where(t == 45.0, math.nan, 0.1 * t), 0.1 * t + 5e-5, 0.1 * t]
+        cols[3] = np.where(t == 10.0, math.nan, cols[3])
+        traj = kp.Trajectory(t, np.column_stack(cols))
+        with np.errstate(invalid="ignore"):
+            rep = _assert_sync_matches_oracle(traj)
+        assert rep.exact_partition.k == 4
+        assert rep.clusters.blocks == ((1, 3, 4), (2,))
+        assert math.isnan(rep.tail_max_deviation[1])
 
     def test_memory_stays_linear_in_n(self):
         # one n x n float64 matrix at n = 3000 would be 72 MB
@@ -1192,6 +1250,50 @@ class TestIntegratorMatchesSlowOracle:
         assert (got.stats.accepted == 0) == (name == "rk4-horizon-below-tolerance")
 
     @pytest.mark.parametrize(
+        "g, params, cfg, init, budget",
+        [
+            # coupling 1e308 overflows the stage sums to a NaN error norm,
+            # which rejects every step until the step underflows
+            (
+                kp.complete_graph(4),
+                kp.ModelParams(alpha=0.5, coupling=1e308),
+                kp.IntegratorConfig(t_end=1.0),
+                [0.0, 1.0, 2.0, 3.0],
+                None,
+            ),
+            (
+                kp.cycle_graph(4),
+                kp.ModelParams(alpha=0.5),
+                kp.IntegratorConfig(t_end=1.0, rel_tol=1e-300, abs_tol=1e-320),
+                [0.0, 1.3, 2.1, 0.4],
+                None,
+            ),
+            (
+                kp.cycle_graph(4),
+                kp.ModelParams(alpha=0.5),
+                kp.IntegratorConfig(t_end=1.0),
+                [0.0, 1.3, 2.1, 0.4],
+                5,
+            ),
+        ],
+        ids=["nan-error-norm", "step-underflow", "step-budget"],
+    )
+    def test_failures_match(self, monkeypatch, g, params, cfg, init, budget):
+        if budget is not None:
+            monkeypatch.setattr(dyn, "MAX_ADAPTIVE_STEPS", budget)
+        failures = []
+        for run in (
+            lambda: kp.integrate(g, init, params, cfg),
+            lambda: integrate_slow(graph_rhs_slow(g, params), init, cfg),
+        ):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(kp.KurapartError) as exc:
+                    run()
+            failures.append((type(exc.value), str(exc.value)))
+        assert failures[0] == failures[1]
+        assert failures[0][0] is kp.StepUnderflowError
+
+    @pytest.mark.parametrize(
         "name, dense",
         [
             ("complete:48", True),
@@ -1258,30 +1360,14 @@ class TestRhsBuffers:
 
 
 class TestIntegratorOracles:
-    def test_rk45_is_fsal_six_calls_per_attempt(self, monkeypatch):
-        from kurapart import dynamics as dyn
-
-        attempts = []
-        stages = dyn._rk_stages
-
-        def counting_stages(*args):
-            attempts.append(1)  # the stage loop runs once per attempted step
-            return stages(*args)
-
-        monkeypatch.setattr(dyn, "_rk_stages", counting_stages)
-        g = kp.cycle_graph(6)
-        rhs = dyn._graph_rhs(g, kp.ModelParams(alpha=0.7))
-        calls = []
-
-        def f(y, out=None):
-            calls.append(1)
-            return rhs(y, out)
-
+    def test_rk45_is_fsal_six_calls_per_attempt(self):
+        f, addresses = _stage_row_recorder(kp.cycle_graph(6))
         cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
         init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
         times, _, _ = dyn._rk_path(f, init, cfg, None)
-        assert len(attempts) > len(times) - 1  # at least one step was rejected
-        assert len(calls) == 1 + 6 * len(attempts)
+        attempts = _attempts(addresses, 6)
+        assert attempts > len(times) - 1  # at least one step was rejected
+        assert len(addresses) == 1 + 6 * attempts
 
     def test_rk45_matches_scipy_dop853(self):
         integrate_mod = pytest.importorskip("scipy.integrate")
