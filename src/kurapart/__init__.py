@@ -57,9 +57,7 @@ _EXPORTS = {
         "path_graph",
         "petersen_graph",
         "read_edge_list",
-        "write_edge_list",
         "partition_from_json",
-        "partition_to_json",
     ),
     "dynamics": (
         "ModelParams",
@@ -77,7 +75,6 @@ _EXPORTS = {
         "analytic_regular_solution",
         "residual_max",
         "trajectory_to_csv",
-        "trajectory_from_csv",
     ),
     "bipartition_analysis": (
         "Classification",

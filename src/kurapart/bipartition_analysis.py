@@ -319,11 +319,9 @@ def classify_bipartition(g: Graph, bip: VertexPartition) -> BipartitionClassific
     if bip.k != 2:
         raise NotBipartitionError(f"need exactly 2 blocks, got {bip.k}")
     # block positions are 0 / 1, so the index is the second block's indicator
-    counts, index = _block_counts(g, bip)
-    # tolist hands the rule Python ints, never numpy scalars
-    rows = counts.tolist()
+    rows, index = _block_counts(g, bip)
     # (in_s2, d_cross, d_in): a row is (to_s1, to_s2)
-    row = _solve((side, counts[1 - side], counts[side]) for side, counts in zip(index.tolist(), rows))
+    row = _solve((side, counts[1 - side], counts[side]) for side, counts in zip(index, rows))
     return _classified(_NO_SOLUTION if row is None else _solution(*row), *bip.blocks)
 
 

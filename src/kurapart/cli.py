@@ -12,8 +12,9 @@ gets the mode a plain open would give it (0o666 less the umask).
 Only graph_core is imported up front.  Each subcommand imports the layers
 it uses when it runs, so `search` never loads the integrator and
 `simulate` loads the bipartition layer only for a certificate.  numpy is
-imported only by `simulate` and `verify`, and by the layers when they build
-arrays, so `search` runs without it.
+imported only by `simulate`, `verify` and the functions that run the
+dynamics, so `search`, and `analyze` of a row with no certificate to check,
+run without it.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ step and evaluation counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
@@ -24,7 +25,6 @@ from .errors import (
     BadParameterError,
     DimensionMismatchError,
     EmptyTrajectoryError,
-    FormatError,
     NonFiniteStateError,
     StepUnderflowError,
     TooShortError,
@@ -305,14 +305,22 @@ def _coupling_rhs(
     return f_sparse
 
 
+def _arcs(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (src, dst) arrays holding both directions of every edge,
+    sorted by (dst, src): each vertex's sorted neighbours in turn."""
+    degrees = [len(a) for a in g.adjacency[1:]]
+    src = np.fromiter(itertools.chain.from_iterable(g.adjacency), np.intp, sum(degrees))
+    return src - 1, np.repeat(np.arange(g.n, dtype=np.intp), degrees)
+
+
 def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
     # each vertex pulled by its sorted neighbours, unit weight
-    return _coupling_rhs(*g._arcs, None, g.n, *params)
+    return _coupling_rhs(*_arcs(g), None, g.n, *params)
 
 
 def _gamma_rhs(gamma: QuotientMatrix, alpha: float) -> Rhs:
     # block j pulls block i with weight gamma_ij; nonzero() yields (dst, src) order
-    gm = gamma.as_array()
+    gm = np.array(gamma.gamma, dtype=float)
     dst, src = np.nonzero(gm)
     return _coupling_rhs(src, dst, gm[dst, src], gamma.k, alpha)
 
@@ -415,9 +423,10 @@ def _rk_path(
     # numpy bound once per run, outputs passed positionally
     dot, multiply, add, divide, absolute = np.dot, np.multiply, np.add, np.divide, np.absolute
     maximum, largest, rel_tol, abs_tol = np.maximum, np.maximum.reduce, cfg.rel_tol, cfg.abs_tol
-    f(y, k[0])
-    # the error norm may overflow to inf, which rejects the step
-    with np.errstate(over="ignore"):
+    # a derivative, state or error norm that overflows to inf or NaN is
+    # reported below: the norm rejects the step, the finite check the state
+    with np.errstate(over="ignore", invalid="ignore"):
+        f(y, k[0])
         while t < t_goal and steps < budget:
             steps += 1
             if adaptive:
@@ -789,24 +798,3 @@ def trajectory_to_csv(traj: Trajectory) -> str:
         chunks.append("\n".join([row] * len(values)) % tuple(values.ravel().tolist()))
     return "\n".join(chunks + [""])
 
-
-def trajectory_from_csv(text: str) -> Trajectory:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty trajectory file")
-    header = lines[0].split(",")
-    if header[0] != "t" or len(header) < 2:
-        raise FormatError(f"bad trajectory header {lines[0]!r}")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise FormatError(f"row width {len(parts)} does not match header")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError:
-            raise FormatError(f"non-numeric value in row {ln!r}") from None
-    data = np.array(rows)
-    if data.size == 0:
-        raise FormatError("trajectory file has no data rows")
-    return Trajectory(data[:, 0], data[:, 1:])

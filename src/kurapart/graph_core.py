@@ -4,17 +4,16 @@ Vertices are labelled 1..n everywhere a caller can see them.  Graphs are
 simple, undirected, and connected; connectivity is enforced at construction
 so downstream dynamics never has to special-case isolated components.
 
-numpy is imported by the functions that build arrays, when they run: a
-graph is built from Python tuples alone and makes its (src, dst) arc
-arrays on first use, so the bipartition search never loads numpy.  Each
-right-hand side in dynamics builds its own kernel arrays from those arcs.
+Graphs, partitions and neighbour counts are Python ints and tuples.  The
+one count table, each vertex's neighbours per block, is taken by one pass
+over the adjacency, and no array is built here: the arc arrays the
+right-hand sides need are built in dynamics.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import _EXPORTS
 from .errors import (
@@ -26,9 +25,6 @@ from .errors import (
     SelfLoopError,
     VertexOutOfRangeError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = list(_EXPORTS["graph_core"])
 
@@ -91,30 +87,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u] if 1 <= u <= self.n else False
-
-    @functools.cached_property
-    def _arcs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only 0-based (src, dst) arrays holding both directions of
-        every edge, sorted by (dst, src); built on first use and kept."""
-        import numpy as np
-
-        src = np.array([u - 1 for a in self.adjacency[1:] for u in a], dtype=np.intp)
-        dst = np.repeat(np.arange(self.n, dtype=np.intp), [len(a) for a in self.adjacency[1:]])
-        src.flags.writeable = dst.flags.writeable = False
-        return src, dst
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix A with A[i-1, j-1] = 1 iff i ~ j; a fresh,
-        writable array filled from _arcs by one indexed assignment."""
-        import numpy as np
-
-        src, dst = self._arcs
-        a = np.zeros((self.n, self.n))
-        a[dst, src] = 1.0
-        return a
-
 
 def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from unordered vertex pairs; duplicates collapse."""
@@ -162,15 +134,6 @@ class VertexPartition(_Blocks):
         """Vertex -> block position."""
         return {v: i for i, b in enumerate(self.blocks) for v in b}
 
-    def refines(self, other: "VertexPartition") -> bool:
-        """True when every block here sits inside a single block of other."""
-        omap = other.index_map()
-        for b in self.blocks:
-            targets = {omap.get(v) for v in b}
-            if len(targets) != 1 or None in targets:
-                return False
-        return True
-
 
 def _check_count(name: str, count: object) -> None:
     """Graph's and the named constructors' one check of a count's type."""
@@ -184,7 +147,7 @@ def _few(labels: list[int], shown: int = 10) -> str:
     return ", ".join(map(str, labels[:shown])) + more
 
 
-def _block_index(p: VertexPartition, n: int) -> np.ndarray:
+def _block_index(p: VertexPartition, n: int) -> list[int]:
     """Block position of each vertex, indexed by v - 1, after checking that
     p partitions exactly 1..n.
 
@@ -196,11 +159,10 @@ def _block_index(p: VertexPartition, n: int) -> np.ndarray:
     top = max(b[-1] for b in p.blocks)
     if count != n or top != n:
         raise PartitionMismatchError(f"partition has {count} vertices up to {top}, graph has 1..{n}")
-    import numpy as np
-
-    labels = np.fromiter(itertools.chain.from_iterable(p.blocks), np.intp, n)
-    index = np.empty(n, dtype=np.intp)
-    index[labels - 1] = np.repeat(np.arange(p.k), [len(b) for b in p.blocks])
+    index = [0] * n
+    for i, b in enumerate(p.blocks):
+        for v in b:
+            index[v - 1] = i
     return index
 
 
@@ -220,11 +182,6 @@ class DegreeProfile(NamedTuple):
     def row(self, v: int) -> tuple[int, ...]:
         return self.delta[v - 1]
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.delta, dtype=int)
-
 
 class QuotientMatrix(NamedTuple):
     """Block-to-block neighbour counts of an equitable partition."""
@@ -235,35 +192,33 @@ class QuotientMatrix(NamedTuple):
     def k(self) -> int:
         return len(self.gamma)
 
-    def as_array(self) -> np.ndarray:
-        import numpy as np
 
-        return np.array(self.gamma, dtype=float)
-
-
-def _block_counts(g: Graph, p: VertexPartition) -> tuple[np.ndarray, np.ndarray]:
-    """(n, k) int64 counts of each vertex's neighbours (row v - 1) in each
-    block of p, from one bincount over the arcs, and _block_index(p, g.n)."""
-    import numpy as np
-
+def _block_counts(g: Graph, p: VertexPartition) -> tuple[list[list[int]], list[int]]:
+    """The count table: row v - 1 counts vertex v's neighbours in each block
+    of p, taken by one pass over the adjacency; and _block_index(p, g.n)."""
     index = _block_index(p, g.n)
-    src, dst = g._arcs
-    return np.bincount(dst * p.k + index[src], minlength=g.n * p.k).reshape(g.n, p.k), index
+    rows = []
+    for nbrs in g.adjacency[1:]:
+        row = [0] * p.k
+        for w in nbrs:
+            row[index[w - 1]] += 1
+        rows.append(row)
+    return rows, index
 
 
 def degree_profile(g: Graph, p: VertexPartition) -> DegreeProfile:
     """Count each vertex's neighbours per block of p."""
-    return DegreeProfile(tuple(map(tuple, _block_counts(g, p)[0].tolist())))
+    return DegreeProfile(tuple(map(tuple, _block_counts(g, p)[0])))
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> QuotientMatrix | None:
     """Return the quotient matrix when every block sees constant counts, else
     None: each vertex's counts must equal its block's first vertex's."""
-    counts, index = _block_counts(g, p)
-    gamma = counts[[b[0] - 1 for b in p.blocks]]
-    if (counts != gamma[index]).any():
+    rows, index = _block_counts(g, p)
+    gamma = [rows[b[0] - 1] for b in p.blocks]
+    if any(row != gamma[i] for row, i in zip(rows, index)):
         return None
-    return QuotientMatrix(tuple(map(tuple, gamma.tolist())))
+    return QuotientMatrix(tuple(map(tuple, gamma)))
 
 
 def coarsest_equitable_refinement(g: Graph, seed: VertexPartition) -> VertexPartition:
@@ -280,7 +235,7 @@ def coarsest_equitable_refinement(g: Graph, seed: VertexPartition) -> VertexPart
     pass costs O(|E| log Delta); refinement stops at the first pass that
     splits no block.
     """
-    label = _block_index(seed, g.n).tolist()
+    label = _block_index(seed, g.n)
     k = seed.k
     while True:
         keys: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -429,12 +384,6 @@ def read_edge_list(text: str, check_n: Callable[[int], None] | None = None) -> G
     return from_edge_list(n, zip(labels[::2], labels[1::2]))
 
 
-def write_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def partition_from_json(text: str) -> VertexPartition:
     """Parse {"blocks": [[...], ...]} into a partition."""
     import json
@@ -454,8 +403,3 @@ def partition_from_json(text: str) -> VertexPartition:
                 raise FormatError(f"non-integer vertex {v!r}")
     return VertexPartition.from_blocks(blocks)
 
-
-def partition_to_json(p: VertexPartition) -> str:
-    import json
-
-    return json.dumps({"blocks": [list(b) for b in p.blocks]})

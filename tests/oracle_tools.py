@@ -8,6 +8,7 @@ appearing on both sides of an assertion.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,6 +21,7 @@ from kurapart import (
     Classification,
     Condition2Certificate,
     FamilySegment,
+    FormatError,
     Graph,
     NonFiniteStateError,
     RunStats,
@@ -43,6 +45,26 @@ def adjacency_sets(g: Graph) -> dict[int, set[int]]:
         nbrs[u].add(v)
         nbrs[v].add(u)
     return nbrs
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return 1 <= u <= g.n and v in g.adjacency[u]
+
+
+def refines(fine: VertexPartition, coarse: VertexPartition) -> bool:
+    """True when every block of fine sits inside a single block of coarse."""
+    where = coarse.index_map()
+    return all(b[0] in where and len({where.get(v) for v in b}) == 1 for b in fine.blocks)
+
+
+def write_edge_list(g: Graph) -> str:
+    """The 'n <count>' header, then one 'u v' line per edge: read_edge_list's format."""
+    return "".join([f"n {g.n}\n", *(f"{u} {v}\n" for u, v in g.edges)])
+
+
+def partition_to_json(p: VertexPartition) -> str:
+    """{"blocks": [[...], ...]}: partition_from_json's format."""
+    return json.dumps({"blocks": [list(b) for b in p.blocks]})
 
 
 def adjacency_matrix_slow(g: Graph) -> np.ndarray:
@@ -546,6 +568,30 @@ def trajectory_to_csv_slow(traj: Trajectory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def trajectory_from_csv(text: str) -> Trajectory:
+    """Parse trajectory_to_csv's format: header t,theta_1,...,theta_n, then
+    one row of floats per recorded time."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty trajectory file")
+    header = lines[0].split(",")
+    if header[0] != "t" or len(header) < 2:
+        raise FormatError(f"bad trajectory header {lines[0]!r}")
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(header):
+            raise FormatError(f"row width {len(parts)} does not match header")
+        try:
+            rows.append([float(x) for x in parts])
+        except ValueError:
+            raise FormatError(f"non-numeric value in row {ln!r}") from None
+    if not rows:
+        raise FormatError("trajectory file has no data rows")
+    data = np.array(rows)
+    return Trajectory(data[:, 0], data[:, 1:])
+
+
 # The integrator as it stood before its right-hand sides kept their work
 # arrays: every call allocates its own, and every stage slices the tableau.
 # The arithmetic is the same, so results must agree bit for bit.
@@ -594,7 +640,7 @@ def graph_rhs_slow(g: Graph, params):
 
 
 def gamma_rhs_slow(gamma, alpha: float):
-    gm = gamma.as_array()
+    gm = np.array(gamma.gamma, dtype=float)
     dst, src = np.nonzero(gm)
     return coupling_rhs_slow(
         src, interleaved_bins_slow(dst), np.repeat(gm[dst, src], 2), lambda: gm, gamma.k, alpha

@@ -690,15 +690,17 @@ class TestBatchSearch:
             assert json.loads(text)["mu1"] == str(gains[0])
 
     def test_degree_past_exact_int64_products_classified(self):
-        # a multigraph faked through its arcs: vertex 1 has degree 3a + 3 >=
-        # 2**21, past where the tests' int64 batch oracle is exact; the count
-        # points of block {2, 3, 4} lie on a line of slope -1
+        # a multigraph faked through its adjacency: vertex 1 has degree
+        # 3a + 3 >= 2**21, past where the tests' int64 batch oracle is exact;
+        # the count points of block {2, 3, 4} lie on a line of slope -1
         a = (1 << 21) // 3
         g = kp.path_graph(4)
-        times = {(0, 1): a + 2, (0, 2): a + 1, (0, 3): a, (1, 2): 1, (1, 3): 2, (2, 3): 3}
-        u, v = np.array(list(times), dtype=np.intp).T
-        count = 2 * list(times.values())
-        object.__setattr__(g, "_arcs", (np.repeat(np.r_[u, v], count), np.repeat(np.r_[v, u], count)))
+        times = {(1, 2): a + 2, (1, 3): a + 1, (1, 4): a, (2, 3): 1, (2, 4): 2, (3, 4): 3}
+        adjacency = [[] for _ in range(g.n + 1)]
+        for (u, v), count in times.items():
+            adjacency[u] += [v] * count
+            adjacency[v] += [u] * count
+        object.__setattr__(g, "adjacency", tuple(map(tuple, adjacency)))
         part = kp.VertexPartition.from_blocks([[1], [2, 3, 4]])
         assert kp.degree_profile(g, part).delta == ((0, 3 * a + 3), (a + 2, 3), (a + 1, 4), (a, 5))
         res = kp.classify_bipartition(g, part)

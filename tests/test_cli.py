@@ -18,7 +18,7 @@ import kurapart as kp
 from kurapart import bipartition_analysis as ban
 from kurapart import cli
 from kurapart.cli import _sync_report_json, main
-from oracle_tools import sync_report_slow
+from oracle_tools import sync_report_slow, trajectory_from_csv
 
 
 def run(*argv):
@@ -57,7 +57,7 @@ class TestSimulate:
             "--out", out,
         )
         assert code == 0
-        traj = kp.trajectory_from_csv(out.read_text())
+        traj = trajectory_from_csv(out.read_text())
         assert traj.dimension == 9
         assert traj.times[-1] == 10.0
         report = json.loads((tmp_path / "traj.sync.json").read_text())
@@ -137,7 +137,7 @@ class TestSimulate:
         )
         assert code == 0
         want = np.random.Generator(np.random.PCG64(seed)).uniform(0.0, 2.0 * math.pi, 7)
-        first = kp.trajectory_from_csv(out.read_text()).initial_state()
+        first = trajectory_from_csv(out.read_text()).initial_state()
         assert first.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
     def test_init_blocks(self, tmp_path):
@@ -148,7 +148,7 @@ class TestSimulate:
             "--t-end", 1, "--out", out,
         )
         assert code == 0
-        traj = kp.trajectory_from_csv(out.read_text())
+        traj = trajectory_from_csv(out.read_text())
         assert traj.initial_state()[0] == 0.0
         assert np.all(traj.initial_state()[1:] == 1.0)
 
@@ -161,7 +161,7 @@ class TestSimulate:
             "--t-end", 1, "--out", out,
         )
         assert code == 0
-        traj = kp.trajectory_from_csv(out.read_text())
+        traj = trajectory_from_csv(out.read_text())
         assert traj.n_recorded == 11
 
     @pytest.mark.parametrize(
@@ -182,7 +182,7 @@ class TestSimulate:
         steps = solver["accepted"] + solver["rejected"]
         assert solver["rhs_calls"] == 1 + per_step * steps
         # record_every 1 records every accepted step after the initial row
-        assert solver["accepted"] == kp.trajectory_from_csv(out.read_text()).n_recorded - 1
+        assert solver["accepted"] == trajectory_from_csv(out.read_text()).n_recorded - 1
         assert solver["method"] == method
         assert (solver["rel_tol"], solver["abs_tol"]) == (1e-9, 1e-11)
         assert solver["dt"] == (0.1 if method == "rk4" else None)
@@ -597,8 +597,19 @@ class TestStartUp:
                 ["search", "--builtin", "cycle:8", "--out", "x.txt"],
                 ["kurapart.dynamics", "numpy", *POOL, "dataclasses", "inspect", "json"],
             ),
+            (
+                # an uncertified row: its counts are Python ints
+                ["analyze", "--builtin", "star:5", "--report", "x.json"],
+                ["kurapart.dynamics", "numpy", *POOL, "dataclasses"],
+            ),
+            (
+                # a certified row loads the integrator for its residual,
+                # which TestAnalyze checks
+                ["analyze", "--builtin", "latoro", "--report", "x.json"],
+                [*POOL, "dataclasses"],
+            ),
         ],
-        ids=["import-cli", "simulate-random", "search"],
+        ids=["import-cli", "simulate-random", "search", "analyze-uncertified", "analyze-certified"],
     )
     def test_run_leaves_other_layers_unloaded(self, tmp_path, argv, unloaded):
         probe = (
@@ -850,6 +861,7 @@ class TestExitCodes:
         assert "step budget exhausted" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("graph", ["complete:4", "cycle:200"], ids=["dense", "sparse"])
     @pytest.mark.parametrize(
         "method, message",
         [
@@ -858,19 +870,19 @@ class TestExitCodes:
         ],
         ids=["rk4", "rk45"],
     )
-    def test_state_turning_non_finite_writes_nothing(self, tmp_path, capsys, method, message):
+    def test_state_turning_non_finite_writes_nothing(self, tmp_path, graph, method, message):
         # lambda 1e308 overflows the first step's stage sums: rk4 accepts the
-        # step and stops at its finite check, rk45 rejects every NaN error norm
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run(
-                "simulate", "--builtin", "complete:4",
-                "--alpha", 0.5, "--lambda", 1e308, "--init-random", "--seed", 0,
-                "--t-end", 1, *method, "--out", tmp_path / "x.csv",
-            )
-        assert code == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "x.csv").exists()
-        assert not (tmp_path / "x.sync.json").exists()
+        # step and stops at its finite check, rk45 rejects every NaN error norm.
+        # Under -W error a numpy RuntimeWarning on the way would end the run
+        # with a traceback and exit 1 instead
+        child = _child(
+            "-W", "error", "-m", "kurapart.cli", "simulate", "--builtin", graph,
+            "--alpha", 0.5, "--lambda", 1e308, "--init-random", "--seed", 0,
+            "--t-end", 1, *method, "--out", "x.csv", cwd=tmp_path,
+        )
+        assert child.returncode == 4
+        assert child.stderr.decode() == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_infinite_rk4_step(self, tmp_path):
         out = tmp_path / "x.csv"

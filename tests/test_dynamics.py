@@ -14,6 +14,7 @@ from oracle_tools import (
     random_connected_graph,
     residual_max_slow,
     sync_report_slow,
+    trajectory_from_csv,
     trajectory_to_csv_slow,
 )
 
@@ -418,7 +419,7 @@ class TestRunStats:
         assert traj.stats is not None
         text = kp.trajectory_to_csv(traj)
         assert text == kp.trajectory_to_csv(kp.Trajectory(traj.times, traj.states))
-        assert kp.trajectory_from_csv(text).stats is None
+        assert trajectory_from_csv(text).stats is None
 
 
 class TestQuotientIntegration:
@@ -687,7 +688,7 @@ class TestTrajectoryCsv:
         init = np.array([0.0, 1.0, 2.0])
         cfg = kp.IntegratorConfig(t_end=1.0)
         traj = kp.integrate(g, init, kp.ModelParams(alpha=0.5), cfg)
-        again = kp.trajectory_from_csv(kp.trajectory_to_csv(traj))
+        again = trajectory_from_csv(kp.trajectory_to_csv(traj))
         assert np.array_equal(again.times, traj.times)
         assert np.array_equal(again.states, traj.states)
 
@@ -698,9 +699,9 @@ class TestTrajectoryCsv:
 
     def test_malformed_rejected(self):
         with pytest.raises(kp.FormatError):
-            kp.trajectory_from_csv("t,theta_1\n0,not_a_number\n")
+            trajectory_from_csv("t,theta_1\n0,not_a_number\n")
         with pytest.raises(kp.FormatError):
-            kp.trajectory_from_csv("wrong,header\n0,1\n")
+            trajectory_from_csv("wrong,header\n0,1\n")
         for text, message in [
             ("", "empty trajectory file"),
             ("\n  \n", "empty trajectory file"),
@@ -708,7 +709,7 @@ class TestTrajectoryCsv:
             ("t,theta_1,theta_2\n", "no data rows"),
         ]:
             with pytest.raises(kp.FormatError, match=message):
-                kp.trajectory_from_csv(text)
+                trajectory_from_csv(text)
 
 
     def test_bytes_match_per_value_writer(self):
@@ -1007,7 +1008,7 @@ class TestRhsOracles:
 
     def test_single_vertex_has_no_arcs(self):
         g = kp.Graph(1, ())
-        assert g._arcs[0].size == 0
+        assert dyn._arcs(g)[0].size == 0
         params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
         for theta in ([0.0], [-4000.0]):
             got = kp.kuramoto_rhs(g, theta, params)
@@ -1044,21 +1045,22 @@ class TestRhsOracles:
         full = kp.kuramoto_rhs(kp.complete_graph(48), np.full(48, f0), kp.ModelParams(alpha=1.0))
         assert np.allclose(full, got[0], rtol=0, atol=1e-13)
 
-    def test_kuramoto_rhs_reuses_the_graph_arcs(self):
-        # the arcs are built once with the graph, read-only, and give one answer
-        g = kp.cycle_graph(200)
-        src, dst = g._arcs
-        assert g._arcs[0] is src and g._arcs[1] is dst
-        assert not src.flags.writeable and not dst.flags.writeable
-        assert sorted(zip(dst.tolist(), src.tolist())) == sorted(
-            (v - 1, u - 1) for v in range(1, g.n + 1) for u in g.neighbors(v)
+    @pytest.mark.parametrize(
+        "g", [kp.cycle_graph(200), kp.complete_graph(48)], ids=["cycle:200", "complete:48"]
+    )
+    def test_arcs_sorted_by_dst_then_src_give_one_answer(self, g):
+        # the sparse kernel sums in arc order, so the order fixes the bits
+        src, dst = dyn._arcs(g)
+        assert src.dtype == dst.dtype == np.intp
+        assert list(zip(dst.tolist(), src.tolist())) == sorted(
+            (v - 1, u - 1) for a, b in g.edges for u, v in ((a, b), (b, a))
         )
         theta = np.random.default_rng(1).uniform(0.0, 2 * math.pi, g.n)
         params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
         first = kp.kuramoto_rhs(g, theta, params)
         for _ in range(3):
             assert np.array_equal(kp.kuramoto_rhs(g, theta, params), first)
-        assert g._arcs[0] is src
+        assert np.array_equal(first, graph_rhs_slow(g, params)(theta))
 
 
 def _random_dense_graph(seed):
@@ -1101,7 +1103,7 @@ class TestNeighbourSumKernels:
         ids=["cycle:200", "cycle:2000", "complete:48", "random-dense-41", "random-dense-42"],
     )
     def test_rule_picks_the_kernel(self, g, dense):
-        assert dyn._dense_sums(g._arcs[0].size, g.n) is dense
+        assert dyn._dense_sums(dyn._arcs(g)[0].size, g.n) is dense
 
     def test_dense_rhs_reuses_the_matrix(self):
         # integration calls one f many times: only building it pays for W
@@ -1307,9 +1309,9 @@ class TestIntegratorMatchesSlowOracle:
     def test_cases_cover_both_kernels(self, name, dense):
         system = _SLOW_ORACLE_CASES[name][0]
         if isinstance(system, kp.QuotientMatrix):
-            n_arcs, n = int(np.count_nonzero(system.as_array())), system.k
+            n_arcs, n = int(np.count_nonzero(system.gamma)), system.k
         else:
-            n_arcs, n = system._arcs[0].size, system.n
+            n_arcs, n = dyn._arcs(system)[0].size, system.n
         assert dyn._dense_sums(n_arcs, n) is dense
 
 
