@@ -7,6 +7,7 @@ import pytest
 import kurapart as kp
 from kurapart import dynamics as dyn
 from oracle_tools import (
+    adjacency_matrix_slow,
     exact_sync_chains_slow,
     gamma_rhs_slow,
     graph_rhs_slow,
@@ -1061,6 +1062,23 @@ class TestRhsOracles:
         for _ in range(3):
             assert np.array_equal(kp.kuramoto_rhs(g, theta, params), first)
         assert np.array_equal(first, graph_rhs_slow(g, params)(theta))
+
+    @pytest.mark.parametrize("extra", [0.02, 0.6], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_arcs_match_edge_loop(self, extra, seed):
+        # the arcs are the nonzero entries of the adjacency matrix built one
+        # edge at a time, in row-major (dst, src) order
+        g = random_connected_graph(np.random.default_rng(seed), 40, extra=extra)
+        src, dst = dyn._arcs(g)
+        a = adjacency_matrix_slow(g)
+        want_dst, want_src = np.nonzero(a)
+        assert np.array_equal(dst, want_dst) and np.array_equal(src, want_src)
+        # a fresh pair of arrays each call
+        again = dyn._arcs(g)
+        assert not np.shares_memory(src, again[0]) and not np.shares_memory(dst, again[1])
+        theta = np.random.default_rng(seed).uniform(0.0, 2 * math.pi, g.n)
+        params = kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7)
+        assert np.array_equal(kp.kuramoto_rhs(g, theta, params), graph_rhs_slow(g, params)(theta))
 
 
 def _random_dense_graph(seed):
