@@ -35,6 +35,9 @@ __all__ = list(_EXPORTS["dynamics"])
 
 MIN_ADAPTIVE_STEP = 1e-12
 MAX_ADAPTIVE_STEPS = 10_000_000
+# an rk4 run whose recorded states would take more bytes is refused before
+# its right-hand side is built; its CSV would be about 2.4 times as large
+MAX_RECORD_BYTES = 2**28
 
 
 class Rhs(Protocol):
@@ -391,6 +394,21 @@ def _rk4_steps(t_end: float, dt: float) -> tuple[int, float]:
     return (n_full + 1, remainder) if remainder > 1e-9 * max(dt, 1.0) else (n_full, dt)
 
 
+def _rk4_rows(cfg: IntegratorConfig) -> int:
+    """Rows an rk4 run records: the start, every record_every-th step and the
+    last one, or t_end alone when the horizon is below the step tolerance."""
+    steps = _rk4_steps(cfg.t_end, cfg.dt)[0]
+    return 1 + (-(-steps // cfg.record_every) if steps else int(cfg.t_end > 0.0))
+
+
+def _check_record(cfg: IntegratorConfig, n: int) -> None:
+    rows = _rk4_rows(cfg) if cfg.method == "rk4" else 0
+    if rows * n * 8 > MAX_RECORD_BYTES:
+        raise BadParameterError(
+            f"rk4 would record {rows} rows of {n} phases, over {MAX_RECORD_BYTES} bytes"
+        )
+
+
 def _rk_path(
     f: Rhs, y0: np.ndarray, cfg: IntegratorConfig, t_eval: np.ndarray | None
 ) -> tuple[list[float], list[np.ndarray], RunStats]:
@@ -514,6 +532,7 @@ def integrate(
     y0 = np.asarray(init, dtype=float)
     if y0.shape != (g.n,):
         raise DimensionMismatchError(f"init length {y0.shape} does not match n={g.n}")
+    _check_record(cfg, g.n)
     return _integrate_core(_graph_rhs(g, params), y0, cfg, t_eval)
 
 
@@ -528,6 +547,7 @@ def integrate_quotient(
     f0 = np.asarray(init, dtype=float)
     if f0.shape != (gamma.k,):
         raise DimensionMismatchError(f"init length {f0.shape} does not match k={gamma.k}")
+    _check_record(cfg, gamma.k)
     return _integrate_core(_gamma_rhs(gamma, alpha), f0, cfg, t_eval)
 
 
@@ -786,15 +806,164 @@ def residual_max(g: Graph, traj: Trajectory, params: ModelParams) -> float:
     return worst
 
 
+# trajectory_to_csv lays each value out in 40 bytes, five 8-byte words:
+# "-0.000", the first digit and a point, then the other 16 digits each
+# followed by a point, the last by the separator.  A byte mask per (exponent,
+# last nonzero digit, sign) zeroes what '%.17g' would not print, and one
+# translate drops the zeros.
+# Blocks of 8192 values ran no faster and doubled the temporaries.
+_CSV_BLOCK = 4096  # values per block, whose temporaries peak near 130 bytes a value
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
+
+
+def _veltkamp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split doubles into high and low halves of at most 26 bits each."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10**k) for k in range(21)])  # exact: 5**k < 2**53 up to k = 22
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 8-byte words "-0.000d." per first digit d and "a.b.c.d." per
+    four digits abcd, and the 40-byte masks per code of _csv_block."""
+    head = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), dtype=np.uint64)
+    quad = np.empty((10, 10, 10, 10, 8), dtype=np.uint8)
+    quad[..., 1::2] = ord(".")
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for i in range(4):
+        quad[..., 2 * i] = digits.reshape([10 if j == i else 1 for j in range(4)])
+    x, last, neg, col = np.ix_(np.arange(-4, 17), np.arange(17), np.arange(2), np.arange(40))
+    digit = (col - 6) // 2  # the digit at an even byte from 6, or the one a point follows
+    keep = (
+        (col == 0) & (neg == 1)
+        | (x < 0) & (col >= 1) & (col < 2 - x)  # "0." and -x - 1 zeros
+        | (col >= 6) & (col % 2 == 0) & (digit <= np.maximum(last, x))
+        | (col % 2 == 1) & (col > 6) & (digit == x) & (last > x)
+        | (col == 39)
+    )
+    masks = np.broadcast_to(keep, (21, 17, 2, 40)).reshape(-1, 40) * np.uint8(255)
+    return head, quad.view(np.uint64).ravel(), masks.view(np.uint64)
+
+
+_CSV_HEAD, _CSV_QUAD, _CSV_MASKS = _csv_tables()
+
+
+def _times_pow10(a: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**(16 - x) as p + e exactly (Dekker's two-product), 0 <= 16 - x <= 20."""
+    k = 16 - x
+    p = a * _POW10.take(k)
+    ah, al = _veltkamp(a)
+    ch, cl = _POW10_HI.take(k), _POW10_LO.take(k)
+    e = ah * ch
+    e -= p
+    e += ah * cl
+    e += al * ch
+    e += al * cl
+    return p, e
+
+
+def _mantissas(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17-digit mantissa of each value, rounded half to even, its
+    decimal exponent, and whether '%' must format it instead: 0, nan, inf
+    and exponents outside -4..16, which '%.17g' writes in exponent notation."""
+    a = np.abs(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xf = np.floor(np.log10(a))
+    special = ~((xf >= -4) & (xf <= 16))
+    if special.any():
+        a[special] = 1.0
+        xf[special] = 0.0
+    x = xf.astype(np.intp)
+    p, e = _times_pow10(a, x)
+    # x is the exponent once 1e16 <= p + e < 1e17; log10 may miss by one.
+    # A double below 10**(x + 1) gives p + e <= 1e17 - 8.3 (the closest is
+    # the one below 0.1), so p == 1e17 means p + e >= 1e17, and no mantissa
+    # rounds up to 1e17, which would carry into the exponent
+    while True:
+        low = (p < 1e16) | ((p == 1e16) & (e < 0))
+        high = p >= 1e17
+        moved = np.flatnonzero(low | high)
+        if moved.size == 0:
+            break
+        x[moved] += high[moved]
+        x[moved] -= low[moved]
+        out = moved[(x[moved] < -4) | (x[moved] > 16)]
+        special[out], a[out], x[out] = True, 1.0, 0
+        p[moved], e[moved] = _times_pow10(a[moved], x[moved])
+    # p >= 1e16 is an even integer, so rounding p + e half to even is p + rint(e)
+    d = p.astype(np.int64)
+    d += np.rint(e).astype(np.int64)
+    return d, x, special
+
+
+def _csv_block(values: np.ndarray, sep: np.ndarray) -> str:
+    """The values as '%.17g' prints them, each followed by its separator byte."""
+    d, x, special = _mantissas(values)
+    first = d // 10**16
+    d -= first * 10**16
+    hi = d // 10**8
+    lo = (d - hi * 10**8).astype(np.uint32)
+    hi = hi.astype(np.uint32)
+    del d
+    # the last nonzero digit: 8 or 16 less the trailing zeros of the last nonzero half
+    zero_lo = lo == 0
+    u = np.where(zero_lo, hi, lo)
+    last = np.where(zero_lo, 8, 16)
+    for step, width in ((10**4, 4), (100, 2), (10, 1)):
+        top = u // step
+        zeros = u == top * step
+        u = np.where(zeros, top, u)
+        last -= zeros * width
+    last[u == 0] = 0
+    code = (x + 4) * 34
+    code += last * 2
+    code += values < 0
+    words = _CSV_MASKS.take(code, axis=0)
+    words[:, 0] &= _CSV_HEAD.take(first)
+    for col, half in ((1, hi), (3, lo)):
+        top = half // 10**4
+        words[:, col] &= _CSV_QUAD.take(top)
+        words[:, col + 1] &= _CSV_QUAD.take(half - top * 10**4)
+    text = words.view(np.uint8)
+    text[:, -1] = sep
+    if special.any():
+        where = np.flatnonzero(special)
+        padded = ("%-24.17g" * where.size) % tuple(values[where].tolist())
+        text[where, :24] = np.frombuffer(padded.encode(), dtype=np.uint8).reshape(-1, 24)
+        text[where, 24:-1] = 0
+    laid_out = words.tobytes()
+    del words, text  # 40 bytes a value, freed before translate copies the rest
+    return laid_out.translate(None, b" \0").decode()
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    """Header t,theta_1,...,theta_n; 17 significant digits throughout, about
-    4096 values per % call, each block of rows stacked only when formatted."""
+    """Header t,theta_1,...,theta_n, then one row per recorded time, each
+    value written exactly as '%.17g' % x writes it, _CSV_BLOCK values a block.
+
+    A value whose exponent estimate floor(log10|x|) lies in -4..16 is
+    formatted in numpy.  Dekker's two-product gives v = |x| * 10**(16 - X)
+    exactly as p + e, as 10**k is an exact double for k <= 22.  The exponent
+    X is right when 1e16 <= v < 1e17, decided exactly from p and e; else it
+    moves by one and v is recomputed.  Then p is an even integer, so the
+    17-digit mantissa rounded half to even is p + rint(e), and it stays
+    below 1e17 for every double.  Its digits are laid out for '%.17g''s fixed
+    notation, trailing zeros and a bare point dropped.  Every other value
+    (0, -0, nan, inf, exponent notation, and the few neighbours of 1e-4 and
+    1e17 whose estimate falls outside) goes through one '%' call per block.
+    A block's temporaries peak near 130 bytes a value, about 0.5 MB, so once
+    the text passes that the traced peak is twice the text: its blocks and
+    their join.
+    """
     n = traj.dimension
-    row = ",".join(["%.17g"] * (n + 1))
-    rows = max(1, 4096 // (n + 1))
-    chunks = ["t," + ",".join(f"theta_{i}" for i in range(1, n + 1))]
+    rows = max(1, _CSV_BLOCK // (n + 1))
+    sep = np.full(rows * (n + 1), ord(","), dtype=np.uint8)
+    sep[n :: n + 1] = ord("\n")
+    chunks = ["t," + ",".join(f"theta_{i}" for i in range(1, n + 1)) + "\n"]
     for lo in range(0, traj.n_recorded, rows):
         values = np.column_stack((traj.times[lo : lo + rows], traj.states[lo : lo + rows]))
-        chunks.append("\n".join([row] * len(values)) % tuple(values.ravel().tolist()))
-    return "\n".join(chunks + [""])
-
+        chunks.append(_csv_block(values.ravel(), sep[: values.size]))
+    return "".join(chunks)

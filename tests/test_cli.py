@@ -570,8 +570,9 @@ class TestVerify:
 
 # the process pool's packages; a search loads them only for --jobs > 1
 POOL = ["concurrent", "multiprocessing"]
-# numpy 1.x imports numpy.random with numpy itself; numpy 2 loads it on first use
-NUMPY_RANDOM = ["numpy.random"] if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else []
+# numpy 1.x imports numpy.random and numpy.ma with numpy itself; numpy 2
+# loads them on first use (np.unique, for one, loads numpy.ma)
+NUMPY_LAZY = ["numpy.random", "numpy.ma"] if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else []
 
 
 class TestStartUp:
@@ -591,7 +592,7 @@ class TestStartUp:
             (
                 ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
                  "--seed", "1", "--t-end", "1", "--out", "x.csv"],
-                ["kurapart.bipartition_analysis", "fractions", "dataclasses", *NUMPY_RANDOM],
+                ["kurapart.bipartition_analysis", "fractions", "dataclasses", *NUMPY_LAZY],
             ),
             (
                 ["search", "--builtin", "cycle:8", "--out", "x.txt"],
@@ -860,6 +861,17 @@ class TestExitCodes:
         ) == 4
         assert "step budget exhausted" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    def test_huge_rk4_record_refused_before_any_step(self, monkeypatch, tmp_path, capsys):
+        # 10**7 + 1 recorded rows of 1000 phases would take 74.5 GiB
+        monkeypatch.setattr(kp.dynamics, "_rk_path", _never)
+        monkeypatch.chdir(tmp_path)
+        assert run(
+            "simulate", "--builtin", "cycle:1000", "--alpha", 0.5, "--init-random",
+            "--method", "rk4", "--dt", 1e-6, "--t-end", 10, "--out", "x.csv",
+        ) == 3
+        assert "rk4 would record 10000001 rows of 1000 phases" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("graph", ["complete:4", "cycle:200"], ids=["dense", "sparse"])
     @pytest.mark.parametrize(

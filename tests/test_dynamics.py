@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -128,6 +129,46 @@ class TestIntegratorConfig:
     def test_rk4_exactly_at_budget_accepted(self):
         cfg = kp.IntegratorConfig(t_end=float(dyn.MAX_ADAPTIVE_STEPS), method="rk4", dt=1.0)
         assert dyn._rk4_steps(cfg.t_end, cfg.dt) == (dyn.MAX_ADAPTIVE_STEPS, 1.0)
+
+
+class TestRecordBound:
+    @pytest.mark.parametrize(
+        "t_end, dt, every",
+        [(1.0, 0.25, 1), (1.0, 0.3, 1), (1.0, 0.1, 3), (0.95, 0.2, 2), (0.7, 0.1, 4),
+         (1.0, 0.1, 10), (1.0, 0.1, 11), (2.0, 0.3, 7), (1e-12, 0.5, 1), (0.0, 0.1, 1)],
+    )
+    def test_rk4_rows_is_the_recorded_count(self, t_end, dt, every):
+        cfg = kp.IntegratorConfig(t_end=t_end, method="rk4", dt=dt, record_every=every)
+        traj = kp.integrate(kp.cycle_graph(4), np.zeros(4), kp.ModelParams(alpha=0.5), cfg)
+        assert dyn._rk4_rows(cfg) == traj.n_recorded
+
+    def test_huge_record_refused_before_allocating(self):
+        # 10**7 + 1 rows of 1000 phases would take 74.5 GiB
+        cfg = kp.IntegratorConfig(t_end=10.0, method="rk4", dt=1e-6)
+        g = kp.cycle_graph(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(kp.BadParameterError, match="record 10000001 rows of 1000 phases"):
+                kp.integrate(g, np.zeros(g.n), kp.ModelParams(alpha=0.5), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_bound_is_exact(self, monkeypatch):
+        cfg = kp.IntegratorConfig(t_end=1.0, method="rk4", dt=0.25)
+        g, params = kp.cycle_graph(4), kp.ModelParams(alpha=0.5)
+        gamma = kp.QuotientMatrix(((1, 1), (1, 1)))
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 5 * 4 * 8)
+        assert kp.integrate(g, np.zeros(4), params, cfg).states.nbytes == dyn.MAX_RECORD_BYTES
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 5 * 4 * 8 - 1)
+        with pytest.raises(kp.BadParameterError, match="record 5 rows of 4 phases"):
+            kp.integrate(g, np.zeros(4), params, cfg)
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 5 * 2 * 8 - 1)
+        with pytest.raises(kp.BadParameterError, match="record 5 rows of 2 phases"):
+            kp.integrate_quotient(gamma, [0.0, 1.0], 0.5, cfg)
+        # rk45 records as it goes and is not bounded here
+        assert kp.integrate(g, np.zeros(4), params, kp.IntegratorConfig(t_end=1.0)).n_recorded > 1
 
 
 class TestTrajectory:
@@ -725,21 +766,133 @@ class TestTrajectoryCsv:
         for traj in trajs:
             assert kp.trajectory_to_csv(traj) == trajectory_to_csv_slow(traj)
 
-    @pytest.mark.parametrize("n, m", [(1, 4097), (100, 40), (100, 81), (4095, 3), (5000, 2)])
+    @pytest.mark.parametrize(
+        "n, m",
+        [
+            (1, dyn._CSV_BLOCK + 1),
+            (100, dyn._CSV_BLOCK // 101),
+            (100, 2 * (dyn._CSV_BLOCK // 101) + 1),
+            (dyn._CSV_BLOCK - 1, 3),
+            (dyn._CSV_BLOCK + 904, 2),
+        ],
+    )
     def test_bytes_match_per_value_writer_across_blocks(self, n, m):
-        # blocks of 4096 // (n + 1) rows: full blocks, a short last block, one row each
+        # blocks of _CSV_BLOCK // (n + 1) rows: full blocks, a short last block, one row each
         rng = np.random.default_rng(n + m)
         times = np.r_[0.0, np.cumsum(rng.uniform(1e-3, 1.0, m - 1))]
         traj = kp.Trajectory(times, rng.normal(0.0, 10.0, (m, n)))
         assert kp.trajectory_to_csv(traj) == trajectory_to_csv_slow(traj)
 
     def test_bytes_match_per_value_writer_on_special_values(self):
-        values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, 0.1]
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan, 0.1,
+                  1.7976931348623157e308, -1.7976931348623157e308, 2.2250738585072014e-308,
+                  2.225073858507201e-308, -1e-310]
         states = np.array([values, values[::-1]])
         traj = kp.Trajectory(np.array([0.0, 5e-324]), states)
         text = kp.trajectory_to_csv(traj)
-        assert text == trajectory_to_csv_slow(traj)
+        assert text == trajectory_to_csv_slow(traj) == _percent_csv(traj)
         assert ",-0," in text and ",4.9406564584124654e-324," in text and ",nan," in text
+        assert ",1.7976931348623157e+308," in text and ",-9.9999999999999694e-311," in text
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bytes_match_on_random_bit_patterns(self, seed):
+        # 10 x 10**5 doubles of every kind (both signs, subnormals, nan
+        # payloads, inf), of which only 3% have an exponent '%.17g' writes in
+        # fixed notation, then 5 x 10**4 random doubles from 2**-16 to 2**60
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64)
+        fixed = rng.integers(0, 2**52, 5 * 10**4, dtype=np.uint64)
+        fixed |= rng.integers(1023 - 16, 1023 + 61, fixed.size, dtype=np.uint64) << np.uint64(52)
+        fixed |= rng.integers(0, 2, fixed.size, dtype=np.uint64) << np.uint64(63)
+        values = np.concatenate([bits, fixed]).view(np.float64).reshape(1500, 100)
+        traj = kp.Trajectory(np.arange(1500.0), values)
+        text = kp.trajectory_to_csv(traj)
+        assert text == trajectory_to_csv_slow(traj) == _percent_csv(traj)
+
+    def test_bytes_match_around_powers_of_ten(self):
+        # exponents -5..17 straddle both ends of '%.17g''s fixed notation and
+        # every place where log10 may misjudge the exponent
+        near = []
+        for k in range(-5, 18):
+            x = up = down = float(f"1e{k}")
+            for _ in range(4):
+                up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+                near += [up, down]
+            near.append(x)
+        near += [99999999999999999.0, 9999999999999999.0, 0.00009999999999999999]
+        values = np.array(near + [-x for x in near])
+        traj = kp.Trajectory(np.arange(float(values.size)), values[:, None])
+        assert kp.trajectory_to_csv(traj) == trajectory_to_csv_slow(traj) == _percent_csv(traj)
+
+    @pytest.mark.parametrize("skew", [-0.5, 0.5])
+    def test_exponent_estimate_corrected_either_way(self, monkeypatch, skew):
+        # log10 may miss the exponent by one next to a power of ten; skewed by
+        # half a decade it misses for about half of all values, one way or
+        # the other, and for 10**j itself
+        rng = np.random.default_rng(11)
+        powers = [float(f"1e{k}") for k in range(-5, 18)]
+        wide = rng.uniform(-1.0, 1.0, 6000) * 10.0 ** rng.uniform(-5, 18, 6000)
+        values = np.concatenate([powers, wide])
+        traj = kp.Trajectory(np.arange(float(values.size)), values[:, None])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: log10(a) + skew)
+        text = kp.trajectory_to_csv(traj)
+        monkeypatch.undo()
+        assert text == _percent_csv(traj)
+
+    @pytest.mark.parametrize("j", range(-3, 18))
+    def test_no_double_rounds_up_to_the_next_exponent(self, j):
+        # the writer relies on this: scaled to 17 digits, the largest double
+        # below 10**j stays more than 8 below 1e17, so it neither rounds to
+        # 1e17 as a double nor as a 17-digit mantissa
+        power = Fraction(10) ** j
+        below = float(power)
+        if Fraction(below) >= power:
+            below = math.nextafter(below, 0.0)
+        assert 10**17 - Fraction(below) * 10 ** (17 - j) > 8
+
+    def test_exact_ties_round_half_to_even(self):
+        # M / 2**(k+1) times 10**k is (M * 5**k) / 2, a 17-digit mantissa plus
+        # exactly one half when M * 5**k is odd; k = 2..24 spans exponents 14..-8
+        rng = np.random.default_rng(7)
+        ties = []
+        for k in range(2, 25):
+            lo, hi = -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53)
+            for m in rng.integers(lo, hi, 40).tolist():
+                m -= 1 - m % 2 if m + 1 >= hi else -(1 - m % 2)  # odd, in range
+                tie = math.ldexp(m, -(k + 1))
+                assert Fraction(tie) * 10**k * 2 == m * 5**k
+                ties += [tie, -tie]
+        traj = kp.Trajectory(np.arange(len(ties) / 2), np.array(ties).reshape(-1, 2))
+        text = kp.trajectory_to_csv(traj)
+        assert text == trajectory_to_csv_slow(traj) == _percent_csv(traj)
+        # both ways of rounding occur
+        kept = [("%.17g" % t).rstrip("0") for t in ties[::2]]
+        assert len({s[-1] for s in kept}) > 2
+
+    def test_traced_peak_stays_near_twice_the_text(self):
+        # the blocks and their join hold about two copies of the text; the
+        # temporaries of one block add under half a copy at 10**5 values
+        rng = np.random.default_rng(3)
+        times = np.r_[0.0, np.cumsum(rng.uniform(1e-3, 1.0, 999))]
+        traj = kp.Trajectory(times, rng.normal(0.0, 10.0, (1000, 100)))
+        kp.trajectory_to_csv(traj)
+        tracemalloc.start()
+        try:
+            text = kp.trajectory_to_csv(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * len(text)
+
+
+def _percent_csv(traj):
+    """The writer's format through one '%.17g' % per value."""
+    n = traj.dimension
+    lines = ["t," + ",".join(f"theta_{i}" for i in range(1, n + 1))]
+    for t, row in zip(traj.times.tolist(), traj.states.tolist()):
+        lines.append(",".join("%.17g" % x for x in [t, *row]))
+    return "\n".join(lines) + "\n"
 
 
 def _assert_sync_matches_oracle(traj, short_rows=1, **kw):
