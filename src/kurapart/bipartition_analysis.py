@@ -54,7 +54,7 @@ import os
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
@@ -697,10 +697,12 @@ def format_search_report(report: SearchReport) -> str:
     solution set shares the tail "Infeasible".  Lines go out in mask order
     in blocks of 2**LABEL_BITS masks that share their high bits: the s2
     field is a label table entry for the low bits, then the high bits'
-    labels, decoded once per block, so no row object is built.
+    labels, decoded once per block, so no row object is built, and each
+    block is one `%` of a repeated line template, whose high labels (digits
+    and commas) are part of it.
     """
     total, n = report.total, report.n
-    line = f"{{:0{len(str(total))}d}} s2={{}}{{}} {{}}\n".format
+    width = len(str(total))
     tails = [_tail_text(s) for s in report.solutions]
     infeasible = _tail_text(_NO_SOLUTION)
     low = min(n - 1, LABEL_BITS)
@@ -724,8 +726,9 @@ def format_search_report(report: SearchReport) -> str:
         first = 1 if base == 0 else 0  # mask 0 is no bipartition
         lows = joined if base else alone
         high = _labels(base >> low, low + 2)
-        lines = map(line, range(base + first, base + size), lows[first:], repeat(high), block[first:])
-        chunks.append("".join(lines))
+        fields = zip(range(base + first, base + size), lows[first:], block[first:])
+        template = f"%0{width}d s2=%s{high} %s\n" * (size - first)
+        chunks.append(template % tuple(chain.from_iterable(fields)))
     summary = " ".join(f"{k}={v}" for k, v in report.counts.items())
     chunks.append(f"# total={total} {summary}\n")
     return "".join(chunks)

@@ -15,12 +15,19 @@ it uses when it runs, so `search` never loads the integrator and
 imported only by `simulate`, `verify` and the functions that run the
 dynamics, so `search`, and `analyze` of a row with no certificate to check,
 run without it.
+
+run(), the process entry, turns the cyclic garbage collector off before
+main() and ends the process without the interpreter's teardown: a run is
+short and leaves a few hundred cyclic objects at any size, so the
+collector's passes are pure cost.  main() itself leaves the collector as
+it finds it, for callers in Python.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc as collector  # graph_core takes the name gc below
 import math
 import os
 import sys
@@ -663,7 +670,14 @@ def _observed() -> bool:
 
 def run() -> NoReturn:
     """The process entry of `python -m kurapart.cli` and the `kurapart`
-    script: main(), then the exit, without the interpreter's teardown.
+    script: main() with the cyclic garbage collector off, then the exit,
+    without the interpreter's teardown.
+
+    A whole main() leaves a few hundred cyclic objects whatever the run's
+    size, while the collector's passes, most of them over numpy's import,
+    cost a simulate run several milliseconds.  Reference counting still
+    frees everything else at once.  main() called in process, and the
+    library, keep the collector as the caller set it.
 
     main() has closed and renamed every output file and joined any worker
     pool by the time it returns, so once stdout and stderr are flushed
@@ -674,6 +688,7 @@ def run() -> NoReturn:
     the same way, with its code, so the help text is flushed too.
     An exception escaping main() propagates as usual, and a watched process
     exits normally, so its tool can write its report."""
+    collector.disable()
     try:
         code = main()
     except SystemExit as exc:

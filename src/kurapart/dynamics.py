@@ -36,7 +36,8 @@ __all__ = list(_EXPORTS["dynamics"])
 MIN_ADAPTIVE_STEP = 1e-12
 MAX_ADAPTIVE_STEPS = 10_000_000
 # an rk4 run whose recorded states would take more bytes is refused before
-# its right-hand side is built; its CSV would be about 2.4 times as large
+# its right-hand side is built, an rk45 run when its next row would pass it;
+# the CSV would be about 2.4 times as large
 MAX_RECORD_BYTES = 2**28
 
 
@@ -419,6 +420,8 @@ def _rk_path(
     a step that is not clipped must reach MIN_ADAPTIVE_STEP.  rk4 accepts
     every step of _rk4_steps and labels step i as i * dt, the last as t_end;
     a horizon below its step tolerance takes no step but still records t_end.
+    A row that would take the record past MAX_RECORD_BYTES is refused, which
+    only rk45 can reach: _check_record has bounded rk4 beforehand.
     """
     adaptive = cfg.method == "rk45"
     t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
@@ -429,6 +432,7 @@ def _rk_path(
         a, h = _RK4_A, float(cfg.dt)
         budget, last = _rk4_steps(t_goal, h)  # validated within MAX_ADAPTIVE_STEPS
     times, states = [0.0], [y0]
+    row_cap = MAX_RECORD_BYTES // (8 * y0.size)
     y = y0
     abs_y = np.abs(y)  # carried from each accepted step to the next
     t = 0.0
@@ -492,6 +496,11 @@ def _rk_path(
             else:
                 keep, eval_idx = clipped, eval_idx + clipped
             if keep and t > times[-1]:
+                if len(times) >= row_cap:
+                    raise BadParameterError(
+                        f"{cfg.method} would record {len(times) + 1} rows of {y.size} phases "
+                        f"by t={t}, over {MAX_RECORD_BYTES} bytes; raise record_every"
+                    )
                 times.append(float(t))
                 states.append(y)
     if t < t_goal:

@@ -1,6 +1,7 @@
 import argparse
 import concurrent.futures
 import errno
+import gc
 import hashlib
 import json
 import math
@@ -781,6 +782,40 @@ class TestProcessEntry:
         assert child.returncode == 0
         assert child.stdout.decode().endswith("\ntool report\n")
 
+    def test_run_turns_the_collector_off_before_main(self):
+        probe = (
+            "import gc\n"
+            "from kurapart import cli\n"
+            "def record(argv=None):\n"
+            "    print('collector on:', gc.isenabled())\n"
+            "    return 0\n"
+            "cli.main = record\n"
+            "cli.run()\n"
+        )
+        child = _child("-c", probe)
+        assert child.returncode == 0
+        assert child.stdout.decode() == "collector on: False\n"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--builtin", "linear:4", "--out", "r.txt"],
+            ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
+             "--seed", "1", "--t-end", "1", "--out", "x.csv"],
+        ],
+        ids=["search", "simulate"],
+    )
+    def test_main_leaves_the_collector_as_it_found_it(self, monkeypatch, tmp_path, argv, enabled):
+        monkeypatch.chdir(tmp_path)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(argv) == 0
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
     def test_exception_in_main_propagates(self):
         probe = (
             "from kurapart import cli\n"
@@ -793,6 +828,54 @@ class TestProcessEntry:
         err = child.stderr.decode()
         assert child.returncode == 1
         assert err.startswith("Traceback") and err.endswith("RuntimeError: raised in main\n")
+
+
+class TestCyclicGarbage:
+    """cli.run turns the cyclic collector off for the whole process, which
+    is safe only while a run leaves few cyclic objects whatever its size:
+    each pair runs one subcommand small and large in a fresh interpreter
+    with the collector off, and counts what gc.collect() then finds."""
+
+    PROBE = (
+        "import gc, os, sys\n"
+        "from kurapart import cli\n"
+        "os.chdir(sys.argv[1])\n"
+        "gc.collect()\n"
+        "gc.disable()\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sys.stdout, out = sink, sys.stdout\n"
+        "    code = cli.main(sys.argv[2:])\n"
+        "    sys.stdout = out\n"
+        "print(code, gc.collect())\n"
+    )
+
+    @pytest.mark.parametrize(
+        "small, large",
+        [
+            (["search", "--builtin", "linear:4"], ["search", "--builtin", "linear:8"]),
+            (["search", "--builtin", "cycle:8", "--jobs", "2"],
+             ["search", "--builtin", "cycle:14", "--jobs", "2"]),
+            *[
+                tuple(
+                    ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
+                     "--seed", "1", *method, "--t-end", t_end, "--out", "x.csv"]
+                    for t_end in ("1", "200")
+                )
+                for method in ([], ["--method", "rk4", "--dt", "0.01"])
+            ],
+            (["analyze", "--builtin", "linear:4"], ["analyze", "--builtin", "linear:8"]),
+            (["verify", "--p", "4"], ["verify", "--p", "8"]),
+        ],
+        ids=["search", "search-jobs2", "simulate-rk45", "simulate-rk4", "analyze", "verify"],
+    )
+    def test_garbage_does_not_grow_with_the_run(self, tmp_path, small, large):
+        counts = []
+        for argv in (small, large):
+            code, garbage = _fresh_python(self.PROBE, tmp_path, *argv).split()
+            assert code == "0"
+            counts.append(int(garbage))
+        assert counts[1] - counts[0] <= 50, counts
+        assert max(counts) < 1000, counts
 
 
 class TestExitCodes:
@@ -872,6 +955,24 @@ class TestExitCodes:
         ) == 3
         assert "rk4 would record 10000001 rows of 1000 phases" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_rk45_record_refused_as_it_grows(self, monkeypatch, tmp_path, capsys):
+        # an rk45 row count is known only as the run goes: the row that would
+        # pass the bound ends it, and neither output file lands
+        monkeypatch.setattr(kp.dynamics, "MAX_RECORD_BYTES", 10 * 8 * 8)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--builtin", "cycle:8", "--alpha", 0.5, "--init-random",
+                "--seed", 1, "--t-end", 200, "--out", "x.csv"]
+        assert run(*argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: rk45 would record 11 rows of 8 phases by t=\S+, "
+                            r"over 640 bytes; raise record_every\n", err)
+        assert os.listdir(tmp_path) == []
+        # the start, every 10**6th accepted step and the last fit
+        assert run(*argv, "--record-every", 10**6) == 0
+        assert len(trajectory_from_csv((tmp_path / "x.csv").read_text()).times) == 2
+        assert sorted(os.listdir(tmp_path)) == ["x.csv", "x.sync.json"]
 
     @pytest.mark.parametrize("graph", ["complete:4", "cycle:200"], ids=["dense", "sparse"])
     @pytest.mark.parametrize(

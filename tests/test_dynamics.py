@@ -167,8 +167,33 @@ class TestRecordBound:
         monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 5 * 2 * 8 - 1)
         with pytest.raises(kp.BadParameterError, match="record 5 rows of 2 phases"):
             kp.integrate_quotient(gamma, [0.0, 1.0], 0.5, cfg)
-        # rk45 records as it goes and is not bounded here
-        assert kp.integrate(g, np.zeros(4), params, kp.IntegratorConfig(t_end=1.0)).n_recorded > 1
+
+    def test_rk45_bound_is_exact(self, monkeypatch):
+        # rk45 records as it goes, so _rk_path refuses the row that passes the bound
+        g, params, cfg = kp.cycle_graph(4), kp.ModelParams(alpha=0.5), kp.IntegratorConfig(t_end=1.0)
+        assert kp.integrate(g, np.zeros(4), params, cfg).n_recorded == 5
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 5 * 4 * 8)
+        assert kp.integrate(g, np.zeros(4), params, cfg).states.nbytes == dyn.MAX_RECORD_BYTES
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 5 * 4 * 8 - 1)
+        with pytest.raises(kp.BadParameterError, match="rk45 would record 5 rows of 4 phases"):
+            kp.integrate(g, np.zeros(4), params, cfg)
+        gamma = kp.QuotientMatrix(((1, 1), (1, 1)))
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 2 * 2 * 8 - 1)
+        with pytest.raises(kp.BadParameterError, match="rk45 would record 2 rows of 2 phases"):
+            kp.integrate_quotient(gamma, [0.0, 1.0], 0.5, cfg)
+
+    def test_rk45_record_refused_as_it_grows(self, monkeypatch):
+        g, params = kp.cycle_graph(4), kp.ModelParams(alpha=0.5)
+        init = [0.0, 1.0, 2.0, 3.0]
+        full = kp.integrate(g, init, params, kp.IntegratorConfig(t_end=10.0))
+        assert full.n_recorded > 100
+        monkeypatch.setattr(dyn, "MAX_RECORD_BYTES", 10 * 4 * 8)
+        with pytest.raises(kp.BadParameterError, match="rk45 would record 11 rows of 4 phases by t="):
+            kp.integrate(g, init, params, kp.IntegratorConfig(t_end=10.0))
+        # a large record_every keeps the start, every 1000th step and the last
+        sparse = kp.integrate(g, init, params, kp.IntegratorConfig(t_end=10.0, record_every=1000))
+        assert np.array_equal(sparse.times, full.times[[0, -1]])
+        assert np.array_equal(sparse.states, full.states[[0, -1]])
 
 
 class TestTrajectory:
