@@ -38,6 +38,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TextIO
 from . import graph_core as gc
 from .errors import (
     BadParameterError,
+    FormatError,
     KurapartError,
     NoCertificateError,
     NonFiniteStateError,
@@ -134,9 +135,17 @@ def _load_graph(
     check_n, when given, sees the vertex count before anything is built:
     a file's header or largest label, or a parametrised builtin's name."""
     if args.graph is not None:
-        with open(args.graph, "r") as handle:
-            return gc.read_edge_list(handle.read(), check_n), None
+        return gc.read_edge_list(_read_text(args.graph), check_n), None
     return _builtin(args.builtin, check_n)
+
+
+def _read_text(path: str) -> str:
+    """An input file's text, read as UTF-8: one that is not is malformed."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 _FIXED_BUILTINS = {
@@ -182,8 +191,7 @@ def _load_partition(
     args: argparse.Namespace, builtin_part: gc.VertexPartition | None
 ) -> gc.VertexPartition | None:
     if args.partition:
-        with open(args.partition, "r") as handle:
-            return gc.partition_from_json(handle.read())
+        return gc.partition_from_json(_read_text(args.partition))
     return builtin_part
 
 

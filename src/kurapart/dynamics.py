@@ -268,7 +268,12 @@ def _coupling_rhs(
     S, are allocated here once and reused by every call, so one f must not
     run twice at the same time.  Each kernel has its own f, numpy bound once.
     """
-    rot = complex(coupling * math.cos(alpha), -coupling * math.sin(alpha))
+    # rot and omega are 0-d arrays, which a ufunc takes without the Python
+    # scalar conversion it would pay on every call; the product is the
+    # matrix's bound dot, which skips np.dot's __array_function__ dispatch.
+    # The values, and so every rounding, are the same
+    rot = np.array(complex(coupling * math.cos(alpha), -coupling * math.sin(alpha)))
+    omega = np.array(float(omega))
     z = np.empty(n, dtype=complex)
     z_re, z_im = z.real, z.imag
     cos, sin, conjugate, multiply, add = np.cos, np.sin, np.conjugate, np.multiply, np.add
@@ -278,12 +283,12 @@ def _coupling_rhs(
         z_pairs = z.view(float).reshape(n, 2)
         pull = np.empty(n, dtype=complex)
         pull_pairs = pull.view(float).reshape(n, 2)
-        dot = np.dot
+        pull_in = matrix.dot
 
         def f_dense(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             cos(y, z_re)
             sin(y, z_im)
-            dot(matrix, z_pairs, pull_pairs)
+            pull_in(z_pairs, pull_pairs)
             conjugate(z, z)
             multiply(z, rot, z)
             multiply(z, pull, z)
@@ -324,9 +329,14 @@ def _graph_rhs(g: Graph, params: ModelParams) -> Rhs:
 
 def _gamma_rhs(gamma: QuotientMatrix, alpha: float) -> Rhs:
     # block j pulls block i with weight gamma_ij; nonzero() yields (dst, src) order
+    k = gamma.k
+    if k == 0 or any(len(row) != k for row in gamma.gamma):
+        raise DimensionMismatchError(
+            f"gamma must be a nonempty k x k table, got rows of {[len(r) for r in gamma.gamma]}"
+        )
     gm = np.array(gamma.gamma, dtype=float)
     dst, src = np.nonzero(gm)
-    return _coupling_rhs(src, dst, gm[dst, src], gamma.k, alpha)
+    return _coupling_rhs(src, dst, gm[dst, src], k, alpha)
 
 
 def kuramoto_rhs(g: Graph, theta: Sequence[float], params: ModelParams) -> np.ndarray:
@@ -440,11 +450,19 @@ def _rk_path(
     accepted = steps = 0
     h_min, h_max = math.inf, 0.0
     k = np.empty((a.shape[0], y.size))
-    *inner, (a_last, k_before_last, k_last) = [(a[i, :i], k[:i], k[i]) for i in range(1, len(a))]
+    *inner, (last_dot, k_before_last, k_last) = [
+        (a[i, :i].dot, k[:i], k[i]) for i in range(1, len(a))
+    ]
     arg, err_vec, scale = np.empty((3, y.size))
-    # numpy bound once per run, outputs passed positionally
-    dot, multiply, add, divide, absolute = np.dot, np.multiply, np.add, np.divide, np.absolute
-    maximum, largest, rel_tol, abs_tol = np.maximum, np.maximum.reduce, cfg.rel_tol, cfg.abs_tol
+    # numpy bound once per run, outputs passed positionally.  Every scalar
+    # operand is a 0-d array: a ufunc takes one without the Python scalar
+    # conversion it pays on each call, and h_arr is refilled once per attempt.
+    # Every product is a bound ndarray.dot, which skips np.dot's
+    # __array_function__ dispatch.  Neither changes a value or a rounding
+    multiply, add, divide, absolute = np.multiply, np.add, np.divide, np.absolute
+    maximum, largest, err_dot = np.maximum, np.maximum.reduce, _DP_E.dot
+    rel_tol, abs_tol = np.array(float(cfg.rel_tol)), np.array(float(cfg.abs_tol))
+    h_arr = np.empty(())
     # a derivative, state or error norm that overflows to inf or NaN is
     # reported below: the norm rejects the step, the finite check the state
     with np.errstate(over="ignore", invalid="ignore"):
@@ -461,13 +479,14 @@ def _rk_path(
                 h_step, t_next = (boundary - t, boundary) if clipped else (h, t + h)
             else:
                 h_step, t_next = (last, t_goal) if steps == budget else (h, steps * h)
-            for a_i, k_before, k_i in inner:
-                dot(a_i, k_before, arg)
-                multiply(arg, h_step, arg)
+            h_arr[()] = h_step
+            for row_dot, k_before, k_i in inner:
+                row_dot(k_before, arg)
+                multiply(arg, h_arr, arg)
                 add(arg, y, arg)
                 f(arg, k_i)
-            y_new = dot(a_last, k_before_last)
-            multiply(y_new, h_step, y_new)
+            y_new = last_dot(k_before_last)
+            multiply(y_new, h_arr, y_new)
             add(y_new, y, y_new)
             f(y_new, k_last)
             abs_new = absolute(y_new)
@@ -475,7 +494,7 @@ def _rk_path(
                 maximum(abs_y, abs_new, out=scale)  # numpy 2.4 deprecates a positional out
                 multiply(scale, rel_tol, scale)
                 add(scale, abs_tol, scale)
-                dot(_DP_E, k, err_vec)
+                err_dot(k, err_vec)
                 divide(err_vec, scale, err_vec)
                 # RMS of h * (E @ k) / scale, with h taken out of the norm
                 err = h_step * math.sqrt(float(err_vec.dot(err_vec)) / y.size)

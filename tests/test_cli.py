@@ -928,6 +928,26 @@ class TestExitCodes:
             "--alpha", 0.5, "--init-equal", 0.0, "--out", tmp_path / "x.csv",
         ) == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--graph", "bad.bin"],
+            ["analyze", "--builtin", "cycle:4", "--partition", "bad.bin"],
+            ["simulate", "--graph", "bad.bin", "--alpha", 0.5, "--init-equal", 0.0,
+             "--out", "x.csv"],
+        ],
+        ids=["search-graph", "analyze-partition", "simulate-graph"],
+    )
+    def test_file_not_utf8(self, tmp_path, monkeypatch, capsys, argv):
+        # a decoding error is a malformed input, not a failed verification
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.bin").write_bytes(b"1 2\n2 3\xff\n")
+        assert run(*argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: bad.bin is not UTF-8 text: invalid start byte\n"
+        assert os.listdir(tmp_path) == ["bad.bin"]
+
     def test_step_underflow(self, tmp_path):
         assert run(
             "simulate", "--builtin", "cycle:4",

@@ -246,6 +246,36 @@ class TestShapeRefusals:
             call()
 
 
+class TestQuotientShape:
+    """A gamma that is not a nonempty k x k table is refused by every entry
+    point that builds its right-hand side."""
+
+    @pytest.mark.parametrize(
+        "rows", [(), ((1, 2), (3,)), ((1, 2),)], ids=["empty", "ragged", "not-square"]
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda gamma, k: kp.quotient_rhs(gamma, np.zeros(k), 0.5),
+            lambda gamma, k: kp.integrate_quotient(
+                gamma, np.zeros(k), 0.5, kp.IntegratorConfig(t_end=1.0)
+            ),
+            # a partition has a block, so the empty gamma fails the size check
+            lambda gamma, k: kp.lift_quotient_trajectory(
+                kp.VertexPartition.from_blocks([[v] for v in range(1, k + 1)] or [[1]]),
+                kp.Trajectory([0.0], np.zeros((1, k))),
+                gamma=gamma,
+                alpha=0.5,
+            ),
+        ],
+        ids=["quotient_rhs", "integrate_quotient", "lift_quotient_trajectory"],
+    )
+    def test_refused(self, rows, entry):
+        gamma = kp.QuotientMatrix(rows)
+        with pytest.raises(kp.DimensionMismatchError, match="nonempty k x k table|gamma size"):
+            entry(gamma, gamma.k)
+
+
 class TestLinearTrajectory:
     def test_scalar_rate(self):
         lt = kp.LinearTrajectory(np.array([0.0, 1.0]), -2.0)
@@ -1390,6 +1420,18 @@ _SLOW_ORACLE_CASES = {
         kp.IntegratorConfig(t_end=5.0),
         None,
     ),
+    "sparse-omega-coupling-tols": (
+        kp.cycle_graph(200),
+        kp.ModelParams(alpha=0.7, omega=0.3, coupling=1.7),
+        kp.IntegratorConfig(t_end=10.0, rel_tol=1e-11, abs_tol=1e-13),
+        None,
+    ),
+    "omega=-0.0": (
+        kp.complete_graph(48),
+        kp.ModelParams(alpha=1.0, omega=-0.0),
+        kp.IntegratorConfig(t_end=5.0),
+        None,
+    ),
     "rk4": (
         kp.complete_graph(48),
         kp.ModelParams(alpha=1.0, omega=-0.2, coupling=0.8),
@@ -1498,6 +1540,7 @@ class TestIntegratorMatchesSlowOracle:
             ("cycle:200", False),
             ("random-dense", True),
             ("random-sparse", False),
+            ("sparse-omega-coupling-tols", False),
             ("quotient-dense", True),
             ("quotient-sparse", False),
         ],
@@ -1555,6 +1598,51 @@ class TestRhsBuffers:
             with pytest.raises(kp.StepUnderflowError):
                 kp.integrate(g, init, kp.ModelParams(alpha=0.5), cfg)
             assert np.geterr() == before
+
+
+def _refuse_np_dot(*args, **kwargs):
+    raise AssertionError("np.dot called on the hot path")
+
+
+class TestNoDispatchedDot:
+    """The step loop and both kernels multiply through bound ndarray.dot
+    methods: with np.dot refused they run and give the same bits."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: kp.integrate(
+                kp.complete_graph(48), _init(48, 1), kp.ModelParams(alpha=1.0),
+                kp.IntegratorConfig(t_end=5.0),
+            ),
+            lambda: kp.integrate(
+                kp.complete_graph(48), _init(48, 2), kp.ModelParams(alpha=1.0, omega=0.3),
+                kp.IntegratorConfig(t_end=2.0, method="rk4", dt=0.05),
+            ),
+            lambda: kp.integrate(
+                kp.cycle_graph(200), _init(200, 3), kp.ModelParams(alpha=0.7),
+                kp.IntegratorConfig(t_end=2.0),
+            ),
+            lambda: kp.integrate_quotient(
+                kp.QuotientMatrix(((0, 6), (1, 0))), [0.0, 1.0], 0.7,
+                kp.IntegratorConfig(t_end=3.0),
+            ),
+            lambda: kp.kuramoto_rhs(
+                kp.complete_graph(48), _init(48, 4), kp.ModelParams(alpha=0.7, coupling=1.7)
+            ),
+        ],
+        ids=["complete:48-rk45", "complete:48-rk4", "cycle:200", "integrate_quotient",
+             "kuramoto_rhs"],
+    )
+    def test_runs_with_np_dot_refused(self, monkeypatch, call):
+        want = call()
+        monkeypatch.setattr(np, "dot", _refuse_np_dot)
+        got = call()
+        if isinstance(want, kp.Trajectory):
+            assert np.array_equal(got.times, want.times)
+            assert got.stats == want.stats
+            got, want = got.states, want.states
+        assert np.array_equal(got, want)
 
 
 class TestIntegratorOracles:
