@@ -16,6 +16,13 @@ imported only by `simulate`, `verify` and the functions that run the
 dynamics, so `search`, and `analyze` of a row with no certificate to check,
 run without it.
 
+Each subcommand's options are declared once, as data in _COMMANDS.  main()
+parses a run's argv with _match when it has the canonical form (the
+subcommand, then each option once, spelt in full, as `--name value` or a
+bare flag), without importing argparse.  argparse is loaded only by
+build_parser(), for --help and for any other argv, so the help text and
+every usage error (exit 3) are argparse's own.
+
 run(), the process entry, turns the cyclic garbage collector off before
 main() and ends the process without the interpreter's teardown: a run is
 short and leaves a few hundred cyclic objects at any size, so the
@@ -25,7 +32,6 @@ it finds it, for callers in Python.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc as collector  # graph_core takes the name gc below
 import math
@@ -33,6 +39,7 @@ import os
 import sys
 import tempfile
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TextIO
 
 from . import graph_core as gc
@@ -46,6 +53,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     import numpy as np
 
     from . import bipartition_analysis as ban
@@ -78,7 +87,7 @@ def _atomic_files(*paths: str) -> Iterator[list[TextIO]]:
         for path in paths:
             target = os.path.abspath(path)
             if os.path.isdir(target):
-                raise IsADirectoryError(f"output path {path} is a directory")
+                raise IsADirectoryError(f"output path {path!r} is a directory")
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.", suffix=".part")
             temps.append((os.fdopen(fd, "w"), tmp, target))
         yield [handle for handle, _, _ in temps]
@@ -129,7 +138,7 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def _load_graph(
-    args: argparse.Namespace, check_n: Callable[[int], None] | None = None
+    args: SimpleNamespace, check_n: Callable[[int], None] | None = None
 ) -> tuple[gc.Graph, gc.VertexPartition | None]:
     """The graph of --graph or --builtin (the parser requires exactly one).
     check_n, when given, sees the vertex count before anything is built:
@@ -188,9 +197,9 @@ def _builtin(
 
 
 def _load_partition(
-    args: argparse.Namespace, builtin_part: gc.VertexPartition | None
+    args: SimpleNamespace, builtin_part: gc.VertexPartition | None
 ) -> gc.VertexPartition | None:
-    if args.partition:
+    if args.partition is not None:
         return gc.partition_from_json(_read_text(args.partition))
     return builtin_part
 
@@ -276,7 +285,7 @@ def _pcg64_uniform_phases(seed: int, n: int) -> list[float]:
 
 
 def _initial_state(
-    args: argparse.Namespace,
+    args: SimpleNamespace,
     g: gc.Graph,
     part: gc.VertexPartition | None,
     cert: ban.Condition2Certificate | None,
@@ -317,7 +326,7 @@ def _initial_state(
 
 
 def _sync_report_json(
-    traj: dyn.Trajectory, args: argparse.Namespace, params: dyn.ModelParams
+    traj: dyn.Trajectory, args: SimpleNamespace, params: dyn.ModelParams
 ) -> str:
     import json
 
@@ -356,12 +365,14 @@ def _sync_report_json(
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: SimpleNamespace) -> int:
     from . import dynamics as dyn
 
     # a bad threshold must not cost an integration nor leave a trajectory behind
     dyn._check_sync_thresholds(args.sync_tol, args.tail_tol, args.tail_fraction)
-    report_path = args.report or os.path.splitext(args.out)[0] + ".sync.json"
+    report_path = args.report
+    if report_path is None:
+        report_path = os.path.splitext(args.out)[0] + ".sync.json"
     if os.path.realpath(report_path) == os.path.realpath(args.out):
         raise BadParameterError(f"--report and --out name the same file {args.out!r}")
     g, builtin_part = _load_graph(args)
@@ -388,7 +399,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     import json
 
     from . import bipartition_analysis as ban
@@ -414,14 +425,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "gamma": [list(row) for row in gamma.gamma] if gamma is not None else None,
         }
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.report:
+    if args.report is not None:
         _atomic_write(args.report, text + "\n")
     else:
         print(text)
     return EXIT_OK
 
 
-def cmd_search(args: argparse.Namespace) -> int:
+def cmd_search(args: SimpleNamespace) -> int:
     from . import bipartition_analysis as ban
 
     g, _ = _load_graph(args, lambda n: ban._check_search_size(n, args.force))
@@ -430,7 +441,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     clock.append(time.perf_counter())
     text = ban.format_search_report(report)
     clock.append(time.perf_counter())
-    if args.out:
+    if args.out is not None:
         _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
@@ -528,7 +539,7 @@ def _verify_regular(d: int, alpha: float, failures: list[str]) -> None:
     _check(f"regular d={d} integration", gap <= 1e-8, f"max deviation={gap:.3g}", failures)
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     failures: list[str] = []
     if args.example in ("linear", "all"):
         _verify_linear(args.p, failures)
@@ -553,105 +564,202 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_graph_args(sub: argparse.ArgumentParser) -> None:
-    source = sub.add_mutually_exclusive_group(required=True)
-    source.add_argument("--graph", help="edge list file: 'u v' lines, optional 'n N' header")
-    source.add_argument(
+class _Option:
+    """One option of a subcommand: the add_argument call build_parser makes
+    for it, and what _match accepts for it.  A plain class: a NamedTuple
+    would cost each run about 0.25 ms to build at import."""
+
+    __slots__ = ("flag", "type", "default", "help", "name", "choices", "store_true", "required")
+
+    def __init__(
+        self,
+        flag: str,
+        type: Callable[[str], object] | None = None,  # None keeps the string
+        default: object = None,
+        *,
+        help: str | None = None,
+        dest: str | None = None,  # None: the flag's name, dashes as underscores
+        choices: tuple[str, ...] | None = None,
+        store_true: bool = False,
+        required: bool = False,
+    ) -> None:
+        self.flag, self.type, self.default, self.help = flag, type, default, help
+        self.name = dest or flag[2:].replace("-", "_")
+        self.choices, self.store_true, self.required = choices, store_true, required
+
+
+# a tuple of options is a mutually exclusive group of which one is required
+_GRAPH_SOURCE = (
+    _Option("--graph", help="edge list file: 'u v' lines, optional 'n N' header"),
+    _Option(
         "--builtin",
         help="named graph: linear:<p>, latoro, kura-eg, star:<n>, cycle:<n>, "
         "complete:<n>, path:<n>, petersen",
-    )
+    ),
+)
+
+# subcommand -> its help, its handler and its options, in the order that
+# --help and argparse's usage lines list them
+_COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], tuple]] = {
+    "simulate": ("integrate and write trajectory plus sync report", cmd_simulate, (
+        _GRAPH_SOURCE,
+        (
+            _Option("--alpha", float, help="phase lag in (0, pi/2]"),
+            _Option(
+                "--alpha-from-cert",
+                store_true=True,
+                help="take the lag from the partition's certificate",
+            ),
+        ),
+        _Option("--omega", float, 0.0, help="common drift (default 0)"),
+        _Option("--lambda", float, 1.0, help="coupling gain (default 1)", dest="coupling"),
+        _Option("--partition", help="partition JSON file"),
+        _Option("--method", default="rk45", choices=("rk4", "rk45")),
+        _Option("--dt", float, help="fixed step (rk4 only)"),
+        _Option("--rel-tol", float, 1e-9),
+        _Option("--abs-tol", float, 1e-11),
+        _Option("--t-end", float, 10.0),
+        _Option("--record-every", int, 1),
+        (
+            _Option("--init-equal", float, help="all phases start at this value"),
+            _Option("--init-blocks", help="comma-separated value per partition block"),
+            _Option("--init-random", store_true=True, help=RANDOM_INIT_ALGORITHM),
+            _Option("--init-cert", store_true=True, help="start on the certified closed form"),
+        ),
+        _Option("--seed", int, 0),
+        _Option("--sync-tol", float, 1e-6),
+        _Option("--tail-fraction", float, 0.2),
+        _Option("--tail-tol", float, 1e-4),
+        _Option("--out", help="trajectory CSV path", required=True),
+        _Option("--report", help="sync report path (default: <out>.sync.json)"),
+    )),
+    "analyze": ("classify one partition", cmd_analyze, (
+        _GRAPH_SOURCE,
+        _Option("--partition", help="partition JSON file"),
+        _Option("--report", help="write JSON here instead of stdout"),
+    )),
+    "search": ("classify every bipartition", cmd_search, (
+        _GRAPH_SOURCE,
+        _Option("--jobs", int, 1, help="worker processes, at most the cpu count (default 1)"),
+        _Option("--force", store_true=True, help="ignore the size cap"),
+        _Option("--out", help="write the text report here instead of stdout"),
+        _Option(
+            "--stats",
+            store_true=True,
+            help="write row counts, search-tree nodes and cuts, and per-phase times "
+            "as one JSON object to stderr",
+        ),
+    )),
+    "verify": ("self-checks on the named constructions", cmd_verify, (
+        _Option(
+            "--example", default="all", choices=("linear", "latoro", "regular", "kura-eg", "all")
+        ),
+        _Option("--p", int, 4, help="linear family size (even, >= 4)"),
+        _Option("--d", int, 3, help="regular degree"),
+        _Option("--alpha", float, help="lag for the regular check (default 0.5)"),
+    )),
+}
 
 
-def _add_model_args(sub: argparse.ArgumentParser) -> None:
-    lag = sub.add_mutually_exclusive_group(required=True)
-    lag.add_argument("--alpha", type=float, help="phase lag in (0, pi/2]")
-    lag.add_argument(
-        "--alpha-from-cert",
-        action="store_true",
-        help="take the lag from the partition's certificate",
-    )
-    sub.add_argument("--omega", type=float, default=0.0, help="common drift (default 0)")
-    sub.add_argument(
-        "--lambda", dest="coupling", type=float, default=1.0, help="coupling gain (default 1)"
-    )
-
-
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit 3 like every other invalid input."""
-
-    def error(self, message: str) -> NoReturn:
-        raise BadParameterError(f"{self.prog}: {message}")
+def _options(items: tuple) -> Iterator[_Option]:
+    for item in items:
+        yield from (item,) if isinstance(item, _Option) else item
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The argparse parser of the _COMMANDS table, for --help and for the
+    argument lists _match leaves to it.  argparse is imported only here."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Usage errors exit 3 like every other invalid input."""
+
+        def error(self, message: str) -> NoReturn:
+            raise BadParameterError(f"{self.prog}: {message}")
+
+    def add(container: argparse._ActionsContainer, option: _Option) -> None:
+        if option.store_true:
+            container.add_argument(
+                option.flag, dest=option.name, action="store_true", help=option.help
+            )
+        else:
+            container.add_argument(
+                option.flag, dest=option.name, type=option.type, default=option.default,
+                choices=option.choices, required=option.required, help=option.help,
+            )
+
+    parser = Parser(
         prog="kurapart",
         description="Phase-locked structure analysis for lagged oscillator networks on graphs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sim = subs.add_parser("simulate", help="integrate and write trajectory plus sync report")
-    _add_graph_args(sim)
-    _add_model_args(sim)
-    sim.add_argument("--partition", help="partition JSON file")
-    sim.add_argument("--method", choices=("rk4", "rk45"), default="rk45")
-    sim.add_argument("--dt", type=float, help="fixed step (rk4 only)")
-    sim.add_argument("--rel-tol", type=float, default=1e-9)
-    sim.add_argument("--abs-tol", type=float, default=1e-11)
-    sim.add_argument("--t-end", type=float, default=10.0)
-    sim.add_argument("--record-every", type=int, default=1)
-    init = sim.add_mutually_exclusive_group(required=True)
-    init.add_argument("--init-equal", type=float, help="all phases start at this value")
-    init.add_argument("--init-blocks", help="comma-separated value per partition block")
-    init.add_argument("--init-random", action="store_true", help=RANDOM_INIT_ALGORITHM)
-    init.add_argument("--init-cert", action="store_true", help="start on the certified closed form")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--sync-tol", type=float, default=1e-6)
-    sim.add_argument("--tail-fraction", type=float, default=0.2)
-    sim.add_argument("--tail-tol", type=float, default=1e-4)
-    sim.add_argument("--out", required=True, help="trajectory CSV path")
-    sim.add_argument("--report", help="sync report path (default: <out>.sync.json)")
-    sim.set_defaults(func=cmd_simulate)
-
-    ana = subs.add_parser("analyze", help="classify one partition")
-    _add_graph_args(ana)
-    ana.add_argument("--partition", help="partition JSON file")
-    ana.add_argument("--report", help="write JSON here instead of stdout")
-    ana.set_defaults(func=cmd_analyze)
-
-    sea = subs.add_parser("search", help="classify every bipartition")
-    _add_graph_args(sea)
-    sea.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at most the cpu count (default 1)"
-    )
-    sea.add_argument("--force", action="store_true", help="ignore the size cap")
-    sea.add_argument("--out", help="write the text report here instead of stdout")
-    sea.add_argument(
-        "--stats",
-        action="store_true",
-        help="write row counts, search-tree nodes and cuts, and per-phase times "
-        "as one JSON object to stderr",
-    )
-    sea.set_defaults(func=cmd_search)
-
-    ver = subs.add_parser("verify", help="self-checks on the named constructions")
-    ver.add_argument(
-        "--example",
-        choices=("linear", "latoro", "regular", "kura-eg", "all"),
-        default="all",
-    )
-    ver.add_argument("--p", type=int, default=4, help="linear family size (even, >= 4)")
-    ver.add_argument("--d", type=int, default=3, help="regular degree")
-    ver.add_argument("--alpha", type=float, help="lag for the regular check (default 0.5)")
-    ver.set_defaults(func=cmd_verify)
-
+    for command, (summary, func, items) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        for item in items:
+            if isinstance(item, _Option):
+                add(sub, item)
+            else:
+                group = sub.add_mutually_exclusive_group(required=True)
+                for option in item:
+                    add(group, option)
+        sub.set_defaults(func=func)
     return parser
 
 
+def _match(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The attributes build_parser() would parse argv into, when argv has
+    the one form every run can be written in: a subcommand, then each
+    option at most once, spelt in full, as `--name value` or a bare flag,
+    with no value that starts with '-', every value converting and within
+    its choices, exactly one option of each group and every required
+    option.  None for any other argv, which argparse then parses or
+    refuses in its own words: --help, an abbreviation, --name=value, a
+    repeat, a negative number, a bad value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, items = _COMMANDS[argv[0]]
+    options = {option.flag: option for option in _options(items)}
+    given: dict[str, object] = {}
+    i = 1
+    while i < len(argv):
+        option = options.get(argv[i])
+        if option is None or option.flag in given:
+            return None
+        if option.store_true:
+            given[option.flag] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        value = argv[i + 1]
+        if option.type is not None:
+            try:
+                value = option.type(value)
+            except ValueError:
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        given[option.flag] = value
+        i += 2
+    for item in items:
+        if not isinstance(item, _Option) and sum(o.flag in given for o in item) != 1:
+            return None
+    if any(o.required and o.flag not in given for o in options.values()):
+        return None
+    args = SimpleNamespace(command=argv[0], func=func)
+    for option in options.values():
+        default = False if option.store_true else option.default
+        setattr(args, option.name, given.get(option.flag, default))
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _match(argv)
+        if args is None:
+            args = build_parser().parse_args(argv, SimpleNamespace())
         return args.func(args)
     except (StepUnderflowError, NonFiniteStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

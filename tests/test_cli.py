@@ -574,13 +574,16 @@ POOL = ["concurrent", "multiprocessing"]
 # numpy 1.x imports numpy.random and numpy.ma with numpy itself; numpy 2
 # loads them on first use (np.unique, for one, loads numpy.ma)
 NUMPY_LAZY = ["numpy.random", "numpy.ma"] if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else []
+# what argparse loads; a well-formed run parses its argv without it
+ARGPARSE = ["argparse", "gettext", "locale"]
 
 
 class TestStartUp:
     """Each run imports only the layers its subcommand uses: the integrator,
     the bipartition layer, the exact rationals and the process pool each
     cost milliseconds.  Records are NamedTuples and plain classes, so no
-    run loads dataclasses, and a search loads neither inspect nor json."""
+    run loads dataclasses, a search loads neither inspect nor json, and a
+    well-formed argv is parsed without argparse."""
 
     @pytest.mark.parametrize(
         "argv, unloaded",
@@ -588,27 +591,29 @@ class TestStartUp:
             (
                 [],
                 ["kurapart.dynamics", "kurapart.bipartition_analysis", "fractions", *POOL,
-                 "dataclasses", "inspect"],
+                 "dataclasses", "inspect", *ARGPARSE],
             ),
             (
                 ["simulate", "--builtin", "cycle:8", "--alpha", "0.5", "--init-random",
                  "--seed", "1", "--t-end", "1", "--out", "x.csv"],
-                ["kurapart.bipartition_analysis", "fractions", "dataclasses", *NUMPY_LAZY],
+                ["kurapart.bipartition_analysis", "fractions", "dataclasses", *NUMPY_LAZY,
+                 *ARGPARSE],
             ),
             (
                 ["search", "--builtin", "cycle:8", "--out", "x.txt"],
-                ["kurapart.dynamics", "numpy", *POOL, "dataclasses", "inspect", "json"],
+                ["kurapart.dynamics", "numpy", *POOL, "dataclasses", "inspect", "json",
+                 *ARGPARSE],
             ),
             (
                 # an uncertified row: its counts are Python ints
                 ["analyze", "--builtin", "star:5", "--report", "x.json"],
-                ["kurapart.dynamics", "numpy", *POOL, "dataclasses"],
+                ["kurapart.dynamics", "numpy", *POOL, "dataclasses", *ARGPARSE],
             ),
             (
                 # a certified row loads the integrator for its residual,
                 # which TestAnalyze checks
                 ["analyze", "--builtin", "latoro", "--report", "x.json"],
-                [*POOL, "dataclasses"],
+                [*POOL, "dataclasses", *ARGPARSE],
             ),
         ],
         ids=["import-cli", "simulate-random", "search", "analyze-uncertified", "analyze-certified"],
@@ -947,6 +952,35 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: bad.bin is not UTF-8 text: invalid start byte\n"
         assert os.listdir(tmp_path) == ["bad.bin"]
+
+    @pytest.mark.parametrize(
+        "argv, unreadable",
+        [
+            (["analyze", "--graph", ""], True),
+            (["analyze", "--builtin", "latoro", "--partition", ""], True),
+            (["analyze", "--builtin", "latoro", "--report", ""], False),
+            (["simulate", "--builtin", "latoro", "--alpha", 0.5, "--init-equal", 0.0,
+              "--t-end", 1, "--out", "x.csv", "--partition", ""], True),
+            (["simulate", "--builtin", "cycle:4", "--alpha", 0.5, "--init-equal", 0.0,
+              "--t-end", 1, "--out", "x.csv", "--report", ""], False),
+            (["search", "--builtin", "cycle:4", "--out", ""], False),
+        ],
+        ids=["analyze-graph", "analyze-partition", "analyze-report", "simulate-partition",
+             "simulate-report", "search-out"],
+    )
+    def test_empty_path_names_no_file(self, tmp_path, monkeypatch, capsys, argv, unreadable):
+        # an empty path is given, not absent: it fails as a path, and no
+        # report goes to stdout or to the default path instead
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        if unreadable:
+            assert err == "error: [Errno 2] No such file or directory: ''\n"
+        else:
+            # the empty path resolves to the working directory
+            assert err == "error: output path '' is a directory\n"
+        assert os.listdir(tmp_path) == []
 
     def test_step_underflow(self, tmp_path):
         assert run(
@@ -1300,3 +1334,195 @@ class TestOutputMode:
         assert plain == 0o666 & ~umask
         assert run(*argv) == 0
         assert [stat.S_IMODE(os.stat(f).st_mode) for f in files] == [plain] * len(files)
+
+
+# a value of each kind the matcher converts: a float, an int, and a path or
+# graph name kept as given
+_VALUES = {
+    float: ["0.5", "1e-3", "nan", "inf", "+2", "0", "1e308", "5e-324", "1_000.25", " 2.5"],
+    int: ["0", "1", "7", "1_000", "123456789012345678901234567890"],
+    None: ["", "x.csv", "cycle:4", "nan", "a b", "=", "search", "a-b"],
+}
+
+
+def _canonical_argv(rng, command):
+    """A random well-formed argv: one option of each group, any other
+    options, every required one, in any order."""
+    chosen = []
+    for item in cli._COMMANDS[command][2]:
+        if not isinstance(item, cli._Option):
+            chosen.append(rng.choice(item))
+        elif item.required or rng.random() < 0.5:
+            chosen.append(item)
+    rng.shuffle(chosen)
+    argv = [command]
+    for option in chosen:
+        argv.append(option.flag)
+        if not option.store_true:
+            argv.append(rng.choice(option.choices or _VALUES[option.type]))
+    return argv
+
+
+def _same_attributes(ours, theirs):
+    """vars() equality, with a NaN equal to a NaN and int told from float."""
+    ours, theirs = vars(ours), vars(theirs)
+    return ours.keys() == theirs.keys() and all(
+        type(ours[k]) is type(theirs[k])
+        and (ours[k] == theirs[k] or ours[k] != ours[k] and theirs[k] != theirs[k])
+        for k in ours
+    )
+
+
+# leading sha256 digits of the report `search --builtin cycle:4` writes
+_CYCLE4_REPORT = "d9a7d78f2c51"
+
+
+class TestArgumentMatcher:
+    """cli._match parses the canonical argv of a run without argparse and
+    gives the attributes argparse would; every other argv goes to argparse,
+    whose messages and exit codes stay as they were."""
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze", "search", "verify"])
+    def test_agrees_with_argparse(self, command):
+        rng = random.Random(f"canonical {command}")
+        parser = cli.build_parser()
+        for _ in range(400):
+            argv = _canonical_argv(rng, command)
+            ours = cli._match(argv)
+            assert ours is not None, argv
+            assert _same_attributes(ours, parser.parse_args(argv)), argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--builtin", "cycle:4", "--alpha", "0.5", "--init-random",
+             "--out", "x.csv"],
+            ["analyze", "--graph", "g"],
+            ["search", "--graph", "g"],
+            ["verify"],
+        ],
+        ids=["simulate", "analyze", "search", "verify"],
+    )
+    def test_defaults_agree_with_argparse(self, argv):
+        assert vars(cli._match(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_well_formed_run_builds_no_parser(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_parser", _never)
+        assert run("search", "--builtin", "cycle:4") == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest().startswith(
+            _CYCLE4_REPORT
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            # argparse takes these as the canonical run
+            (["search", "--builtin", "cycle:4", "--for"], 0, ""),
+            (["search", "--builtin=cycle:4"], 0, ""),
+            (["search", "--builtin", "cycle:4", "--jobs", "1", "--jobs", "1"], 0, ""),
+            (["search", "--builtin", "cycle:4", "--stats", "--stats"], 0, None),
+            # a negative number, which argparse reads as a value here
+            (["simulate", "--builtin", "cycle:4", "--alpha", "-0.5", "--init-equal", "0",
+              "--t-end", "1", "--out", "x.csv"],
+             3, "error: alpha must lie in (0, pi/2], got -0.5\n"),
+            (["search", "--builtin", "cycle:4", "--jobs", "-1"],
+             3, "error: jobs must be >= 1, got -1\n"),
+            # usage errors, in argparse's words
+            (["search", "--builtin", "cycle:4", "--jobs", "two"],
+             3, "error: kurapart search: argument --jobs: invalid int value: 'two'\n"),
+            (["search", "--builtin", "cycle:4", "--jobs", ""],
+             3, "error: kurapart search: argument --jobs: invalid int value: ''\n"),
+            (["verify", "--p", "1.5"],
+             3, "error: kurapart verify: argument --p: invalid int value: '1.5'\n"),
+            (["verify", "--example", "ring"],
+             3, "error: kurapart verify: argument --example: invalid choice: 'ring' "
+             "(choose from 'linear', 'latoro', 'regular', 'kura-eg', 'all')\n"),
+            (["simulate", "--builtin", "cycle:4", "--alpha", "0.5", "--init-equal", "0",
+              "--method", "rk5", "--out", "x.csv"],
+             3, "error: kurapart simulate: argument --method: invalid choice: 'rk5' "
+             "(choose from 'rk4', 'rk45')\n"),
+            (["search"],
+             3, "error: kurapart search: one of the arguments --graph --builtin is required\n"),
+            (["search", "--builtin", "cycle:4", "--graph", "g.edges"],
+             3, "error: kurapart search: argument --graph: not allowed with argument --builtin\n"),
+            (["simulate", "--builtin", "cycle:4", "--alpha", "0.5", "--alpha-from-cert",
+              "--init-equal", "0", "--out", "x.csv"],
+             3, "error: kurapart simulate: argument --alpha-from-cert: not allowed with "
+             "argument --alpha\n"),
+            (["simulate", "--builtin", "cycle:4", "--alpha", "0.5", "--init-equal", "0"],
+             3, "error: kurapart simulate: the following arguments are required: --out\n"),
+            (["search", "--builtin"],
+             3, "error: kurapart search: argument --builtin: expected one argument\n"),
+            (["search", "--out", "--builtin", "cycle:4"],
+             3, "error: kurapart search: argument --out: expected one argument\n"),
+            (["search", "--builtin", "cycle:4", "extra"],
+             3, "error: kurapart: unrecognized arguments: extra\n"),
+            (["search", "--builtin", "cycle:4", "--"],
+             3, "error: kurapart: unrecognized arguments: --\n"),
+            (["search", "--builtin", "cycle:4", "--stats=1"],
+             3, "error: kurapart search: argument --stats: ignored explicit argument '1'\n"),
+            (["bogus"],
+             3, "error: kurapart: argument command: invalid choice: 'bogus' "
+             "(choose from 'simulate', 'analyze', 'search', 'verify')\n"),
+            ([], 3, "error: kurapart: the following arguments are required: command\n"),
+        ],
+        ids=["abbreviation", "equals", "repeat", "repeat-flag", "negative-float",
+             "negative-int", "bad-int", "empty-int", "float-for-int", "bad-choice",
+             "bad-method", "no-group-member", "two-group-members", "two-lags",
+             "no-required", "no-value", "option-as-value", "stray-value", "double-dash",
+             "flag-with-value", "bad-command", "no-command"],
+    )
+    def test_other_argv_goes_to_argparse(self, tmp_path, monkeypatch, capsys, argv, code, err):
+        monkeypatch.chdir(tmp_path)
+        assert cli._match(argv) is None
+        assert main(argv) == code
+        out, got = capsys.readouterr()
+        if err is None:  # --stats writes its timings
+            assert json.loads(got)["rows"] == 7
+        else:
+            assert got == err
+        if code == 0:
+            assert hashlib.sha256(out.encode()).hexdigest().startswith(_CYCLE4_REPORT)
+        else:
+            assert out == ""
+        assert os.listdir(tmp_path) == []
+
+    def test_negative_initial_phase_runs_as_given(self, tmp_path, monkeypatch):
+        # argparse reads a negative number as the value it names
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--builtin", "cycle:4", "--alpha", "0.5", "--t-end", "1"]
+        assert cli._match([*argv, "--init-equal", "-1", "--out", "a.csv"]) is None
+        assert main([*argv, "--init-equal", "-1", "--out", "a.csv"]) == 0
+        assert main([*argv, "--init-equal", "-1.0", "--out", "b.csv"]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert trajectory_from_csv((tmp_path / "a.csv").read_text()).states[0][0] == -1.0
+
+
+# sha256 of `kurapart [<command>] --help` at 80 columns.  Python 3.13 wraps a
+# long group in the usage lines, which earlier versions leave on one line,
+# so simulate's help has two forms
+_HELP_DIGESTS = {
+    "": {"4be0f0c114bf0f3d8b8f53b363f0c4afa6e6dc6e443f1a5581abd204a3d2a926"},
+    "simulate": {
+        "5e1839b2d540344d3456710dfb91280ba6adb06891be6cd9b9d43a1514db7dc8",  # 3.10-3.12
+        "7717759b0dd46fd7d5c1678e6f167db430971d639e4ca3b7ef9ee318f27a144a",  # 3.13
+    },
+    "analyze": {"54a5b0870424561eccf9c531f5a1d0a55f48b7de3cb79db0cc0be041bdb7d73e"},
+    "search": {"a55f5ed7551e5c6efcd310d641f84cd47210312ac4e51970b7b51a04dfaa3497"},
+    "verify": {"7d4313432f472836963ebd0540e54a9e094de1a4a1ffcc1dd2361b8d94c271ed"},
+}
+
+
+class TestHelpText:
+    @pytest.mark.skipif(sys.version_info >= (3, 14), reason="help layout pinned for 3.10-3.13")
+    @pytest.mark.parametrize("command", list(_HELP_DIGESTS), ids=lambda c: c or "kurapart")
+    def test_help_bytes_are_pinned(self, monkeypatch, capsys, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        assert cli._match(argv) is None
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() in _HELP_DIGESTS[command]
