@@ -71,6 +71,7 @@ from .graph_core import (
     VertexPartition,
     _block_counts,
     _block_index,
+    _check_count,
 )
 
 # the integrator is imported by the two functions that run the dynamics,
@@ -372,8 +373,8 @@ def _classified(
 
 def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
     """Closed-form motion the certificate promises: phase c + r sin(alpha) t on
-    s1 and the same plus the cross-block offset on s2.  The start vector is c
-    everywhere with the offset added on s2; s1 and s2 must split 1..n."""
+    s1 and the same plus the cross-block offset on s2.  The start vector lifts
+    c and c + offset through the block index of (s1, s2), which must split 1..n."""
     import numpy as np
 
     from .dynamics import LinearTrajectory
@@ -381,12 +382,11 @@ def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> Line
     if not cert.s1 + cert.s2:
         # the certificates of SearchReport.solutions are shared by many masks
         raise PartitionMismatchError("certificate has no vertex sets s1 and s2")
-    n = max(cert.s1 + cert.s2)
-    _block_index(VertexPartition((cert.s1, cert.s2)), n)
-    start = np.full(n, float(c))
-    start[np.array(cert.s2) - 1] += cert.offset
-    rate = float(cert.r) * math.sin(cert.alpha)
-    return LinearTrajectory(start, rate)
+    index = _block_index(VertexPartition((cert.s1, cert.s2)), max(cert.s1 + cert.s2))
+    levels = [float(c), float(c) + cert.offset]
+    if 1 in cert.s2:  # a partition's first block is the one holding vertex 1
+        levels.reverse()
+    return LinearTrajectory(np.array(levels)[index], float(cert.r) * math.sin(cert.alpha))
 
 
 def verify_certificate(
@@ -516,8 +516,8 @@ class _Walk(NamedTuple):
     pruned: int
 
 
-def _walk(plan: Plan, roots: Sequence[Node], stop: int) -> _Walk:
-    """Depth-first search below each root, placing the vertex of each
+def _walk(plan: Plan, root: Node, stop: int) -> _Walk:
+    """Depth-first search below root, placing the vertex of each
     depth in the first block, then the second.  A node fixes the count
     points of plan's fixes at its depth and adds each to its block with
     _add; a point that leaves no solution cuts the node's whole subtree,
@@ -562,15 +562,13 @@ def _walk(plan: Plan, roots: Sequence[Node], stop: int) -> _Walk:
                 continue
             pruned += 1
 
-    for root in roots:
-        visit(*root)
+    visit(*root)
     return _Walk(masks, which, list(index), frontier, nodes, pruned)
 
 
 def _walk_task(args: tuple[Plan, Node]) -> _Walk:
     """One worker's subtree: everything below a frontier node."""
-    plan, root = args
-    return _walk(plan, [root], 0)
+    return _walk(*args, 0)
 
 
 def _report(n: int, parts: Sequence[_Walk]) -> SearchReport:
@@ -621,8 +619,7 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     so the report is identical for any job count.
     """
     _check_search_size(g.n, force)
-    if type(jobs) is not int:
-        raise BadParameterError(f"jobs must be an int, got {jobs!r}")
+    _check_count("jobs", jobs)
     if jobs < 1:
         raise BadParameterError(f"jobs must be >= 1, got {jobs}")
     total = (1 << (g.n - 1)) - 1
@@ -631,10 +628,10 @@ def search_all_bipartitions(g: Graph, force: bool = False, jobs: int = 1) -> Sea
     plan = _plan(g)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or total < 4 * workers:
-        return _report(g.n, [_walk(plan, [_ROOT], 0)])
+        return _report(g.n, [_walk(plan, _ROOT, 0)])
     # at least 4 subtrees per worker below the stop depth, which is below
     # the root and above the leaves, since total >= 4 * workers
-    top = _walk(plan, [_ROOT], min(g.n - 1, (4 * workers).bit_length() + 1))
+    top = _walk(plan, _ROOT, min(g.n - 1, (4 * workers).bit_length() + 1))
     # imported here, so runs without a pool never load it
     from concurrent.futures import ProcessPoolExecutor
 

@@ -6,17 +6,17 @@ are.  Both the full vertex system and the block quotient system share one
 right-hand side over a weighted arc list, evaluated through the angle-sum
 identity from one complex exponential per vertex, with neighbour sums over
 the arcs or, on dense graphs, by one matrix product.  They also share one
-step loop, which hands on the last stage, checks, records and counts the
-steps of either classical fixed-step RK4 or an embedded Dormand-Prince
-4(5) pair with proportional step control.  Each integration reports its
-step and evaluation counts.
+checked entry and one step loop, which hands on the last stage, checks,
+records and counts the steps of either classical fixed-step RK4 or an
+embedded Dormand-Prince 4(5) pair with proportional step control.  Each
+integration reports its step and evaluation counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -25,11 +25,12 @@ from .errors import (
     BadParameterError,
     DimensionMismatchError,
     EmptyTrajectoryError,
+    KurapartError,
     NonFiniteStateError,
     StepUnderflowError,
     TooShortError,
 )
-from .graph_core import Graph, QuotientMatrix, VertexPartition, _block_index
+from .graph_core import Graph, QuotientMatrix, VertexPartition, _block_index, _check_count
 
 __all__ = list(_EXPORTS["dynamics"])
 
@@ -120,8 +121,7 @@ class IntegratorConfig(_Config):
             raise BadParameterError(
                 f"tolerances must be positive and finite, got {self.rel_tol}, {self.abs_tol}"
             )
-        if type(self.record_every) is not int:
-            raise BadParameterError(f"record_every must be an int, got {self.record_every!r}")
+        _check_count("record_every", self.record_every)
         if self.record_every < 1:
             raise BadParameterError(f"record_every must be >= 1, got {self.record_every}")
         _refuse_bools(self)
@@ -156,18 +156,12 @@ class Trajectory:
         derivatives: np.ndarray | None = None,
         stats: RunStats | None = None,
     ) -> None:
-        times = np.asarray(times, dtype=float)
+        times = _time_grid(times, "recorded times", EmptyTrajectoryError)
         states = np.asarray(states, dtype=float)
-        if times.ndim != 1 or times.size == 0:
-            raise EmptyTrajectoryError("trajectory needs at least one recorded time")
         if states.ndim != 2 or states.shape[0] != times.size:
             raise DimensionMismatchError(
                 f"states shape {states.shape} does not match {times.size} times"
             )
-        if times[0] != 0.0:
-            raise BadParameterError(f"recorded times must start at 0, got {times[0]}")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
-            raise BadParameterError("recorded times must increase strictly")
         if derivatives is not None:
             derivatives = np.asarray(derivatives, dtype=float)
             if derivatives.shape != states.shape:
@@ -193,25 +187,20 @@ class Trajectory:
 
 
 class LinearTrajectory:
-    """Closed-form motion theta(t) = start + rate * t."""
+    """Rigid motion theta(t) = start + rate * t, every phase turning at one
+    common rate."""
 
-    def __init__(self, start: Sequence[float], rate: Sequence[float] | float) -> None:
+    def __init__(self, start: Sequence[float], rate: float) -> None:
+        if np.ndim(rate):
+            raise BadParameterError("rate must be one number, the common rate of every phase")
         self.start = np.asarray(start, dtype=float)
-        if np.isscalar(rate):
-            self.rate = np.full(self.start.shape, float(rate))
-        else:
-            self.rate = np.asarray(rate, dtype=float)
-        if self.rate.shape != self.start.shape:
-            raise DimensionMismatchError("rate shape must match start")
-
-    def at(self, t: float) -> np.ndarray:
-        return self.start + self.rate * t
+        self.rate = float(rate)
 
     def sample(self, times: Sequence[float]) -> Trajectory:
+        """The motion at each time, its derivative the rate on every row."""
         ts = np.asarray(times, dtype=float)
-        states = self.start[None, :] + np.outer(ts, self.rate)
-        derivs = np.tile(self.rate, (ts.size, 1))
-        return Trajectory(ts, states, derivatives=derivs)
+        states = self.start + np.outer(ts, self.rate)
+        return Trajectory(ts, states, derivatives=np.full(states.shape, self.rate))
 
 
 # Neighbour sums run as one dense product once a graph has more than this
@@ -339,33 +328,38 @@ def _gamma_rhs(gamma: QuotientMatrix, alpha: float) -> Rhs:
     return _coupling_rhs(src, dst, gm[dst, src], k, alpha)
 
 
+def _state(values: Sequence[float], name: str, size: int) -> np.ndarray:
+    """values as floats, after checking they are one phase per vertex
+    (name "n") or per block (name "k") of a system of that size."""
+    y = np.asarray(values, dtype=float)
+    if y.shape != (size,):
+        raise DimensionMismatchError(f"state length {y.shape} does not match {name}={size}")
+    return y
+
+
+def _time_grid(times: Sequence[float], name: str, empty: type[KurapartError]) -> np.ndarray:
+    """The one rule for recorded and requested times: a 1-D grid from 0,
+    strictly increasing.  One that is not 1-D or holds no time raises empty."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or ts.size == 0:
+        raise empty(f"{name} must be 1-D and hold at least one time")
+    if ts[0] != 0.0:
+        raise BadParameterError(f"{name} must start at 0, got {ts[0]}")
+    if ts.size > 1 and not np.all(np.diff(ts) > 0.0):
+        raise BadParameterError(f"{name} must increase strictly")
+    return ts
+
+
 def kuramoto_rhs(g: Graph, theta: Sequence[float], params: ModelParams) -> np.ndarray:
     """Phase velocities: omega + coupling * sum_j A_ij sin(theta_j - theta_i - alpha)."""
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (g.n,):
-        raise DimensionMismatchError(f"state length {th.shape} does not match n={g.n}")
+    th = _state(theta, "n", g.n)
     return _graph_rhs(g, params)(th)
 
 
 def quotient_rhs(gamma: QuotientMatrix, f: Sequence[float], alpha: float) -> np.ndarray:
     """Block system: f_i' = sum_j gamma_ij sin(f_j - f_i - alpha)."""
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != (gamma.k,):
-        raise DimensionMismatchError(f"state length {fv.shape} does not match k={gamma.k}")
+    fv = _state(f, "k", gamma.k)
     return _gamma_rhs(gamma, alpha)(fv)
-
-
-def _validate_t_eval(t_eval: Sequence[float] | None, t_end: float) -> np.ndarray | None:
-    if t_eval is None:
-        return None
-    te = np.asarray(t_eval, dtype=float)
-    if te.ndim != 1 or te.size == 0 or te[0] != 0.0:
-        raise BadParameterError("t_eval must be 1-D and start at 0")
-    if te.size > 1 and not np.all(np.diff(te) > 0.0):
-        raise BadParameterError("t_eval must increase strictly")
-    if te[-1] > t_end + 1e-12:
-        raise BadParameterError("t_eval extends past t_end")
-    return te
 
 
 def _tableau(rows: list[list[float]]) -> np.ndarray:
@@ -412,12 +406,9 @@ def _rk4_rows(cfg: IntegratorConfig) -> int:
     return 1 + (-(-steps // cfg.record_every) if steps else int(cfg.t_end > 0.0))
 
 
-def _check_record(cfg: IntegratorConfig, n: int) -> None:
-    rows = _rk4_rows(cfg) if cfg.method == "rk4" else 0
-    if rows * n * 8 > MAX_RECORD_BYTES:
-        raise BadParameterError(
-            f"rk4 would record {rows} rows of {n} phases, over {MAX_RECORD_BYTES} bytes"
-        )
+def _row_cap(n: int) -> int:
+    """Rows of n phases that fit MAX_RECORD_BYTES; n = 0 fails the RHS build."""
+    return MAX_RECORD_BYTES // (8 * max(n, 1))
 
 
 def _rk_path(
@@ -430,8 +421,8 @@ def _rk_path(
     a step that is not clipped must reach MIN_ADAPTIVE_STEP.  rk4 accepts
     every step of _rk4_steps and labels step i as i * dt, the last as t_end;
     a horizon below its step tolerance takes no step but still records t_end.
-    A row that would take the record past MAX_RECORD_BYTES is refused, which
-    only rk45 can reach: _check_record has bounded rk4 beforehand.
+    A row past _row_cap is refused, which only rk45 can reach:
+    _integrate_core has bounded rk4 beforehand.
     """
     adaptive = cfg.method == "rk45"
     t_goal = cfg.t_end if t_eval is None else float(t_eval[-1])
@@ -442,7 +433,7 @@ def _rk_path(
         a, h = _RK4_A, float(cfg.dt)
         budget, last = _rk4_steps(t_goal, h)  # validated within MAX_ADAPTIVE_STEPS
     times, states = [0.0], [y0]
-    row_cap = MAX_RECORD_BYTES // (8 * y0.size)
+    row_cap = _row_cap(y0.size)
     y = y0
     abs_y = np.abs(y)  # carried from each accepted step to the next
     t = 0.0
@@ -532,14 +523,30 @@ def _rk_path(
 
 
 def _integrate_core(
-    f: Rhs, init: Sequence[float], cfg: IntegratorConfig, t_eval: Sequence[float] | None
+    build: Callable[[], Rhs], init: Sequence[float], name: str, size: int,
+    cfg: IntegratorConfig, t_eval: Sequence[float] | None,
 ) -> Trajectory:
-    y0 = np.asarray(init, dtype=float).copy()
+    """The one entry into the step loop, for either system: init must hold
+    size phases, one per vertex (name "n") or block ("k"), and an rk4 record
+    must fit _row_cap before build makes the right-hand side, which may be
+    an n x n matrix; then init must be finite, and t_eval, which only rk45
+    takes, a time grid within t_end."""
+    y0 = _state(init, name, size).copy()
+    rows = _rk4_rows(cfg) if cfg.method == "rk4" else 0
+    if rows > _row_cap(size):
+        raise BadParameterError(
+            f"rk4 would record {rows} rows of {size} phases, over {MAX_RECORD_BYTES} bytes"
+        )
+    f = build()
     if not np.isfinite(y0).all():
         raise NonFiniteStateError("non-finite state in initial condition")
-    te = _validate_t_eval(t_eval, cfg.t_end)
-    if cfg.method == "rk4" and te is not None:
-        raise BadParameterError("t_eval is supported by rk45 only")
+    te = None
+    if t_eval is not None:
+        te = _time_grid(t_eval, "t_eval", BadParameterError)
+        if te[-1] > cfg.t_end + 1e-12:
+            raise BadParameterError("t_eval extends past t_end")
+        if cfg.method == "rk4":
+            raise BadParameterError("t_eval is supported by rk45 only")
     times, states, stats = _rk_path(f, y0, cfg, te)
     return Trajectory(np.array(times), np.array(states), stats=stats)
 
@@ -557,11 +564,7 @@ def integrate(
     those times and only they are recorded, which gives directly comparable
     grids across runs of different dimension.
     """
-    y0 = np.asarray(init, dtype=float)
-    if y0.shape != (g.n,):
-        raise DimensionMismatchError(f"init length {y0.shape} does not match n={g.n}")
-    _check_record(cfg, g.n)
-    return _integrate_core(_graph_rhs(g, params), y0, cfg, t_eval)
+    return _integrate_core(lambda: _graph_rhs(g, params), init, "n", g.n, cfg, t_eval)
 
 
 def integrate_quotient(
@@ -572,11 +575,7 @@ def integrate_quotient(
     t_eval: Sequence[float] | None = None,
 ) -> Trajectory:
     """March the k-dimensional block system under the quotient counts."""
-    f0 = np.asarray(init, dtype=float)
-    if f0.shape != (gamma.k,):
-        raise DimensionMismatchError(f"init length {f0.shape} does not match k={gamma.k}")
-    _check_record(cfg, gamma.k)
-    return _integrate_core(_gamma_rhs(gamma, alpha), f0, cfg, t_eval)
+    return _integrate_core(lambda: _gamma_rhs(gamma, alpha), init, "k", gamma.k, cfg, t_eval)
 
 
 def lift_quotient_trajectory(
@@ -796,8 +795,7 @@ def analytic_regular_solution(
     """Rigid rotation of a d-regular graph: every phase equals -d sin(alpha) t."""
     if d < 0 or n < 1:
         raise BadParameterError(f"need d >= 0 and n >= 1, got d={d}, n={n}")
-    rate = -d * math.sin(alpha)
-    return LinearTrajectory(np.zeros(n), rate).sample(t_grid)
+    return LinearTrajectory(np.zeros(n), -d * math.sin(alpha)).sample(t_grid)
 
 
 def residual_max(g: Graph, traj: Trajectory, params: ModelParams) -> float:

@@ -448,6 +448,81 @@ def random_connected_graph(rng: np.random.Generator, n: int, extra: float = 0.3)
     return Graph(n, tuple(edges))
 
 
+# An edge mask of a graph on n vertices reads its vertex pairs (i, j), i < j,
+# 0-based, in the order (0, 1), (0, 2), (1, 2), (0, 3), ... as binary digits
+# from the most significant: labelling vertex j fixes the next j digits.
+
+
+def mask_edges(n: int, mask: int) -> tuple[tuple[int, int], ...]:
+    """The 1-based edges an edge mask of an n-vertex graph holds."""
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    top = len(pairs) - 1
+    return tuple((i + 1, j + 1) for p, (i, j) in enumerate(pairs) if mask >> (top - p) & 1)
+
+
+def least_mask(adjacency: list[int]) -> int:
+    """The least edge mask over every relabelling of the graph whose vertex
+    v has the neighbour bits adjacency[v].
+
+    Labels are handed out in order, and handing out label k fixes the next k
+    digits of the mask, the new vertex's pairs with labels 0..k-1, so only
+    the branches whose digits so far are least can end least.  Two branches
+    with the same labelled set and the same digits for every vertex left
+    have the same futures, and are kept once."""
+    n = len(adjacency)
+    level = {(0, (0,) * n)}  # (labelled bits, each unlabelled vertex's next digits)
+    mask = 0
+    for k in range(n):
+        best = min(codes[v] for done, codes in level for v in range(n) if not done >> v & 1)
+        following = set()
+        for done, codes in level:
+            for v in range(n):
+                if done >> v & 1 or codes[v] != best:
+                    continue
+                now = done | 1 << v
+                following.add((now, tuple(
+                    0 if now >> w & 1 else code << 1 | adjacency[w] >> v & 1
+                    for w, code in enumerate(codes)
+                )))
+        level = following
+        mask = mask << k | best
+    return mask
+
+
+def connected_graphs(n_max: int) -> dict[int, list[int]]:
+    """Every connected graph on 1..n_max vertices up to isomorphism, as the
+    sorted least edge masks per vertex count (see least_mask).
+
+    Each graph on n - 1 vertices gains a vertex n with every nonempty
+    neighbourhood.  That reaches every connected graph on n vertices: a
+    leaf of its spanning tree is a vertex whose removal leaves it connected."""
+    graphs = {1: [0]}
+    for n in range(2, n_max + 1):
+        found = set()
+        for mask in graphs[n - 1]:
+            adjacency = [0] * n
+            for u, v in mask_edges(n - 1, mask):
+                adjacency[u - 1] |= 1 << (v - 1)
+                adjacency[v - 1] |= 1 << (u - 1)
+            for nbrs in range(1, 1 << (n - 1)):
+                joined = [bits | (nbrs >> v & 1) << (n - 1) for v, bits in enumerate(adjacency[:-1])]
+                found.add(least_mask(joined + [nbrs]))
+        graphs[n] = sorted(found)
+    return graphs
+
+
+def certificate_motion_slow(cert: Condition2Certificate, c: float, times) -> tuple[np.ndarray, np.ndarray]:
+    """The certificate's rigid motion sampled as it was built before
+    LinearTrajectory took one common rate: the start c with the offset
+    added on s2, the rate repeated per vertex, the states start + t rate
+    and the derivatives rate tiled per row."""
+    start = np.full(max(cert.s1 + cert.s2), float(c))
+    start[np.array(cert.s2) - 1] += cert.offset
+    rate = np.full(start.shape, float(float(cert.r) * math.sin(cert.alpha)))
+    ts = np.asarray(times, dtype=float)
+    return start[None, :] + np.outer(ts, rate), np.tile(rate, (ts.size, 1))
+
+
 def _pairwise_max_dev_slow(states: np.ndarray) -> np.ndarray:
     """Every pair's largest absolute phase gap over the rows: n x n."""
     n = states.shape[1]

@@ -297,13 +297,13 @@ class TestCertificates:
         g, bip = kp.linear_family_graph(4)
         c = kp.classify_bipartition(g, bip).certificate
         lt = kp.certificate_to_solution(c, c=0.3)
-        state0 = lt.at(0.0)
+        state0, state1 = lt.sample([0.0, 1.0]).states
         for v in c.s1:
             assert state0[v - 1] == pytest.approx(0.3)
         for v in c.s2:
             assert state0[v - 1] == pytest.approx(0.3 + c.offset)
         rate = float(c.r) * math.sin(c.alpha)
-        assert np.allclose(lt.at(1.0) - state0, rate)
+        assert np.allclose(state1 - state0, rate)
 
     def test_residual_matches_slow_formula(self):
         g, bip = kp.linear_family_graph(4)
@@ -711,14 +711,14 @@ class TestBatchSearch:
     def test_report_independent_of_how_the_tree_is_split(self):
         g = circulant_graph(12, (1, 2))
         plan = ban._plan(g)
-        whole_walk = ban._walk(plan, [ban._ROOT], 0)
+        whole_walk = ban._walk(plan, ban._ROOT, 0)
         whole = ban._report(12, [whole_walk])
         whole_rows = search_report_rows(whole)
         assert [row.mask for row in whole_rows] == list(range(1, 2048))
         for stop in (2, 5, 11):
-            top = ban._walk(plan, [ban._ROOT], stop)
+            top = ban._walk(plan, ban._ROOT, stop)
             # subtrees walked one by one and in reverse, as workers return them
-            parts = [ban._walk(plan, [node], 0) for node in reversed(top.frontier)]
+            parts = [ban._walk(plan, node, 0) for node in reversed(top.frontier)]
             split = ban._report(12, [*parts, top])
             assert search_report_rows(split) == whole_rows
             assert (list(split.masks), list(split.which), split.solved) == (

@@ -223,7 +223,7 @@ class TestShapeRefusals:
         "call, error, message",
         [
             (lambda: kp.LinearTrajectory([0.0, 1.0], [1.0, 2.0, 3.0]),
-             kp.DimensionMismatchError, "rate shape"),
+             kp.BadParameterError, "one number, the common rate"),
             (lambda: kp.kuramoto_rhs(kp.cycle_graph(4), np.zeros(3), kp.ModelParams(alpha=0.5)),
              kp.DimensionMismatchError, "does not match n=4"),
             (lambda: kp.quotient_rhs(kp.QuotientMatrix(((0, 6), (1, 0))), np.zeros(3), 0.5),
@@ -279,11 +279,13 @@ class TestQuotientShape:
 class TestLinearTrajectory:
     def test_scalar_rate(self):
         lt = kp.LinearTrajectory(np.array([0.0, 1.0]), -2.0)
-        assert np.allclose(lt.at(0.5), [-1.0, 0.0])
+        assert np.allclose(lt.sample([0.0, 0.5]).states[1], [-1.0, 0.0])
 
     def test_vector_rate(self):
-        lt = kp.LinearTrajectory(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-        assert np.allclose(lt.at(2.0), [2.0, -1.0])
+        # a rigid motion turns every phase at one rate; a rate per vertex,
+        # even one of the right length, is refused
+        with pytest.raises(kp.BadParameterError, match="common rate"):
+            kp.LinearTrajectory(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
     def test_sample_attaches_derivatives(self):
         lt = kp.LinearTrajectory(np.array([0.0, 1.0]), -2.0)
@@ -477,7 +479,7 @@ class TestRunStats:
         f, addresses = _stage_row_recorder(kp.cycle_graph(6))
         cfg = kp.IntegratorConfig(t_end=5.0, rel_tol=1e-12, abs_tol=1e-14)
         init = np.array([0.0, 1.3, 2.1, 0.4, 2.9, 5.0])
-        traj = dyn._integrate_core(f, init, cfg, None)
+        traj = dyn._integrate_core(lambda: f, init, "n", 6, cfg, None)
         stats = traj.stats
         attempts = _attempts(addresses, 6)
         assert stats.rejected > 0
@@ -749,8 +751,10 @@ class TestResiduals:
         params = kp.ModelParams(alpha=0.9)
         grid = np.cumsum(np.random.default_rng(5).uniform(0.01, 0.3, 40)) - 0.01
         grid[0] = 0.0
-        motion = kp.LinearTrajectory(np.linspace(0.0, 1.0, 6), [0.3, -0.1, 0.2, 0.0, 0.5, -0.4])
-        closed = motion.sample(grid)
+        # a closed form with one rate per vertex, so not a rigid motion
+        rates = np.array([0.3, -0.1, 0.2, 0.0, 0.5, -0.4])
+        states = np.linspace(0.0, 1.0, 6) + np.outer(grid, rates)
+        closed = kp.Trajectory(grid, states, derivatives=np.tile(rates, (grid.size, 1)))
         numeric = kp.Trajectory(closed.times, closed.states)
         for traj in (closed, numeric):
             assert kp.residual_max(g, traj, params) == residual_max_slow(g, traj, params)

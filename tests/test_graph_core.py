@@ -70,7 +70,7 @@ def _star():
 
 
 def _c4_walk():
-    return ban._walk(ban._plan(kp.cycle_graph(4)), [ban._ROOT], 0)
+    return ban._walk(ban._plan(kp.cycle_graph(4)), ban._ROOT, 0)
 
 
 # every record the library returns or takes: how to make one, its fields
