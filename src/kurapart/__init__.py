@@ -74,6 +74,8 @@ _EXPORTS = {
         "asymptotic_sync_clusters",
         "analytic_regular_solution",
         "residual_max",
+        "certificate_to_solution",
+        "verify_certificate",
         "trajectory_to_csv",
     ),
     "bipartition_analysis": (
@@ -87,8 +89,6 @@ _EXPORTS = {
         "alpha_from_mu",
         "beta_from_mu",
         "classify_bipartition",
-        "certificate_to_solution",
-        "verify_certificate",
         "search_all_bipartitions",
         "bipartition_from_mask",
         "classification_report",

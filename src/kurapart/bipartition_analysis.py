@@ -40,8 +40,9 @@ sorted, and the index of each into the distinct solved rows, as stdlib
 array columns; it counts the nodes entered and the subtrees cut.
 SearchReport.solutions runs _solution once per distinct solved row, and
 the counts and the rendered text both read that list.
-No numpy is imported by a search.  Masks are int64 columns, so the
-search stops at n = 63.
+The module depends on graph_core and errors alone: only dynamics imports
+numpy, and a certificate's motion and its residual check live there.
+Masks are int64 columns, so the search stops at n = 63.
 """
 
 from __future__ import annotations
@@ -55,14 +56,13 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .errors import (
     BadParameterError,
     InfeasibleMuError,
     NotBipartitionError,
-    PartitionMismatchError,
     TooLargeError,
 )
 from .graph_core import (
@@ -70,14 +70,8 @@ from .graph_core import (
     QuotientMatrix,
     VertexPartition,
     _block_counts,
-    _block_index,
     _check_count,
 )
-
-# the integrator is imported by the two functions that run the dynamics,
-# so a search never loads it
-if TYPE_CHECKING:
-    from .dynamics import LinearTrajectory
 
 __all__ = list(_EXPORTS["bipartition_analysis"])
 
@@ -369,49 +363,6 @@ def _classified(
     if cert is None:
         return solution
     return solution._replace(certificate=cert._replace(s1=s1, s2=s2))
-
-
-def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
-    """Closed-form motion the certificate promises: phase c + r sin(alpha) t on
-    s1 and the same plus the cross-block offset on s2.  The start vector lifts
-    c and c + offset through the block index of (s1, s2), which must split 1..n."""
-    import numpy as np
-
-    from .dynamics import LinearTrajectory
-
-    if not cert.s1 + cert.s2:
-        # the certificates of SearchReport.solutions are shared by many masks
-        raise PartitionMismatchError("certificate has no vertex sets s1 and s2")
-    index = _block_index(VertexPartition((cert.s1, cert.s2)), max(cert.s1 + cert.s2))
-    levels = [float(c), float(c) + cert.offset]
-    if 1 in cert.s2:  # a partition's first block is the one holding vertex 1
-        levels.reverse()
-    return LinearTrajectory(np.array(levels)[index], float(cert.r) * math.sin(cert.alpha))
-
-
-def verify_certificate(
-    g: Graph,
-    bip: VertexPartition,
-    cert: Condition2Certificate,
-    c: float = 0.0,
-    grid: Sequence[float] | None = None,
-) -> float:
-    """Residual of the certificate's closed form under the full dynamics.
-
-    Zero (to rounding) exactly when the count equations hold with the
-    certified gains, so this is an end-to-end consistency check of the
-    gains, the lag, and the offset against the graph itself.
-    """
-    import numpy as np
-
-    from .dynamics import ModelParams, residual_max
-
-    if bip.blocks != (cert.s1, cert.s2):
-        raise PartitionMismatchError("certificate was issued for a different bipartition")
-    ts = np.linspace(0.0, 10.0, 101) if grid is None else np.asarray(grid, dtype=float)
-    traj = certificate_to_solution(cert, c).sample(ts)
-    params = ModelParams(alpha=cert.alpha)
-    return residual_max(g, traj, params)
 
 
 def _labels(mask: int, first: int) -> str:

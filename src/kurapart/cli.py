@@ -11,10 +11,10 @@ gets the mode a plain open would give it (0o666 less the umask).
 
 Only graph_core is imported up front.  Each subcommand imports the layers
 it uses when it runs, so `search` never loads the integrator and
-`simulate` loads the bipartition layer only for a certificate.  numpy is
-imported only by `simulate`, `verify` and the functions that run the
-dynamics, so `search`, and `analyze` of a row with no certificate to check,
-run without it.
+`simulate` loads the bipartition layer only for a certificate.  Only
+dynamics imports numpy, and only `simulate`, `verify` and a certificate's
+residual check load dynamics, so `search`, and `analyze` of a row with no
+certificate to check, run without numpy.
 
 Each subcommand's options are declared once, as data in _COMMANDS.  main()
 parses a run's argv with _match when it has the canonical form (the
@@ -54,8 +54,6 @@ from .errors import (
 
 if TYPE_CHECKING:
     import argparse
-
-    import numpy as np
 
     from . import bipartition_analysis as ban
     from . import dynamics as dyn
@@ -149,8 +147,9 @@ def _load_graph(
 
 
 def _read_text(path: str) -> str:
-    """An input file's text, read as UTF-8: one that is not is malformed."""
-    with open(path, "r", encoding="utf-8") as handle:
+    """An input file's text, read as UTF-8 after any byte-order mark: one
+    that is not UTF-8 is malformed."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             return handle.read()
         except UnicodeDecodeError as exc:
@@ -289,18 +288,16 @@ def _initial_state(
     g: gc.Graph,
     part: gc.VertexPartition | None,
     cert: ban.Condition2Certificate | None,
-) -> np.ndarray:
+) -> Sequence[float]:
     """The state the run starts from, one phase per vertex, as the --init-*
     option says.  --init-random draws numpy's Generator(PCG64(seed))
     uniform [0, 2*pi) stream, computed in Python ints by
     _pcg64_uniform_phases and pinned to numpy's doubles by a test."""
-    import numpy as np
-
     # the parser requires exactly one --init-* option
     if args.init_equal is not None:
         if not math.isfinite(args.init_equal):
             raise BadParameterError(f"--init-equal must be finite, got {args.init_equal}")
-        return np.full(g.n, args.init_equal)
+        return [args.init_equal] * g.n
     if args.init_blocks is not None:
         if part is None:
             raise BadParameterError("--init-blocks needs a partition")
@@ -314,15 +311,15 @@ def _initial_state(
             raise BadParameterError(
                 f"--init-blocks gave {len(values)} values for {part.k} blocks"
             )
-        return np.array(values)[gc._block_index(part, g.n)]
+        return [values[i] for i in gc._block_index(part, g.n)]
     if args.init_random:
         if args.seed < 0:
             raise BadParameterError(f"--seed must be >= 0, got {args.seed}")
-        return np.array(_pcg64_uniform_phases(args.seed, g.n))
+        return _pcg64_uniform_phases(args.seed, g.n)
     assert cert is not None
-    from . import bipartition_analysis as ban
+    from . import dynamics as dyn
 
-    return ban.certificate_to_solution(cert, c=0.0).start
+    return dyn.certificate_to_solution(cert, c=0.0).start
 
 
 def _sync_report_json(
@@ -412,8 +409,10 @@ def cmd_analyze(args: SimpleNamespace) -> int:
         result = ban.classify_bipartition(g, part)
         residual = None
         if result.certificate is not None:
+            from . import dynamics as dyn
+
             try:
-                residual = ban.verify_certificate(g, part, result.certificate)
+                residual = dyn.verify_certificate(g, part, result.certificate)
             except BadParameterError:
                 residual = None  # degenerate lag outside the model range
         payload = ban.classification_report(part, result, residual=residual)
@@ -505,7 +504,9 @@ def _verify_certified(
         f"alpha={cert.alpha:.17g} offset={cert.offset:.17g}",
         failures,
     )
-    residual = ban.verify_certificate(g, part, cert)
+    from . import dynamics as dyn
+
+    residual = dyn.verify_certificate(g, part, cert)
     _check(f"{name} residual", residual <= 1e-9, f"residual={residual:.3g}", failures)
     return cert
 
@@ -523,19 +524,17 @@ def _verify_linear(p: int, failures: list[str]) -> None:
 
 
 def _verify_regular(d: int, alpha: float, failures: list[str]) -> None:
-    import numpy as np
-
     from . import dynamics as dyn
 
     g = gc.complete_graph(d + 1)
-    grid = np.linspace(0.0, 10.0, 101)
+    grid = dyn._CHECK_GRID
     params = dyn.ModelParams(alpha=alpha)
     analytic = dyn.analytic_regular_solution(d, alpha, g.n, grid)
     residual = dyn.residual_max(g, analytic, params)
     _check(f"regular d={d} residual", residual <= 1e-14, f"residual={residual:.3g}", failures)
     cfg = dyn.IntegratorConfig(t_end=10.0)
-    traj = dyn.integrate(g, np.zeros(g.n), params, cfg, t_eval=grid)
-    gap = float(np.abs(traj.states - analytic.states).max())
+    traj = dyn.integrate(g, [0.0] * g.n, params, cfg, t_eval=grid)
+    gap = float(abs(traj.states - analytic.states).max())
     _check(f"regular d={d} integration", gap <= 1e-8, f"max deviation={gap:.3g}", failures)
 
 

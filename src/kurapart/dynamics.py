@@ -9,14 +9,15 @@ the arcs or, on dense graphs, by one matrix product.  They also share one
 checked entry and one step loop, which hands on the last stage, checks,
 records and counts the steps of either classical fixed-step RK4 or an
 embedded Dormand-Prince 4(5) pair with proportional step control.  Each
-integration reports its step and evaluation counts.
+integration reports its step and evaluation counts.  A certificate's rigid
+motion is built and checked here too: no other module imports numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -27,10 +28,14 @@ from .errors import (
     EmptyTrajectoryError,
     KurapartError,
     NonFiniteStateError,
+    PartitionMismatchError,
     StepUnderflowError,
     TooShortError,
 )
 from .graph_core import Graph, QuotientMatrix, VertexPartition, _block_index, _check_count
+
+if TYPE_CHECKING:
+    from .bipartition_analysis import Condition2Certificate
 
 __all__ = list(_EXPORTS["dynamics"])
 
@@ -830,6 +835,44 @@ def residual_max(g: Graph, traj: Trajectory, params: ModelParams) -> float:
     for deriv, y in zip(derivs, rows):
         worst = max(worst, float(np.abs(deriv - f(y)).max()))
     return worst
+
+
+# verify_certificate's default times, read-only so that no caller can change them
+_CHECK_GRID = np.linspace(0.0, 10.0, 101)
+_CHECK_GRID.flags.writeable = False
+
+
+def certificate_to_solution(cert: Condition2Certificate, c: float = 0.0) -> LinearTrajectory:
+    """Closed-form motion the certificate promises: phase c + r sin(alpha) t on
+    s1 and the same plus the cross-block offset on s2.  The start vector lifts
+    c and c + offset through the block index of (s1, s2), which must split 1..n."""
+    if not cert.s1 + cert.s2:
+        # the certificates of SearchReport.solutions are shared by many masks
+        raise PartitionMismatchError("certificate has no vertex sets s1 and s2")
+    index = _block_index(VertexPartition((cert.s1, cert.s2)), max(cert.s1 + cert.s2))
+    levels = [float(c), float(c) + cert.offset]
+    if 1 in cert.s2:  # a partition's first block is the one holding vertex 1
+        levels.reverse()
+    return LinearTrajectory(np.array(levels)[index], float(cert.r) * math.sin(cert.alpha))
+
+
+def verify_certificate(
+    g: Graph,
+    bip: VertexPartition,
+    cert: Condition2Certificate,
+    c: float = 0.0,
+    grid: Sequence[float] | None = None,
+) -> float:
+    """Residual of the certificate's closed form under the full dynamics.
+
+    Zero (to rounding) exactly when the count equations hold with the
+    certified gains, so this is an end-to-end consistency check of the
+    gains, the lag, and the offset against the graph itself.
+    """
+    if bip.blocks != (cert.s1, cert.s2):
+        raise PartitionMismatchError("certificate was issued for a different bipartition")
+    traj = certificate_to_solution(cert, c).sample(_CHECK_GRID if grid is None else grid)
+    return residual_max(g, traj, ModelParams(alpha=cert.alpha))
 
 
 # trajectory_to_csv lays each value out in 40 bytes, five 8-byte words:

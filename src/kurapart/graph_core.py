@@ -62,7 +62,8 @@ class Graph:
             missing = [v for v in range(1, n + 1) if v not in reached]
             raise DisconnectedError(f"{len(missing)} vertices unreachable from vertex 1: {_few(missing)}")
         # past __setattr__, which refuses every assignment
-        vars(self).update(n=n, edges=canonical, adjacency=tuple(tuple(sorted(a)) for a in nbrs))
+        # each list is ascending, walked from the sorted edges: (w, v), then (v, w)
+        vars(self).update(n=n, edges=canonical, adjacency=tuple(map(tuple, nbrs)))
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot set or delete {name!r}: a Graph is read-only")

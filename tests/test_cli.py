@@ -1,4 +1,5 @@
 import argparse
+import ast
 import concurrent.futures
 import errno
 import gc
@@ -659,6 +660,9 @@ class TestStartUp:
                 ["kurapart.bipartition_analysis", "kurapart.errors", "kurapart.graph_core"],
             ),
             ("clasify_bipartition", []),
+            # a certificate's motion and its check live with the integrator
+            ("certificate_to_solution", ["kurapart.dynamics", "kurapart.errors", "kurapart.graph_core"]),
+            ("verify_certificate", ["kurapart.dynamics", "kurapart.errors", "kurapart.graph_core"]),
         ],
     )
     def test_name_imports_only_its_module(self, name, loaded):
@@ -673,6 +677,24 @@ class TestStartUp:
         if not loaded:
             assert new == []  # a misspelt name imports nothing at all
 
+    def test_only_dynamics_imports_numpy(self):
+        # every import statement of the package, at any level, TYPE_CHECKING included
+        imports = {}
+        package = os.path.dirname(kp.__file__)
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read())
+                imports[name] = [m for node in ast.walk(tree) for m in _imported(node)]
+        numpy_users = [
+            name for name, found in imports.items() if any(m.split(".")[0] == "numpy" for m in found)
+        ]
+        assert numpy_users == ["dynamics.py"]
+        integrator = re.compile(r"(\.|kurapart\.)dynamics(\.|$)")
+        assert [m for m in imports["bipartition_analysis.py"] if integrator.match(m)] == []
+        # the rule sees each way a module can be named
+        assert any(integrator.match(m) for m in imports["cli.py"])
+
     def test_dir_lists_every_public_name(self):
         assert set(kp.__all__) <= set(dir(kp))
 
@@ -685,6 +707,19 @@ class TestStartUp:
         count, *missing = _fresh_python(probe).split()
         assert missing == []
         assert int(count) == len(kp.__all__) > 0
+
+
+def _imported(node):
+    """The modules an import statement names, relative ones with their
+    leading dots: `from . import dynamics` and `from .dynamics import x`
+    both name .dynamics."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = "." * node.level + (node.module or "")
+    sep = "." if node.module else ""
+    return [base, *(base + sep + alias.name for alias in node.names)]
 
 
 def _pop_files(directory):
@@ -952,6 +987,24 @@ class TestExitCodes:
         assert out == ""
         assert err == "error: bad.bin is not UTF-8 text: invalid start byte\n"
         assert os.listdir(tmp_path) == ["bad.bin"]
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["search", "--graph", "in.txt"], "n 5\n1 2\n2 3\n3 4\n4 5\n"),
+            (["analyze", "--builtin", "path:5", "--partition", "in.txt"], '{"blocks": [[1, 2, 4, 5], [3]]}'),
+        ],
+        ids=["search-graph", "analyze-partition"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, capsys, argv, text):
+        # editors that save UTF-8 with a BOM must not turn label 1 into '\ufeff1'
+        monkeypatch.chdir(tmp_path)
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            (tmp_path / "in.txt").write_bytes(bom + text.encode())
+            assert run(*argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "argv, unreadable",

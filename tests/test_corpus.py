@@ -13,6 +13,7 @@ import pytest
 import kurapart as kp
 from kurapart import cli
 from oracle_tools import (
+    automorphisms_slow,
     certificate_motion_slow,
     coarsest_equitable_refinement_slow,
     condition2_solution_slow,
@@ -102,6 +103,35 @@ def test_unique_certificates_have_tiny_residuals(corpus_rows):
     # labelling each graph the other way round gives 248 such rows, not 147
     assert unique == 147
     assert worst < 1e-9
+
+
+def _verdict(g, bip):
+    """What an automorphism must keep of a bipartition's classification: the
+    label, the solution kind, the feasibility, the unordered gains and r."""
+    result = kp.classify_bipartition(g, bip)
+    sol, cert, family = result.solution_set, result.certificate, result.family
+    feasible = cert.feasible if cert else family.feasible if family else False
+    mu1, mu2, r = sol.basepoint or (None, None, None)
+    return result.classification, sol.kind, feasible, frozenset((mu1, mu2)), r
+
+
+@pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 1: a point with mu1 < mu2 reads Infeasible until its blocks are swapped"
+)
+def test_automorphisms_keep_every_verdict():
+    graphs = [kp.complete_graph(6)]
+    graphs += [kp.Graph(n, mask_edges(n, m)) for n, masks in connected_graphs(5).items() if n > 1 for m in masks]
+    broken = []
+    for g in graphs:
+        verdicts = {bip.blocks: _verdict(g, bip) for bip in enumerate_bipartitions(g)}
+        perms = automorphisms_slow(g)
+        for blocks, want in verdicts.items():
+            for perm in perms:
+                image = kp.VertexPartition.from_blocks([[perm[v - 1] for v in b] for b in blocks])
+                if verdicts[image.blocks] != want:
+                    broken.append((g.n, g.edges, blocks))
+                    break
+    assert broken == []
 
 
 # the builtins at sizes a search covers in well under a second

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import kurapart as kp
+from kurapart import cli
 from kurapart import dynamics as dyn
 from oracle_tools import (
     adjacency_matrix_slow,
@@ -585,6 +586,20 @@ class TestQuotientIntegration:
 
 
 class TestSyncDetection:
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 3: tail clusters compare raw phases, not phases on the circle"
+    )
+    def test_phases_equal_mod_two_pi_form_one_tail_cluster(self):
+        # simulate --builtin complete:6 --alpha 0.3 --init-random --seed 0
+        # --t-end 60, with the CLI's default thresholds
+        init = cli._pcg64_uniform_phases(0, 6)
+        traj = kp.integrate(kp.complete_graph(6), init, kp.ModelParams(0.3), kp.IntegratorConfig(60.0))
+        final = traj.final_state()
+        gaps = np.angle(np.exp(1j * (final - final[0])))
+        assert np.abs(gaps).max() < 1e-6  # the run ends with all six phases equal on the circle
+        rep = kp.asymptotic_sync_clusters(traj, tail_fraction=0.2, tol=1e-4, exact_tol=1e-6)
+        assert rep.clusters.blocks == ((1, 2, 3, 4, 5, 6),)
+
     def test_exact_blocks(self):
         times = np.linspace(0.0, 1.0, 11)
         states = np.column_stack([times, times, times + 0.5])

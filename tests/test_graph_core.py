@@ -339,6 +339,7 @@ class TestDegreeProfile:
             nbrs = adjacency_sets(g)
             prof = kp.degree_profile(g, p)
             for v in range(1, g.n + 1):
+                assert g.adjacency[v] == tuple(sorted(nbrs[v]))
                 assert prof.row(v) == tuple(len(nbrs[v] & set(b)) for b in p.blocks)
 
     def test_cross_block_edge_count_symmetry(self):
