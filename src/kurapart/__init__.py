@@ -42,10 +42,8 @@ _EXPORTS = {
     "graph_core": (
         "Graph",
         "VertexPartition",
-        "DegreeProfile",
         "QuotientMatrix",
         "from_edge_list",
-        "degree_profile",
         "is_equitable",
         "coarsest_equitable_refinement",
         "linear_family_graph",
@@ -67,7 +65,6 @@ _EXPORTS = {
         "LinearTrajectory",
         "SyncReport",
         "kuramoto_rhs",
-        "quotient_rhs",
         "integrate",
         "integrate_quotient",
         "lift_quotient_trajectory",
@@ -90,7 +87,6 @@ _EXPORTS = {
         "beta_from_mu",
         "classify_bipartition",
         "search_all_bipartitions",
-        "bipartition_from_mask",
         "classification_report",
         "format_search_report",
     ),

@@ -370,17 +370,6 @@ def _labels(mask: int, first: int) -> str:
     return ",".join([str(first + v) for v in range(mask.bit_length()) if mask >> v & 1])
 
 
-def bipartition_from_mask(n: int, mask: int) -> VertexPartition:
-    """Bipartition of 1..n whose second block holds vertex v + 2 for each set
-    bit v of mask, one of 1 .. 2^(n-1) - 1."""
-    if not 0 < mask < 1 << (n - 1):
-        raise BadParameterError(f"mask {mask} outside 1..{(1 << (n - 1)) - 1} for n={n}")
-    s1, s2 = [1], []
-    for v in range(2, n + 1):
-        (s2 if mask >> (v - 2) & 1 else s1).append(v)
-    return VertexPartition.from_blocks([s1, s2])
-
-
 class SearchReport:
     """Every bipartition of an n-vertex graph, kept as compact columns.
 

@@ -77,10 +77,6 @@ class ModelParams(_Model):
         _refuse_bools(self)
         return self
 
-    @property
-    def at_right_angle(self) -> bool:
-        return self.alpha == math.pi / 2
-
 
 def _refuse_bools(params: tuple) -> None:
     """A bool passes the numeric checks as 0 or 1, but is no parameter value."""
@@ -359,12 +355,6 @@ def kuramoto_rhs(g: Graph, theta: Sequence[float], params: ModelParams) -> np.nd
     """Phase velocities: omega + coupling * sum_j A_ij sin(theta_j - theta_i - alpha)."""
     th = _state(theta, "n", g.n)
     return _graph_rhs(g, params)(th)
-
-
-def quotient_rhs(gamma: QuotientMatrix, f: Sequence[float], alpha: float) -> np.ndarray:
-    """Block system: f_i' = sum_j gamma_ij sin(f_j - f_i - alpha)."""
-    fv = _state(f, "k", gamma.k)
-    return _gamma_rhs(gamma, alpha)(fv)
 
 
 def _tableau(rows: list[list[float]]) -> np.ndarray:

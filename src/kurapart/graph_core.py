@@ -128,13 +128,6 @@ class VertexPartition(_Blocks):
     def k(self) -> int:
         return len(self.blocks)
 
-    def vertices(self) -> frozenset[int]:
-        return frozenset(v for b in self.blocks for v in b)
-
-    def index_map(self) -> dict[int, int]:
-        """Vertex -> block position."""
-        return {v: i for i, b in enumerate(self.blocks) for v in b}
-
 
 def _check_count(name: str, count: object) -> None:
     """Graph's and the named constructors' one check of a count's type."""
@@ -167,23 +160,6 @@ def _block_index(p: VertexPartition, n: int) -> list[int]:
     return index
 
 
-class DegreeProfile(NamedTuple):
-    """Per-vertex neighbour counts into each block of a partition.
-
-    Row v-1 holds, for vertex v, the number of its neighbours inside each
-    block, in block order.  Row sums equal vertex degrees.
-    """
-
-    delta: tuple[tuple[int, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.delta[0]) if self.delta else 0
-
-    def row(self, v: int) -> tuple[int, ...]:
-        return self.delta[v - 1]
-
-
 class QuotientMatrix(NamedTuple):
     """Block-to-block neighbour counts of an equitable partition."""
 
@@ -205,11 +181,6 @@ def _block_counts(g: Graph, p: VertexPartition) -> tuple[list[list[int]], list[i
             row[index[w - 1]] += 1
         rows.append(row)
     return rows, index
-
-
-def degree_profile(g: Graph, p: VertexPartition) -> DegreeProfile:
-    """Count each vertex's neighbours per block of p."""
-    return DegreeProfile(tuple(map(tuple, _block_counts(g, p)[0])))
 
 
 def is_equitable(g: Graph, p: VertexPartition) -> QuotientMatrix | None:
@@ -389,9 +360,11 @@ def partition_from_json(text: str) -> VertexPartition:
     """Parse {"blocks": [[...], ...]} into a partition."""
     import json
 
+    # besides JSONDecodeError, json raises ValueError for an integer past
+    # Python's int-string limit and RecursionError for nesting too deep
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"bad JSON: {exc}") from None
     if not isinstance(data, dict) or "blocks" not in data:
         raise FormatError('partition JSON needs a "blocks" key')

@@ -36,7 +36,6 @@ from kurapart import (
     classify_bipartition,
 )
 from kurapart import dynamics as dyn
-from kurapart.bipartition_analysis import bipartition_from_mask
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -51,9 +50,14 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
     return 1 <= u <= g.n and v in g.adjacency[u]
 
 
+def block_of(p: VertexPartition) -> dict[int, int]:
+    """Vertex -> position of its block in p."""
+    return {v: i for i, b in enumerate(p.blocks) for v in b}
+
+
 def refines(fine: VertexPartition, coarse: VertexPartition) -> bool:
     """True when every block of fine sits inside a single block of coarse."""
-    where = coarse.index_map()
+    where = block_of(coarse)
     return all(b[0] in where and len({where.get(v) for v in b}) == 1 for b in fine.blocks)
 
 
@@ -163,6 +167,17 @@ def line_family_slow(sol: SolutionSet) -> FamilySegment:
     else:
         t_mid = Fraction(0)
     return FamilySegment(True, 1, lo, hi, alpha_at(lo), alpha_at(hi), alpha_at(t_mid))
+
+
+def bipartition_from_mask(n: int, mask: int) -> VertexPartition:
+    """Bipartition of 1..n whose second block holds vertex v + 2 for each set
+    bit v of mask, one of 1 .. 2^(n-1) - 1: the search's row order."""
+    if not 0 < mask < 1 << (n - 1):
+        raise BadParameterError(f"mask {mask} outside 1..{(1 << (n - 1)) - 1} for n={n}")
+    s1, s2 = [1], []
+    for v in range(2, n + 1):
+        (s2 if mask >> (v - 2) & 1 else s1).append(v)
+    return VertexPartition.from_blocks([s1, s2])
 
 
 def enumerate_bipartitions(g: Graph) -> Iterator[VertexPartition]:
@@ -601,7 +616,7 @@ def sync_report_slow(
     if dev_prev is not None:
         linked &= dev_tail <= dev_prev + 1e-12
     clusters = VertexPartition.from_blocks(_merge_components_slow(n, linked))
-    cmap = clusters.index_map()
+    cmap = block_of(clusters)
     means = np.empty((traj.n_recorded, clusters.k))
     for b, block in enumerate(clusters.blocks):
         means[:, b] = traj.states[:, [v - 1 for v in block]].mean(axis=1)
@@ -609,7 +624,7 @@ def sync_report_slow(
     for b, block in enumerate(clusters.blocks):
         gap = traj.states[np.ix_(tail_rows, [v - 1 for v in block])] - means[tail_rows, b : b + 1]
         tail_dev.append(float(np.abs(gap).max()) if gap.size else 0.0)
-    emap = exact.index_map()
+    emap = block_of(exact)
     pair_classes = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

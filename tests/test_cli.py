@@ -1007,6 +1007,24 @@ class TestExitCodes:
         assert outputs[0].out and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"blocks": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
+            ('{"blocks": [[1, 2], [3, ' + "1" * 5_000 + "]]}", "integer string conversion"),
+        ],
+        ids=["nested-too-deep", "label-too-long"],
+    )
+    def test_malformed_partition_json(self, tmp_path, monkeypatch, capsys, text, reason):
+        # json raises RecursionError and ValueError here, not JSONDecodeError
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(text)
+        assert run("analyze", "--builtin", "cycle:4", "--partition", "p.json") == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad JSON: ") and reason in err
+        assert err.count("\n") == 1 and err.count("error:") == 1
+
+    @pytest.mark.parametrize(
         "argv, unreadable",
         [
             (["analyze", "--graph", ""], True),

@@ -8,6 +8,7 @@ import pytest
 import kurapart as kp
 from kurapart import cli
 from kurapart import dynamics as dyn
+from kurapart import graph_core as gc
 from oracle_tools import (
     adjacency_matrix_slow,
     exact_sync_chains_slow,
@@ -20,6 +21,12 @@ from oracle_tools import (
     trajectory_from_csv,
     trajectory_to_csv_slow,
 )
+
+
+def quotient_rhs(gamma, f, alpha):
+    """Block system f_i' = sum_j gamma_ij sin(f_j - f_i - alpha), through the
+    one quotient right-hand side that integration and the lift use."""
+    return dyn._gamma_rhs(gamma, alpha)(np.asarray(f, dtype=float))
 
 
 def rhs_slow(g, theta, alpha, omega=0.0, coupling=1.0):
@@ -36,10 +43,6 @@ class TestModelParams:
     def test_defaults(self):
         p = kp.ModelParams(alpha=0.5)
         assert p.omega == 0.0 and p.coupling == 1.0
-        assert not p.at_right_angle
-
-    def test_right_angle_flag(self):
-        assert kp.ModelParams(alpha=math.pi / 2).at_right_angle
 
     def test_alpha_range_enforced(self):
         for bad in (0.0, -0.1, math.pi / 2 + 1e-9, math.nan):
@@ -227,7 +230,8 @@ class TestShapeRefusals:
              kp.BadParameterError, "one number, the common rate"),
             (lambda: kp.kuramoto_rhs(kp.cycle_graph(4), np.zeros(3), kp.ModelParams(alpha=0.5)),
              kp.DimensionMismatchError, "does not match n=4"),
-            (lambda: kp.quotient_rhs(kp.QuotientMatrix(((0, 6), (1, 0))), np.zeros(3), 0.5),
+            (lambda: kp.integrate_quotient(
+                kp.QuotientMatrix(((0, 6), (1, 0))), np.zeros(3), 0.5, kp.IntegratorConfig(t_end=1.0)),
              kp.DimensionMismatchError, "does not match k=2"),
             (lambda: kp.analytic_regular_solution(-1, 0.5, 4, [0.0, 1.0]),
              kp.BadParameterError, "d=-1"),
@@ -257,7 +261,7 @@ class TestQuotientShape:
     @pytest.mark.parametrize(
         "entry",
         [
-            lambda gamma, k: kp.quotient_rhs(gamma, np.zeros(k), 0.5),
+            lambda gamma, k: dyn._gamma_rhs(gamma, 0.5),
             lambda gamma, k: kp.integrate_quotient(
                 gamma, np.zeros(k), 0.5, kp.IntegratorConfig(t_end=1.0)
             ),
@@ -319,7 +323,7 @@ class TestRhs:
     def test_quotient_rhs_star(self):
         gamma = kp.QuotientMatrix(((0, 6), (1, 0)))
         f = np.array([0.2, 1.0])
-        got = kp.quotient_rhs(gamma, f, 0.7)
+        got = quotient_rhs(gamma, f, 0.7)
         assert got[0] == pytest.approx(6 * math.sin(1.0 - 0.2 - 0.7))
         assert got[1] == pytest.approx(math.sin(0.2 - 1.0 - 0.7))
 
@@ -616,7 +620,7 @@ class TestSyncDetection:
             states = np.tile(ref, (7, 1)) + rng.uniform(-1e-10, 1e-10, (7, n))
             traj = kp.Trajectory(times, states)
             rep = kp.asymptotic_sync_clusters(traj, exact_tol=1e-8).exact_partition
-            assert rep.vertices() == frozenset(range(1, n + 1))
+            assert sorted(v for b in rep.blocks for v in b) == list(range(1, n + 1))
 
     def test_single_linkage_chain_merges(self):
         # 1 and 3 sit 1.2 tol apart but both touch 2, so all three merge
@@ -1205,10 +1209,10 @@ class TestRhsOracles:
             gamma = kp.is_equitable(g, part)
             f = rng.uniform(-3, 3, part.k)
             alpha = float(rng.uniform(0.05, math.pi / 2))
-            got = kp.quotient_rhs(gamma, f, alpha)
+            got = quotient_rhs(gamma, f, alpha)
             assert np.allclose(got, quotient_rhs_slow(gamma, f, alpha), rtol=0, atol=1e-13)
             # a block-constant state moves exactly as its quotient predicts
-            cols = [part.index_map()[v] for v in range(1, g.n + 1)]
+            cols = gc._block_index(part, g.n)
             full = kp.kuramoto_rhs(g, f[cols], kp.ModelParams(alpha=alpha))
             assert np.allclose(full, got[cols], rtol=0, atol=1e-13)
 
@@ -1257,9 +1261,9 @@ class TestRhsOracles:
             gamma = kp.is_equitable(g, part)
             f = -4000.0 + rng.uniform(0.0, 2 * math.pi, part.k)
             alpha = float(rng.uniform(0.05, math.pi / 2))
-            got = kp.quotient_rhs(gamma, f, alpha)
+            got = quotient_rhs(gamma, f, alpha)
             assert np.allclose(got, quotient_rhs_slow(gamma, f, alpha), rtol=0, atol=1e-13)
-            cols = [part.index_map()[v] for v in range(1, g.n + 1)]
+            cols = gc._block_index(part, g.n)
             full = kp.kuramoto_rhs(g, f[cols], kp.ModelParams(alpha=alpha))
             assert np.allclose(full, got[cols], rtol=0, atol=1e-13)
 
@@ -1267,7 +1271,7 @@ class TestRhsOracles:
     def test_one_block_quotient_with_a_diagonal_gamma(self, f0):
         # complete:48 as one block: every phase moves at -47 sin(alpha)
         gamma = kp.QuotientMatrix(((47,),))
-        got = kp.quotient_rhs(gamma, [f0], 1.0)
+        got = quotient_rhs(gamma, [f0], 1.0)
         assert np.allclose(got, quotient_rhs_slow(gamma, [f0], 1.0), rtol=0, atol=1e-13)
         assert got[0] == pytest.approx(-47 * math.sin(1.0), rel=1e-14)
         full = kp.kuramoto_rhs(kp.complete_graph(48), np.full(48, f0), kp.ModelParams(alpha=1.0))
@@ -1333,7 +1337,7 @@ class TestNeighbourSumKernels:
         got = kp.kuramoto_rhs(g, theta, params)
         assert np.allclose(got, rhs_slow(g, theta, 1.0, 0.3, 1.7), rtol=0, atol=1e-12)
         gamma = _discrete_quotient(g)
-        got = kp.quotient_rhs(gamma, theta, 1.0)
+        got = quotient_rhs(gamma, theta, 1.0)
         assert np.allclose(got, quotient_rhs_slow(gamma, theta, 1.0), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -1603,10 +1607,10 @@ class TestRhsBuffers:
         gamma = kp.is_equitable(g, part)
         qt = kp.integrate_quotient(gamma, [0.0, 1.0], 0.7, kp.IntegratorConfig(t_end=3.0))
         lifted = kp.lift_quotient_trajectory(part, qt, gamma=gamma, alpha=0.7)
-        cols = [part.index_map()[v] for v in range(1, g.n + 1)]
+        cols = gc._block_index(part, g.n)
         assert qt.n_recorded > 2
         for state, deriv in zip(qt.states, lifted.derivatives):
-            assert np.array_equal(deriv, kp.quotient_rhs(gamma, state, 0.7)[cols])
+            assert np.array_equal(deriv, quotient_rhs(gamma, state, 0.7)[cols])
 
     def test_step_underflow_restores_the_error_state(self):
         g = kp.cycle_graph(4)

@@ -6,10 +6,12 @@ import pytest
 
 import kurapart as kp
 from kurapart import bipartition_analysis as ban
+from kurapart import graph_core as gc
 from oracle_tools import (
     adjacency_sets,
     all_partitions,
     automorphisms_slow,
+    block_of,
     coarsest_equitable_refinement_slow,
     enumerate_bipartitions,
     is_equitable_slow,
@@ -26,6 +28,12 @@ def single_block(g):
     return kp.VertexPartition.from_blocks([list(range(1, g.n + 1))])
 
 
+def counts(g, p):
+    """The count table as tuples: row v - 1 holds vertex v's neighbours in
+    each block of p, in block order."""
+    return tuple(map(tuple, gc._block_counts(g, p)[0]))
+
+
 def random_blocks(rng, n, most):
     """Random partition of 1..n into at most `most` nonempty blocks."""
     blocks = [[] for _ in range(most)]
@@ -38,7 +46,7 @@ class TestPublicNames:
     def test_package_exports(self):
         assert sorted(kp.__all__) == [
             "AlphaResult", "BadParameterError", "BipartitionClassification", "Classification",
-            "Condition2Certificate", "DegreeProfile", "DimensionMismatchError",
+            "Condition2Certificate", "DimensionMismatchError",
             "DisconnectedError", "EmptyGraphError", "EmptyTrajectoryError", "FamilySegment",
             "FormatError", "Graph", "InfeasibleMuError", "IntegratorConfig", "KurapartError",
             "LinearTrajectory", "ModelParams", "NoCertificateError", "NonFiniteStateError",
@@ -46,13 +54,13 @@ class TestPublicNames:
             "SearchReport", "SelfLoopError", "SolutionSet", "StepUnderflowError", "SyncReport",
             "TooLargeError", "TooShortError", "Trajectory", "VertexOutOfRangeError",
             "VertexPartition", "alpha_from_mu", "analytic_regular_solution",
-            "asymptotic_sync_clusters", "beta_from_mu", "bipartition_from_mask",
+            "asymptotic_sync_clusters", "beta_from_mu",
             "certificate_to_solution", "classification_report", "classify_bipartition",
-            "coarsest_equitable_refinement", "complete_graph", "cycle_graph", "degree_profile",
+            "coarsest_equitable_refinement", "complete_graph", "cycle_graph",
             "format_search_report", "from_edge_list", "integrate", "integrate_quotient",
             "is_equitable", "kuramoto_rhs", "latoro_profile_graph", "lift_quotient_trajectory",
             "linear_family_graph", "partition_from_json",
-            "path_graph", "petersen_graph", "quotient_rhs", "read_edge_list", "residual_max",
+            "path_graph", "petersen_graph", "read_edge_list", "residual_max",
             "right_angle_profile_graph", "search_all_bipartitions", "star_graph",
             "trajectory_to_csv", "verify_certificate",
         ]
@@ -78,9 +86,6 @@ def _c4_walk():
 RECORDS = {
     "Graph": (lambda: kp.Graph(3, ((2, 1), (2, 3), (3, 2))), ["n", "edges"], True),
     "VertexPartition": (lambda: kp.VertexPartition(((3, 1), (2,))), ["blocks"], True),
-    "DegreeProfile": (
-        lambda: kp.degree_profile(kp.path_graph(3), kp.VertexPartition(((1,), (2, 3)))), ["delta"], True
-    ),
     "QuotientMatrix": (lambda: _star().quotient, ["gamma"], True),
     "ModelParams": (lambda: kp.ModelParams(0.5, coupling=2.0), ["alpha", "omega", "coupling"], True),
     "IntegratorConfig": (
@@ -276,51 +281,48 @@ class TestVertexPartition:
         assert refines(coarse, coarse)
         assert not refines(fine, kp.VertexPartition.from_blocks([[1, 2]]))
 
-    def test_index_map(self):
-        p = kp.VertexPartition.from_blocks([[1, 3], [2]])
-        assert p.index_map() == {1: 0, 3: 0, 2: 1}
-
 
 class TestDegreeProfile:
+    """The degree profile is the one count table, graph_core._block_counts."""
+
     def test_linear_p4_table(self):
         g, bip = kp.linear_family_graph(4)
-        prof = kp.degree_profile(g, bip)
+        prof = counts(g, bip)
         # columns follow block order: counts into {1}, then into the rest
-        assert prof.row(1) == (0, 4)
+        assert prof[0] == (0, 4)
         for v in (2, 3, 4, 5):
-            assert prof.row(v) == (1, 1)
+            assert prof[v - 1] == (1, 1)
         for v in (6, 7, 8, 9):
-            assert prof.row(v) == (0, 2)
+            assert prof[v - 1] == (0, 2)
 
     def test_k_and_rows(self):
         g, bip = kp.linear_family_graph(4)
-        prof = kp.degree_profile(g, bip)
-        assert prof.k == 2
-        assert len(prof.delta) == 9
-        # plain ints, so a profile serialises to JSON
-        assert all(type(c) is int for row in prof.delta for c in row)
-        assert kp.DegreeProfile(()).k == 0
+        rows, index = gc._block_counts(g, bip)
+        assert len(rows) == 9 and {len(row) for row in rows} == {2}
+        assert index == [0] + [1] * 8
+        # plain ints, so the counts serialise to JSON
+        assert all(type(c) is int for row in rows for c in row)
 
     def test_rows_partition_degrees(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             g = random_connected_graph(rng, int(rng.integers(2, 8)))
             p = single_block(g)
-            prof = kp.degree_profile(g, p)
+            prof = counts(g, p)
             for v in range(1, g.n + 1):
-                assert sum(prof.row(v)) == g.degree(v)
+                assert sum(prof[v - 1]) == g.degree(v)
 
     def test_partition_must_cover(self):
         g = kp.cycle_graph(4)
         p = kp.VertexPartition.from_blocks([[1, 2], [3]])
         with pytest.raises(kp.PartitionMismatchError):
-            kp.degree_profile(g, p)
+            counts(g, p)
 
     def test_mismatch_message_lists_few_vertices(self):
         g = kp.cycle_graph(4)
         p = kp.VertexPartition.from_blocks([[1, 2], list(range(3, 1000))])
         with pytest.raises(kp.PartitionMismatchError) as info:
-            kp.degree_profile(g, p)
+            kp.is_equitable(g, p)
         assert len(str(info.value)) < 200
 
     def test_matches_adjacency_counts(self):
@@ -337,10 +339,12 @@ class TestDegreeProfile:
         assert {p.k for _, p in cases} >= set(range(1, 8))
         for g, p in cases:
             nbrs = adjacency_sets(g)
-            prof = kp.degree_profile(g, p)
+            rows, index = gc._block_counts(g, p)
+            # the one vertex-to-block map, indexed by v - 1
+            assert index == [block_of(p)[v] for v in range(1, g.n + 1)]
             for v in range(1, g.n + 1):
                 assert g.adjacency[v] == tuple(sorted(nbrs[v]))
-                assert prof.row(v) == tuple(len(nbrs[v] & set(b)) for b in p.blocks)
+                assert rows[v - 1] == [len(nbrs[v] & set(b)) for b in p.blocks]
 
     def test_cross_block_edge_count_symmetry(self):
         # counting edges between two blocks from either side gives one number
@@ -352,13 +356,13 @@ class TestDegreeProfile:
                 blocks[int(rng.integers(0, 3))].append(v)
             blocks = [b for b in blocks if b]
             p = kp.VertexPartition.from_blocks(blocks)
-            prof = kp.degree_profile(g, p)
+            prof = counts(g, p)
             for a in range(p.k):
                 for b in range(p.k):
                     if a == b:
                         continue
-                    from_a = sum(prof.row(v)[b] for v in p.blocks[a])
-                    from_b = sum(prof.row(v)[a] for v in p.blocks[b])
+                    from_a = sum(prof[v - 1][b] for v in p.blocks[a])
+                    from_b = sum(prof[v - 1][a] for v in p.blocks[b])
                     assert from_a == from_b
 
 
@@ -525,12 +529,12 @@ class TestGenerators:
         for p in (4, 6, 8, 10):
             g, bip = kp.linear_family_graph(p)
             assert g.n == 2 * p + 1
-            prof = kp.degree_profile(g, bip)
-            assert prof.row(1) == (0, p)
+            prof = counts(g, bip)
+            assert prof[0] == (0, p)
             for v in range(2, p + 2):
-                assert prof.row(v) == (1, 1)
+                assert prof[v - 1] == (1, 1)
             for v in range(p + 2, 2 * p + 2):
-                assert prof.row(v) == (0, 2)
+                assert prof[v - 1] == (0, 2)
 
     def test_linear_family_rejects_bad_p(self):
         for p in (3, 5, 2, 0, -4):
@@ -540,17 +544,17 @@ class TestGenerators:
     def test_latoro_profile(self):
         g, bip = kp.latoro_profile_graph()
         assert g.n == 7
-        prof = kp.degree_profile(g, bip)
-        assert prof.row(1) == (0, 4)
-        rows = sorted(prof.row(v) for v in range(2, 8))
+        prof = counts(g, bip)
+        assert prof[0] == (0, 4)
+        rows = sorted(prof[v - 1] for v in range(2, 8))
         assert rows == [(0, 2), (0, 2), (1, 1), (1, 1), (1, 1), (1, 1)]
 
     def test_right_angle_profile(self):
         g, bip = kp.right_angle_profile_graph()
         assert g.n == 10
-        prof = kp.degree_profile(g, bip)
-        s1_rows = sorted(prof.row(v) for v in bip.blocks[0])
-        s2_rows = sorted(prof.row(v) for v in bip.blocks[1])
+        prof = counts(g, bip)
+        s1_rows = sorted(prof[v - 1] for v in bip.blocks[0])
+        s2_rows = sorted(prof[v - 1] for v in bip.blocks[1])
         assert s1_rows == [(1, 2), (1, 2), (1, 2), (1, 2), (2, 4)]
         assert s2_rows == [(2, 1), (2, 1), (2, 1), (2, 1), (4, 2)]
 
